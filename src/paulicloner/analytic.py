@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cloner import FidelityReport, NgAngles, SoftwareState
-from .mub import MubBasis, index_to_pauli, mubs_for, pauli_action
+from .mub import MubBasis, invariant_paulis, mubs_for
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,8 @@ def ng_stabilizer_indices(num_clone_qubits: int) -> dict:
     """Program indices (>= 1) whose Pauli string leaves each basis invariant."""
     out = {}
     for basis in mubs_for(num_clone_qubits).bases:
-        idx = tuple(
-            j
-            for j in range(1, 4**num_clone_qubits)
-            if pauli_action(index_to_pauli(j, num_clone_qubits), basis).is_invariant
-        )
-        out[basis.label] = idx
+        mask = invariant_paulis(basis)
+        out[basis.label] = tuple(int(j) for j in np.flatnonzero(mask) if j > 0)
     return out
 
 
@@ -247,12 +243,8 @@ def ng_nq_bob_fidelity(program: SoftwareState, basis: MubBasis) -> float:
     n = basis.num_qubits
     if program.num_clone_qubits != n:
         raise ValueError("program and basis register sizes differ")
-    a = program.amplitudes
-    total = abs(a[0]) ** 2
-    for j in range(1, 4**n):
-        if pauli_action(index_to_pauli(j, n), basis).is_invariant:
-            total += abs(a[j]) ** 2
-    return float(total)
+    weights = np.abs(program.amplitudes) ** 2
+    return float(np.sum(weights[invariant_paulis(basis)]))
 
 
 def uqcm_program_ng(num_clone_qubits: int) -> SoftwareState:

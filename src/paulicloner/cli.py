@@ -4,8 +4,7 @@ against simulation, run frontier sweeps, and print the MUB tables.
 Exit codes: 0 on success, 1 when validation or an optimizer run fails,
 2 on usage errors.  CSV files embed the full run configuration as
 '#'-prefixed comment lines, and all numeric output uses 12 significant
-digits.  The PAULICLONER_THREADS environment variable controls how many
-sweep rows are computed concurrently.
+digits.
 """
 
 from __future__ import annotations
@@ -181,19 +180,13 @@ def _random_program(rng, n: int, complex_amps: bool = False) -> SoftwareState:
 
 def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     """All closed-form-versus-simulation oracles and structure checks."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 
     for n in (1, 2):
-        mset = mubs_for(n)
-        dev = 0.0
-        target = 2.0**-n
-        for i, a in enumerate(mset.bases):
-            for b in mset.bases[i + 1 :]:
-                for sa in a.states:
-                    for sb in b.states:
-                        ov = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
-                        dev = max(dev, abs(ov - target))
+        dev = mub.unbiasedness_deviation(mubs_for(n).bases, n)
         checks.append(Check(f"mub-unbiasedness-{n}q", dev, 1e-12))
 
     dev = 0.0
@@ -534,14 +527,7 @@ def cmd_mubs(args) -> int:
             )
             print(f"  state {i}: [{comps}]")
     if args.check:
-        dev = 0.0
-        target = 2.0**-args.n
-        for i, a in enumerate(mset.bases):
-            for b in mset.bases[i + 1 :]:
-                for sa in a.states:
-                    for sb in b.states:
-                        ov = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
-                        dev = max(dev, abs(ov - target))
+        dev = mub.unbiasedness_deviation(mset.bases, args.n)
         print(f"max unbiasedness deviation: {_fmt(dev)}")
     return 0
 

@@ -7,15 +7,22 @@ Register layout for a cloner on N-qubit inputs (3N qubits total):
   qubits 2N .. 3N-1  ancilla
 
 The program ("software") state lives on Eve's clone register plus the
-ancilla, Eve's qubits being the most significant program bits.  Programs are
-loaded by direct amplitude injection rather than by a preparation circuit;
-the three-rotation preparation for single-qubit registers is provided
+ancilla, Eve's qubits being the most significant program bits.  Programs
+enter as amplitude vectors rather than through a preparation circuit; the
+three-rotation preparation for single-qubit registers is provided
 separately for cross-checks.
 
+The hardware is one fixed circuit per (kind, N).  It is compiled once, on
+first use, into its 2^(3N) unitary by the gate-by-gate simulator.  Each
+evaluation contracts the program into that unitary and then pushes every
+input state and Kraus branch through one small matrix product; fidelities,
+reduced states, quadratic forms and the Pauli transfer matrix all come from
+that one output tensor.  The gate-by-gate simulator stays the reference
+path in the tests.
+
 Noise is modelled as a Pauli channel acting on Alice's register after state
-preparation and before the cloning hardware; each Kraus branch is run
-through the pure-state simulator and the resulting Bob/Eve reduced states
-are mixed with the branch weights.
+preparation and before the cloning hardware; the Bob/Eve reduced states of
+its Kraus branches are mixed with the branch weights.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import simcore
-from .mub import MubBasis, MubSet, index_to_pauli, mubs_for
+from .mub import MubBasis, MubSet, mubs_for, pauli_matrices, pauli_to_index
 from .noise import PauliChannel
 from .simcore import (
     Circuit,
@@ -35,6 +43,7 @@ from .simcore import (
     GateOp,
     StateVector,
     basis_state,
+    check_density_matrices,
     fidelity_pure,
     inject_state,
     reduced_density_matrix,
@@ -259,16 +268,136 @@ class FidelityReport:
         return float(np.mean(list(self.f_ae.values())))
 
 
-def _output_state(
-    circuit: Circuit,
-    layout: ClonerLayout,
+# The compiled unitary of a 3N-qubit cloner holds 64^N complex entries
+# (4 MiB at N = 3, 256 MiB at N = 4).
+MAX_COMPILED_QUBITS = 3
+
+
+@lru_cache(maxsize=None)
+def cloner_unitary(kind: ClonerKind, num_clone_qubits: int) -> np.ndarray:
+    """Read-only 2^(3N) x 2^(3N) unitary of the cloner hardware.
+
+    Compiled on first use per (kind, N) by running the gate-by-gate
+    simulator on every computational basis column.  Column index k * 4^N + j
+    stands for Alice's input |k> and program basis vector |j>.
+    """
+    if not 1 <= num_clone_qubits <= MAX_COMPILED_QUBITS:
+        raise ValueError(
+            f"cloners are compiled for 1 to {MAX_COMPILED_QUBITS}-qubit registers"
+        )
+    circuit = build_cloner(
+        kind, num_clone_qubits, SoftwareState.computational(num_clone_qubits)
+    )
+    columns = np.eye(2**circuit.num_qubits, dtype=complex)
+    u = np.stack(
+        [simcore.apply_ops(c, circuit.num_qubits, circuit.ops) for c in columns],
+        axis=1,
+    )
+    u.flags.writeable = False
+    return u
+
+
+def cloner_outputs(
+    kind: ClonerKind,
+    num_clone_qubits: int,
+    programs: np.ndarray,
+    states: np.ndarray,
+    channel: PauliChannel | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output amplitudes for every program, Kraus branch and input state.
+
+    ``programs`` holds programs as columns (4^N, P), ``states`` input states
+    as rows (S, 2^N).  Kraus branch k acts on each input first.  Returns the
+    outputs, with axes (Bob, Eve, ancilla, program, branch, state) and each
+    register of size 2^N, and the branch weights.
+    """
+    d = 2**num_clone_qubits
+    if states.ndim != 2 or states.shape[1] != d:
+        raise ValueError("input state size does not match the cloner registers")
+    if channel is None:
+        errors, weights = np.eye(d)[None], np.ones(1)
+    elif channel.num_qubits != num_clone_qubits:
+        raise ValueError("channel size does not match the cloner registers")
+    else:
+        branches = channel.branches()
+        errors = pauli_matrices(num_clone_qubits)[
+            [pauli_to_index(p) for p, _ in branches]
+        ]
+        weights = np.array([w for _, w in branches])
+    u = cloner_unitary(kind, num_clone_qubits).reshape(-1, d, d * d)
+    # V = U (I (x) psi) first, so the inputs meet a 2^(3N) x 2^N matrix.
+    # einsum keeps these small products off BLAS, whose threaded path costs
+    # more to wake than the products themselves.
+    v = np.einsum("rij,jp->rpi", u, programs)
+    inputs = np.einsum("kab,sb->aks", errors, states)
+    out = np.einsum("rpi,iks->rpks", v, inputs)
+    return out.reshape(d, d, d, *out.shape[1:]), weights
+
+
+def resolve_bases(num_clone_qubits: int, bases=None) -> tuple[MubBasis, ...]:
+    """A MubSet, a sequence of MubBasis, or None for the register's full set."""
+    if bases is None:
+        return mubs_for(num_clone_qubits).bases
+    if isinstance(bases, MubSet):
+        return bases.bases
+    bases = tuple(bases)
+    for basis in bases:
+        if not isinstance(basis, MubBasis):
+            raise TypeError(f"expected MubBasis, got {type(basis)!r}")
+    return bases
+
+
+def state_rows(num_clone_qubits: int, states) -> np.ndarray:
+    """Amplitudes of StateVectors stacked as rows (S, 2^N)."""
+    states = list(states)
+    if any(st.num_qubits != num_clone_qubits for st in states):
+        raise ValueError("input state size does not match the cloner registers")
+    return np.array([st.amplitudes for st in states], dtype=complex).reshape(
+        len(states), 2**num_clone_qubits
+    )
+
+
+def _reduced_states(
+    kind: ClonerKind,
+    num_clone_qubits: int,
     program: SoftwareState,
-    input_amps: np.ndarray,
-) -> StateVector:
-    state = basis_state(layout.num_qubits, 0)
-    state = inject_state(state, layout.software, program.amplitudes)
-    state = inject_state(state, layout.alice, input_amps)
-    return simcore.apply_circuit(state, circuit)
+    states: np.ndarray,
+    channel: PauliChannel | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's reduced states, stacked (S, 2^N, 2^N), for input rows."""
+    _check_program(num_clone_qubits, program)
+    out, weights = cloner_outputs(
+        kind, num_clone_qubits, program.amplitudes[:, None], states, channel
+    )
+    shape = (len(weights), len(states), 2**num_clone_qubits, -1)
+    # (branch, state, receiver, rest): the rest is traced out
+    bob = out[:, :, :, 0].transpose(3, 4, 0, 1, 2).reshape(shape)
+    eve = out[:, :, :, 0].transpose(3, 4, 1, 0, 2).reshape(shape)
+    rho_b = mix_branches(bob @ np.swapaxes(bob, 2, 3).conj(), weights)
+    rho_e = mix_branches(eve @ np.swapaxes(eve, 2, 3).conj(), weights)
+    return rho_b, rho_e
+
+
+def mix_branches(per_branch: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum over the leading branch axis, accumulated in branch order."""
+    return sum(w * m for w, m in zip(weights, per_branch))
+
+
+def _state_fidelities(
+    kind: ClonerKind,
+    num_clone_qubits: int,
+    program: SoftwareState,
+    states: np.ndarray,
+    channel: PauliChannel | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """<psi| rho |psi> for Bob and Eve per input row, states validated once."""
+    rho_b, rho_e = _reduced_states(kind, num_clone_qubits, program, states, channel)
+    check_density_matrices(rho_b)
+    check_density_matrices(rho_e)
+    ref = states.conj()
+    f_ab = np.einsum("sa,sab,sb->s", ref, rho_b, states).real
+    f_ae = np.einsum("sa,sab,sb->s", ref, rho_e, states).real
+    return f_ab, f_ae
 
 
 def clone_output_reduced(
@@ -279,27 +408,16 @@ def clone_output_reduced(
     channel: PauliChannel | None = None,
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """Bob's and Eve's reduced output states for one input state."""
-    lay = ClonerLayout(num_clone_qubits)
-    circuit = build_cloner(kind, num_clone_qubits, program)
-    if input_state.num_qubits != num_clone_qubits:
-        raise ValueError("input state size does not match the cloner registers")
-    if channel is not None and channel.num_qubits != num_clone_qubits:
-        raise ValueError("channel size does not match the cloner registers")
-    branches = (
-        [(None, 1.0)]
-        if channel is None
-        else [(p.matrix(), w) for p, w in channel.branches()]
+    rho_b, rho_e = _reduced_states(
+        kind,
+        num_clone_qubits,
+        program,
+        state_rows(num_clone_qubits, [input_state]),
+        channel,
     )
-    rho_b = np.zeros((2**num_clone_qubits,) * 2, dtype=complex)
-    rho_e = np.zeros_like(rho_b)
-    for err, weight in branches:
-        amps = input_state.amplitudes if err is None else err @ input_state.amplitudes
-        out = _output_state(circuit, lay, program, amps)
-        rho_b += weight * reduced_density_matrix(out, lay.alice).matrix
-        rho_e += weight * reduced_density_matrix(out, lay.eve).matrix
     return (
-        DensityMatrix(num_clone_qubits, rho_b),
-        DensityMatrix(num_clone_qubits, rho_e),
+        DensityMatrix(num_clone_qubits, rho_b[0]),
+        DensityMatrix(num_clone_qubits, rho_e[0]),
     )
 
 
@@ -311,13 +429,10 @@ def clone_fidelity_states(
     channel: PauliChannel | None = None,
 ) -> list[tuple[float, float]]:
     """(F_AB, F_AE) for each input state, mixing Kraus branches if noisy."""
-    out = []
-    for st in states:
-        rho_b, rho_e = clone_output_reduced(
-            kind, num_clone_qubits, program, st, channel
-        )
-        out.append((fidelity_pure(rho_b, st), fidelity_pure(rho_e, st)))
-    return out
+    f_ab, f_ae = _state_fidelities(
+        kind, num_clone_qubits, program, state_rows(num_clone_qubits, states), channel
+    )
+    return list(zip(f_ab.tolist(), f_ae.tolist()))
 
 
 def clone_fidelities(
@@ -332,20 +447,12 @@ def clone_fidelities(
     ``bases`` may be a MubSet, a sequence of MubBasis, or None for the full
     set belonging to the register size.
     """
-    if bases is None:
-        bases = mubs_for(num_clone_qubits).bases
-    elif isinstance(bases, MubSet):
-        bases = bases.bases
-    per_ab: dict[str, tuple[float, ...]] = {}
-    per_ae: dict[str, tuple[float, ...]] = {}
-    for basis in bases:
-        if not isinstance(basis, MubBasis):
-            raise TypeError(f"expected MubBasis, got {type(basis)!r}")
-        vals = clone_fidelity_states(
-            kind, num_clone_qubits, program, basis.states, channel
-        )
-        per_ab[basis.label] = tuple(v[0] for v in vals)
-        per_ae[basis.label] = tuple(v[1] for v in vals)
+    bases = resolve_bases(num_clone_qubits, bases)
+    states = state_rows(num_clone_qubits, [st for b in bases for st in b.states])
+    f_ab, f_ae = _state_fidelities(kind, num_clone_qubits, program, states, channel)
+    cuts = np.cumsum([len(b.states) for b in bases])[:-1]
+    per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ab, cuts))}
+    per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ae, cuts))}
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
@@ -387,25 +494,15 @@ def bob_pauli_transfer_matrix(
     R[i, j] = Tr[P_i L(P_j)] / 2^N over the (z|x)-ordered Pauli strings.  A
     Pauli channel shows up as a diagonal matrix.
     """
-    lay = ClonerLayout(num_clone_qubits)
-    circuit = build_cloner(kind, num_clone_qubits, program)
+    _check_program(num_clone_qubits, program)
     dim = 2**num_clone_qubits
-    base = inject_state(basis_state(lay.num_qubits, 0), lay.software, program.amplitudes)
-    # s[k] reshapes the output for basis input k into (Bob, environment)
-    s = np.empty((dim, dim, 2 ** (lay.num_qubits - num_clone_qubits)), dtype=complex)
-    for k in range(dim):
-        amps = np.zeros(dim)
-        amps[k] = 1.0
-        out = simcore.apply_circuit(inject_state(base, lay.alice, amps), circuit)
-        t = out.amplitudes.reshape((2,) * lay.num_qubits)
-        perm = list(lay.alice) + [q for q in range(lay.num_qubits) if q not in lay.alice]
-        s[k] = np.transpose(t, perm).reshape(dim, -1)
-    # cross = Tr_env |psi_k><psi_l| as a (k, l)-indexed stack of dim x dim blocks
-    cross = np.einsum("kae,lbe->klab", s, s.conj())
-    paulis = [index_to_pauli(j, num_clone_qubits).matrix() for j in range(4**num_clone_qubits)]
-    r = np.empty((len(paulis), len(paulis)), dtype=complex)
-    for j, pj in enumerate(paulis):
-        lam = np.einsum("kl,klab->ab", pj, cross)
-        for i, pi in enumerate(paulis):
-            r[i, j] = np.trace(pi @ lam) / dim
-    return r
+    out, _ = cloner_outputs(
+        kind, num_clone_qubits, program.amplitudes[:, None], np.eye(dim)
+    )
+    # s[a, e, k]: Bob amplitude a and environment e for basis input k
+    s = out.reshape(dim, -1, dim)
+    # cross[k, l] = Tr_env |psi_k><psi_l|
+    cross = np.einsum("aek,bel->klab", s, s.conj())
+    paulis = pauli_matrices(num_clone_qubits)
+    images = np.einsum("jkl,klab->jab", paulis, cross)
+    return np.einsum("iab,jba->ij", paulis, images) / dim

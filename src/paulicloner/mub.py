@@ -84,6 +84,16 @@ def index_to_pauli(index: int, num_qubits: int) -> PauliString:
     return PauliString("".join(letters))
 
 
+@lru_cache(maxsize=None)
+def pauli_matrices(num_qubits: int) -> np.ndarray:
+    """Read-only stack of all 4^N Pauli matrices, indexed by (z|x) encoding."""
+    mats = np.array(
+        [index_to_pauli(j, num_qubits).matrix() for j in range(4**num_qubits)]
+    )
+    mats.flags.writeable = False
+    return mats
+
+
 def _symplectic_commutes(u: int, v: int, num_qubits: int) -> bool:
     mask = (1 << num_qubits) - 1
     zu, xu = u >> num_qubits, u & mask
@@ -119,16 +129,9 @@ class MubSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bases", tuple(self.bases))
-        target = 2.0**-self.num_qubits
-        for i, a in enumerate(self.bases):
-            for b in self.bases[i + 1 :]:
-                for sa in a.states:
-                    for sb in b.states:
-                        ov = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
-                        if abs(ov - target) > 1e-12:
-                            raise ValueError(
-                                f"bases {a.label}/{b.label} are not unbiased"
-                            )
+        dev = unbiasedness_deviation(self.bases, self.num_qubits)
+        if dev > 1e-12:
+            raise ValueError(f"bases are not unbiased (deviation {dev:.3e})")
 
     def __getitem__(self, label: str) -> MubBasis:
         for b in self.bases:
@@ -139,6 +142,20 @@ class MubSet:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bases)
+
+
+def unbiasedness_deviation(bases, num_qubits: int) -> float:
+    """Largest | |<a|b>|^2 - 2^-N | over states a, b of distinct bases."""
+    bases = tuple(bases)
+    target = 2.0**-num_qubits
+    dev = 0.0
+    for i, a in enumerate(bases):
+        for b in bases[i + 1 :]:
+            for sa in a.states:
+                for sb in b.states:
+                    ov = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
+                    dev = max(dev, abs(ov - target))
+    return dev
 
 
 def _sv(vec) -> StateVector:
@@ -245,6 +262,28 @@ def pauli_action(p: PauliString, basis: MubBasis) -> PauliAction:
         phases.append(complex(col[j]))
     kind = "invariant" if perm == list(range(len(perm))) else "permutation"
     return PauliAction(kind, tuple(perm), tuple(phases))
+
+
+def invariant_paulis(basis: MubBasis) -> np.ndarray:
+    """Boolean mask over (z|x) indices: which Pauli strings fix every state ray.
+
+    Batched form of ``pauli_action`` over all 4^N strings; raises the same
+    ValueError when a string does not map a state onto a basis ray.
+    """
+    n = basis.num_qubits
+    g = np.array([s.amplitudes for s in basis.states])  # rows are states
+    ov = np.einsum("ja,pab,kb->pjk", g.conj(), pauli_matrices(n), g)
+    mag = np.abs(ov)  # mag[p, j, k] = |<b_j| P_p |b_k>|
+    bad = (np.abs(mag.max(axis=1) - 1.0) > 1e-10) | (
+        np.sum(mag > 1e-10, axis=1) != 1
+    )
+    if np.any(bad):
+        p, k = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{index_to_pauli(int(p), n)} does not map state {k} of basis "
+            f"{basis.label} onto a basis ray"
+        )
+    return np.all(mag.argmax(axis=1) == np.arange(g.shape[0]), axis=1)
 
 
 # Error triplets in table row order; each triplet together with the identity

@@ -4,11 +4,12 @@ eavesdropping tasks.
 
 Every clone fidelity is a quadratic form psi^dag M psi in the injected
 program amplitudes, because the output state is linear in the program and
-the fidelity quadratic in the output.  The sweep machinery precomputes the
-Hermitian matrices M once per (cloner, channel, basis set) and then
-evaluates programs and their gradients without touching the simulator,
-which keeps the two-qubit optimization runs fast.  End-to-end simulation
-remains the reference path; the forms are checked against it in the tests.
+the fidelity quadratic in the output.  The sweep machinery builds the
+Hermitian matrices M once per (cloner, channel, basis set) from the compiled
+cloner's output tensor (one column per program basis vector) and then
+evaluates programs and their gradients from M alone, which keeps the
+two-qubit optimization runs fast.  Gate-by-gate simulation remains the
+reference path; the forms are checked against it in the tests.
 
 Gradients use the parameter-shift rule (exact for the rotation gates used
 here) chained through the quadratic form; a central finite-difference
@@ -19,13 +20,10 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import simcore
 from .analytic import QualityWeights, table1_angles, uqcm_program_ng
 from .cloner import (
     ClonerKind,
@@ -33,9 +31,12 @@ from .cloner import (
     NgAngles,
     SoftwareState,
     b92_per_state_fidelities,
-    build_cloner,
     clone_fidelities,
+    cloner_outputs,
+    mix_branches,
     ng_angles_to_program,
+    resolve_bases,
+    state_rows,
 )
 from .mub import mubs_for
 from .noise import PauliChannel, noisy_fidelity_1q
@@ -333,12 +334,6 @@ def adam_optimize(objective, spec: AnsatzSpec, cfg: OptimizerConfig, grad=None):
 # quadratic forms: F = psi^dag M psi in the program amplitudes
 
 
-def _raw_cloner_output(circuit: Circuit, input_amps: np.ndarray, program: np.ndarray):
-    # Alice's register occupies the most significant qubits, so the joint
-    # initial state is a plain Kronecker product.
-    return simcore.apply_ops(np.kron(input_amps, program), circuit.num_qubits, circuit.ops)
-
-
 def fidelity_quadratic_forms(
     kind: ClonerKind,
     num_clone_qubits: int,
@@ -350,40 +345,23 @@ def fidelity_quadratic_forms(
     Returns {"ab": {label: array(num_states, d^2, d^2)}, "ae": {...}}.
     """
     n = num_clone_qubits
-    d, d2 = 2**n, 4**n
-    program = SoftwareState.computational(n)
-    circuit = build_cloner(kind, n, program)
-    branches = (
-        [(None, 1.0)]
-        if channel is None
-        else [(p.matrix(), w) for p, w in channel.branches()]
-    )
-    env_dim = 2 ** (3 * n - n)
-    basis_vecs = np.eye(d2)
-    forms = {"ab": {}, "ae": {}}
-    # axes of the 3n-qubit output, grouped per receiver with environment last
-    perm_ab = list(range(n)) + list(range(n, 3 * n))
-    perm_ae = list(range(n, 2 * n)) + list(range(n)) + list(range(2 * n, 3 * n))
-    for basis in bases:
-        mats_ab = np.zeros((len(basis.states), d2, d2), dtype=complex)
-        mats_ae = np.zeros_like(mats_ab)
-        for s_idx, st in enumerate(basis.states):
-            for err, weight in branches:
-                amps = st.amplitudes if err is None else err @ st.amplitudes
-                u_ab = np.empty((d2, env_dim), dtype=complex)
-                u_ae = np.empty_like(u_ab)
-                for j in range(d2):
-                    out = _raw_cloner_output(circuit, amps, basis_vecs[j])
-                    t = out.reshape((2,) * (3 * n))
-                    s_ab = np.transpose(t, perm_ab).reshape(d, -1)
-                    s_ae = np.transpose(t, perm_ae).reshape(d, -1)
-                    u_ab[j] = st.amplitudes.conj() @ s_ab
-                    u_ae[j] = st.amplitudes.conj() @ s_ae
-                mats_ab[s_idx] += weight * (u_ab @ u_ab.conj().T).conj()
-                mats_ae[s_idx] += weight * (u_ae @ u_ae.conj().T).conj()
-        forms["ab"][basis.label] = mats_ab
-        forms["ae"][basis.label] = mats_ae
-    return forms
+    bases = resolve_bases(n, bases)
+    states = state_rows(n, [st for b in bases for st in b.states])
+    out, weights = cloner_outputs(kind, n, np.eye(4**n), states, channel)
+    # u[k, s, j, env]: overlap of the receiver's register with reference
+    # state s for program basis vector j, the other registers as environment
+    ref = states.conj()
+    u_ab = np.einsum("sa,aecjks->ksjec", ref, out)
+    u_ae = np.einsum("se,aecjks->ksjac", ref, out)
+    shape = (len(weights), len(states), 4**n, -1)
+    u_ab, u_ae = u_ab.reshape(shape), u_ae.reshape(shape)
+    mats_ab = mix_branches((u_ab @ np.swapaxes(u_ab, 2, 3).conj()).conj(), weights)
+    mats_ae = mix_branches((u_ae @ np.swapaxes(u_ae, 2, 3).conj()).conj(), weights)
+    cuts = np.cumsum([len(b.states) for b in bases])[:-1]
+    return {
+        "ab": {b.label: m for b, m in zip(bases, np.split(mats_ab, cuts))},
+        "ae": {b.label: m for b, m in zip(bases, np.split(mats_ae, cuts))},
+    }
 
 
 def forms_mean_matrices(forms: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -737,23 +715,6 @@ def _reference_row(
     )
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PAULICLONER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs):
-    """Run row jobs, optionally in a thread pool; order of results is fixed."""
-    workers = _thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def frontier_sweep(
     task: str,
     f_values=None,
@@ -782,42 +743,27 @@ def frontier_sweep(
         labels = ("Z", "X") if task == "bb84" else ("Z", "X", "Y")
         bases = [mubs_for(1)[lbl] for lbl in labels]
         forms = fidelity_quadratic_forms(ClonerKind.NG, 1, bases, channel)
-        jobs = [
-            (
-                lambda f=f, i=i: _optimize_row(
-                    forms, f, "ng-angles", _row_config(cfg, i), "ng"
-                )
-            )
+        rows += [
+            _optimize_row(forms, f, "ng-angles", _row_config(cfg, i), "ng")
             for i, f in enumerate(f_values)
         ]
-        rows += _run_jobs(jobs)
         rows += _closed_form_reference_rows(task, f_values, channel)
     elif task == "twenty":
         bases = mubs_for(2).bases
         for kind, series in ((ClonerKind.NG, "ng"), (ClonerKind.QID, "qid")):
             forms = fidelity_quadratic_forms(kind, 2, bases, channel)
-            jobs = [
-                (
-                    lambda f=f, i=i, fo=forms, s=series: _optimize_row(
-                        fo,
-                        f,
-                        "program-prep",
-                        _row_config(cfg, i + (0 if s == "ng" else len(f_values))),
-                        s,
-                    )
+            offset = 0 if series == "ng" else len(f_values)
+            rows += [
+                _optimize_row(
+                    forms, f, "program-prep", _row_config(cfg, i + offset), series
                 )
                 for i, f in enumerate(f_values)
             ]
-            rows += _run_jobs(jobs)
         rows.append(
             _reference_row(ClonerKind.NG, 2, uqcm_program_ng(2), channel, "uqcm")
         )
     elif task == "b92":
-        jobs = [
-            (lambda f=f, i=i: _b92_qml_row(f, _row_config(cfg, i)))
-            for i, f in enumerate(f_values)
-        ]
-        rows += _run_jobs(jobs)
+        rows += [_b92_qml_row(f, _row_config(cfg, i)) for i, f in enumerate(f_values)]
         for family, series in ((ClonerKind.NG, "grid-ng"), (ClonerKind.QID, "grid-qid")):
             for f, best in grid_frontier_b92(family, f_values, grid_resolution):
                 rows.append(

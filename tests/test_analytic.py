@@ -26,7 +26,8 @@ from paulicloner.cloner import (
     clone_fidelities,
     ng_angles_to_program,
 )
-from paulicloner.mub import mubs_for
+from paulicloner.mub import MubBasis, mubs_for
+from paulicloner.simcore import StateVector
 
 
 def random_program(rng, n, complex_amps=False):
@@ -200,6 +201,12 @@ class TestGeneralizedBobFidelity:
         assert ng_nq_bob_fidelity(s, mubs_for(1)["Z"]) == pytest.approx(
             a[0] ** 2 + a[2] ** 2, abs=1e-12
         )
+
+    def test_basis_without_pauli_rays_raises(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        tilted = MubBasis("T", (StateVector(1, [c, s]), StateVector(1, [-s, c])))
+        with pytest.raises(ValueError, match="onto a basis ray"):
+            ng_nq_bob_fidelity(uqcm_program_ng(1), tilted)
 
 
 class TestUqcmProgram:

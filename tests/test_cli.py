@@ -130,6 +130,13 @@ class TestValidateCommand:
         _, out2, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_a_usage_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, "validate", "--trials", trials)
+        assert code == 2
+        assert "checks passed" not in out
+        assert "trials" in err
+
     def test_corrupted_table_fails_with_named_check(self, capsys, monkeypatch):
         # flip one sign in a coefficient table: the qid-2q oracle must trip
         bad = tuple(

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import reference_fidelities, reference_reduced, reference_transfer_matrix
 
+import paulicloner
 from paulicloner.analytic import (
     qid_closed_form,
     qid_uqcm_program_2q,
@@ -21,11 +27,13 @@ from paulicloner.cloner import (
     build_qid_2q,
     clone_fidelities,
     clone_fidelity_states,
+    clone_output_reduced,
+    cloner_unitary,
     ng_angles_to_program,
     ng_software_prep_circuit,
 )
-from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import channel_with_single_error
+from paulicloner.mub import PauliString, index_to_pauli, mubs_for
+from paulicloner.noise import PauliChannel, channel_with_single_error
 from paulicloner.simcore import Circuit, GateOp, StateVector, apply_circuit, basis_state
 
 
@@ -309,3 +317,126 @@ class TestEveResidual:
         report = clone_fidelities(ClonerKind.NG, 2, SoftwareState.computational(2))
         for lbl in report.basis_labels:
             assert report.f_ae[lbl] == pytest.approx(0.25, abs=1e-12)
+
+
+ENGINE_CASES = [
+    (ClonerKind.NG, 1),
+    (ClonerKind.NG, 2),
+    (ClonerKind.NG, 3),
+    (ClonerKind.QID, 1),
+    (ClonerKind.QID, 2),
+]
+
+
+def engine_channels(rng, n):
+    """No channel, a random mixture with identity, and one without identity."""
+    picks = rng.choice(np.arange(1, 4**n), 3, replace=False)
+    errors = [index_to_pauli(int(j), n) for j in picks]
+    w = rng.dirichlet(np.ones(4))
+    mixed = PauliChannel(n, dict(zip(errors, w[:3])))
+    no_identity = PauliChannel(n, {errors[0]: 0.625, errors[1]: 0.375})
+    assert all(not p.is_identity for p, _ in no_identity.branches())
+    return [None, mixed, no_identity]
+
+
+class TestCompiledEngine:
+    """The compiled cloner against the gate-by-gate per-state reference."""
+
+    @pytest.mark.parametrize("complex_amps", [False, True])
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_matches_gate_by_gate_reference(self, kind, n, complex_amps):
+        rng = np.random.default_rng(11 + 2 * n + int(complex_amps))
+        prog = random_program(rng, n, complex_amps)
+        states = [random_input(rng, n) for _ in range(3)]
+        for channel in engine_channels(rng, n):
+            got = clone_fidelity_states(kind, n, prog, states, channel)
+            for st, (f_ab, f_ae) in zip(states, got):
+                ref_b, ref_e = reference_reduced(kind, n, prog, st.amplitudes, channel)
+                rho_b, rho_e = clone_output_reduced(kind, n, prog, st, channel)
+                np.testing.assert_allclose(rho_b.matrix, ref_b, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(rho_e.matrix, ref_e, rtol=0, atol=1e-12)
+                ref = reference_fidelities(kind, n, prog, st.amplitudes, channel)
+                np.testing.assert_allclose((f_ab, f_ae), ref, rtol=0, atol=1e-12)
+            if n == 3:
+                continue  # no explicit MUB set for three qubits
+            report = clone_fidelities(kind, n, prog, channel=channel)
+            for basis in mubs_for(n).bases:
+                ref = [
+                    reference_fidelities(kind, n, prog, st.amplitudes, channel)
+                    for st in basis.states
+                ]
+                np.testing.assert_allclose(
+                    report.per_state_ab[basis.label], [r[0] for r in ref], atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    report.per_state_ae[basis.label], [r[1] for r in ref], atol=1e-12
+                )
+
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_transfer_matrix_matches_reference(self, kind, n):
+        prog = random_program(np.random.default_rng(20 + n), n, complex_amps=True)
+        np.testing.assert_allclose(
+            bob_pauli_transfer_matrix(kind, n, prog),
+            reference_transfer_matrix(kind, n, prog),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_compiled_unitary_is_unitary_and_read_only(self, kind, n):
+        u = cloner_unitary(kind, n)
+        assert u.shape == (8**n, 8**n)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(8**n), atol=1e-12)
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+        assert cloner_unitary(kind, n) is u
+
+    def test_nothing_compiled_at_import(self):
+        src = str(Path(paulicloner.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        code = (
+            "import paulicloner, paulicloner.cli\n"
+            "from paulicloner.cloner import cloner_unitary\n"
+            "print(cloner_unitary.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
+
+    def test_entry_checks(self):
+        rng = np.random.default_rng(30)
+        with pytest.raises(ValueError):
+            clone_fidelity_states(
+                ClonerKind.QID, 3, uqcm_program_ng(3), [random_input(rng, 3)]
+            )
+        with pytest.raises(ValueError, match="compiled for 1 to 3"):
+            clone_fidelity_states(
+                ClonerKind.NG, 4, uqcm_program_ng(4), [random_input(rng, 4)]
+            )
+        with pytest.raises(ValueError):
+            clone_fidelities(
+                ClonerKind.NG,
+                2,
+                uqcm_program_ng(2),
+                channel=channel_with_single_error(1, PauliString("X"), 0.1),
+            )
+        with pytest.raises(TypeError):
+            clone_fidelities(ClonerKind.NG, 1, uqcm_program_ng(1), bases=["Z"])
+        with pytest.raises(ValueError):
+            clone_fidelities(ClonerKind.NG, 2, uqcm_program_ng(1))
+        with pytest.raises(ValueError):
+            bob_pauli_transfer_matrix(ClonerKind.QID, 1, uqcm_program_ng(2))
+        with pytest.raises(ValueError):
+            clone_output_reduced(
+                ClonerKind.NG, 2, uqcm_program_ng(2), random_input(rng, 1)
+            )

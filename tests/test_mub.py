@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from paulicloner.mub import (
+    MubBasis,
+    MubSet,
     PauliString,
     TWO_QUBIT_ERROR_ROWS,
     action_table,
     commuting_classes,
     index_to_pauli,
+    invariant_paulis,
     mub_prep_circuit,
+    mubs_for,
     pauli_action,
+    pauli_matrices,
     pauli_to_index,
     single_qubit_mubs,
     two_qubit_mubs,
+    unbiasedness_deviation,
 )
-from paulicloner.simcore import apply_circuit, basis_state
+from paulicloner.simcore import StateVector, apply_circuit, basis_state
 
 S2 = 1 / math.sqrt(2)
 
@@ -242,3 +248,46 @@ class TestPauliString:
         x = np.array([[0, 1], [1, 0]])
         z = np.diag([1, -1])
         np.testing.assert_array_equal(xz, np.kron(x, z))
+
+
+def tilted_basis(angle: float) -> MubBasis:
+    """Real single-qubit basis rotated by ``angle`` away from Z."""
+    c, s = math.cos(angle), math.sin(angle)
+    return MubBasis("T", (StateVector(1, [c, s]), StateVector(1, [-s, c])))
+
+
+class TestBatchedPauliStructure:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_stack_is_read_only_and_ordered(self, n):
+        mats = pauli_matrices(n)
+        assert not mats.flags.writeable
+        for j in range(4**n):
+            np.testing.assert_array_equal(mats[j], index_to_pauli(j, n).matrix())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_invariance_mask_matches_pauli_action(self, n):
+        for basis in mubs_for(n).bases:
+            expect = [
+                pauli_action(index_to_pauli(j, n), basis).is_invariant
+                for j in range(4**n)
+            ]
+            assert invariant_paulis(basis).tolist() == expect
+
+    def test_non_ray_map_raises(self):
+        with pytest.raises(ValueError, match="onto a basis ray"):
+            invariant_paulis(tilted_basis(0.3))
+
+
+class TestUnbiasedness:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mub_sets_are_unbiased(self, n):
+        assert unbiasedness_deviation(mubs_for(n).bases, n) < 1e-12
+
+    def test_biased_pair_deviation_and_rejection(self):
+        z = single_qubit_mubs()["Z"]
+        tilted = tilted_basis(0.3)
+        expect = abs(math.cos(0.3) ** 2 - 0.5)
+        dev = unbiasedness_deviation([z, tilted], 1)
+        assert dev == pytest.approx(expect, abs=1e-15)
+        with pytest.raises(ValueError, match="not unbiased"):
+            MubSet(1, (z, tilted))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracle import reference_fidelities
 
 from paulicloner.analytic import QualityWeights, table1_angles
 from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
 from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import channel_with_single_error
+from paulicloner.noise import PauliChannel, channel_with_single_error
 from paulicloner.optimize import (
     AnsatzSpec,
     OptimizerConfig,
@@ -26,6 +27,7 @@ from paulicloner.optimize import (
     program_prep_circuit,
     program_prep_state,
     program_prep_state_and_shift_grads,
+    quadratic_fidelity,
     quality,
     report_from_forms,
 )
@@ -187,6 +189,30 @@ class TestQuadraticForms:
                         got.per_state_ae[lbl], ref.per_state_ae[lbl], atol=1e-12
                     )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_forms_match_gate_by_gate_reference(self, n):
+        rng = np.random.default_rng(17 + n)
+        errors = [PauliString("Y" * n), PauliString("X" + "Z" * (n - 1))]
+        channels = [
+            PauliChannel(n, {errors[0]: 0.2, errors[1]: 0.1}),
+            PauliChannel(n, {errors[0]: 0.75, errors[1]: 0.25}),  # no identity
+        ]
+        for kind in (ClonerKind.NG, ClonerKind.QID):
+            for ch in channels:
+                forms = fidelity_quadratic_forms(kind, n, mubs_for(n).bases, ch)
+                v = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+                prog = SoftwareState(v / np.linalg.norm(v))
+                psi = prog.amplitudes
+                for basis in mubs_for(n).bases:
+                    m_ab, m_ae = forms["ab"][basis.label], forms["ae"][basis.label]
+                    for s, st in enumerate(basis.states):
+                        ref = reference_fidelities(kind, n, prog, st.amplitudes, ch)
+                        got = (
+                            quadratic_fidelity(m_ab[s], psi),
+                            quadratic_fidelity(m_ae[s], psi),
+                        )
+                        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
 
 class TestGridSearch:
     def test_recovers_phase_covariant_optimum(self):
@@ -300,13 +326,3 @@ class TestSweep:
         assert len(front) >= 3
         ys = [p[1] for p in front]
         assert all(ys[i] >= ys[i + 1] for i in range(len(ys) - 1))
-
-    def test_thread_pool_rows_match_serial(self, monkeypatch):
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
-        cfg = OptimizerConfig(steps=25, restarts=2, seed=8)
-        serial = frontier_sweep("bb84", f_values=[0.7, 0.75], cfg=cfg, channel=ch)
-        monkeypatch.setenv("PAULICLONER_THREADS", "4")
-        threaded = frontier_sweep("bb84", f_values=[0.7, 0.75], cfg=cfg, channel=ch)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.series == b.series and a.f_target == b.f_target
-            assert a.f_ab == b.f_ab and a.f_ae == b.f_ae
