@@ -420,7 +420,7 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
     header = ["f_target", "series", "label", "F_AB_avg", "F_AE_avg"]
     header += [f"F_AB_{lbl}" for lbl in basis_labels]
     header += [f"F_AE_{lbl}" for lbl in basis_labels]
-    header.append("params")
+    header += ["params", "target_miss"]
     lines = _config_comment(config)
     lines.append(",".join(header))
     for row in result.rows:
@@ -439,6 +439,7 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
             cells.append("")
         else:
             cells.append('"' + " ".join(_fmt(p) for p in row.parameters) + '"')
+        cells.append("" if row.target_miss is None else _fmt(row.target_miss))
         lines.append(",".join(cells))
     return lines
 
@@ -507,6 +508,7 @@ def cmd_optimize(args) -> int:
                 "params": None
                 if row.parameters is None
                 else [float(p) for p in row.parameters],
+                "target_miss": row.target_miss,
             }
         )
     _print_json({"task": args.task, "rows": payload})

@@ -38,20 +38,44 @@ ROTATION_GATES = ("RX", "RY", "RZ", "CRY")
 GATE_NAMES = SINGLE_QUBIT_GATES + ("CNOT", "CCNOT", "CRY")
 
 
-def _rx(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+# -i P for P = X, Y, Z: exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-i P)
+_I2 = np.eye(2)
+_MINUS_I_PAULIS = -1j * np.array([_X, [[0, -1j], [1j, 0]], _Z])
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def axis_rotations(angles) -> np.ndarray:
+    """Rotations exp(-i a_k P_k / 2) about P = X, Y, Z for an (..., 3) array.
+
+    Entry ``[..., k, :, :]`` rotates by ``angles[..., k]`` about axis k, so
+    one call builds every factor of a batch of RZ(c) RY(b) RX(a) blocks.  A
+    scalar angle broadcasts to all three axes.
+    """
+    half = 0.5 * np.asarray(angles, dtype=float)[..., None, None]
+    return np.cos(half) * _I2 + np.sin(half) * _MINUS_I_PAULIS
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex
-    )
+# row 0 of the stacked products is the block itself; row r = 1, 2, 3 has
+# factor r - 1 (RX, RY, RZ) replaced by its derivative
+_DERIVATIVE_SLOTS = np.eye(4, 3, k=-1, dtype=bool)[..., None, None]
+
+
+def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast product of stacked 2x2 matrices, as two elementwise passes
+    (einsum and matmul are slower on 2x2 stacks)."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def rotation_blocks(angles) -> tuple[np.ndarray, np.ndarray]:
+    """RZ(c) RY(b) RX(a) and its three angle derivatives for (..., 3) angles.
+
+    Returns ``u`` of shape (..., 2, 2) and ``du`` of shape (..., 3, 2, 2),
+    where ``du[..., g]`` is the derivative in angle g (a, b, c).
+    """
+    f = axis_rotations(angles)
+    d = 0.5 * _matmul_2x2(_MINUS_I_PAULIS, f)  # d/da exp(-i a P/2) = -i P/2 exp(..)
+    t = np.where(_DERIVATIVE_SLOTS, d[..., None, :, :, :], f[..., None, :, :, :])
+    out = _matmul_2x2(_matmul_2x2(t[..., 2, :, :], t[..., 1, :, :]), t[..., 0, :, :])
+    return out[..., 0, :, :], out[..., 1:, :, :]
 
 
 @dataclass(frozen=True)
@@ -90,12 +114,8 @@ class GateOp:
             return _Z
         if self.name == "S":
             return _S
-        if self.name == "RX":
-            return _rx(self.angle)
-        if self.name == "RY":
-            return _ry(self.angle)
-        if self.name == "RZ":
-            return _rz(self.angle)
+        if self.name in ("RX", "RY", "RZ"):
+            return axis_rotations(self.angle)["XYZ".index(self.name[1])]
         if self.name == "CNOT":
             return _CNOT
         if self.name == "CCNOT":
@@ -103,7 +123,7 @@ class GateOp:
         # CRY: block-diagonal in the control qubit
         m = np.eye(4, dtype=complex)
         block = slice(2, 4) if self.control_value == 1 else slice(0, 2)
-        m[block, block] = _ry(self.angle)
+        m[block, block] = axis_rotations(self.angle)[1]
         return m
 
     def inverse(self) -> tuple["GateOp", ...]:

@@ -1,8 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paulicloner
 from paulicloner import analytic, cli, optimize
 
 
@@ -177,8 +183,23 @@ class TestSweepCommand:
         assert "b92" in lines[0]
         header = lines[1].split(",")
         assert header[:5] == ["f_target", "series", "label", "F_AB_avg", "F_AE_avg"]
+        assert header[-2:] == ["params", "target_miss"]
         series = {line.split(",")[1] for line in lines[2:]}
         assert series == {"qml", "grid-ng", "grid-qid"}
+        for row in csv.DictReader(lines[1:]):
+            if row["series"] == "qml":
+                miss = abs(float(row["F_AB_avg"]) - float(row["f_target"]))
+                assert float(row["target_miss"]) == pytest.approx(miss, abs=1e-11)
+            else:
+                assert row["target_miss"] == ""
+
+    @pytest.mark.parametrize("resolution", ["0", "2"])
+    def test_b92_grid_resolution_below_floor_exits_2(self, capsys, resolution):
+        argv = ["sweep", "--task", "b92", "--f", "0.5:0.5:0.1"]
+        code, out, err = run_cli(capsys, *argv, "--grid-resolution", resolution)
+        assert code == 2
+        assert out == ""
+        assert "resolution must be at least 8" in err
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -229,6 +250,10 @@ class TestOptimizeCommand:
         assert len(ng_rows) == 1
         assert len(ng_rows[0]["params"]) == 3
         assert 0.5 <= ng_rows[0]["f_ab_avg"] <= 1.0
+        miss = abs(ng_rows[0]["f_ab_avg"] - 0.7)
+        assert ng_rows[0]["target_miss"] == pytest.approx(miss, abs=1e-11)
+        others = [r for r in payload["rows"] if r["series"] != "ng"]
+        assert others and all(r["target_miss"] is None for r in others)
 
 
 class TestTableAndMubs:
@@ -254,3 +279,19 @@ class TestTableAndMubs:
         assert code == 0
         dev = float(out.splitlines()[-1].split()[-1])
         assert dev < 1e-12
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(paulicloner.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "paulicloner", "table", "--n", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "table", "--n", "1")
+    assert code == 0
+    assert proc.stdout == out

@@ -13,23 +13,28 @@ from paulicloner.optimize import (
     OptimizerConfig,
     adam_optimize,
     b92_ansatz_circuit,
+    b92_loss_and_grad,
     b92_qml_fidelities,
     central_difference,
     evaluate_ansatz,
     fidelity_quadratic_forms,
+    forms_mean_matrices,
     frontier_sweep,
     grid_frontier_b92,
     grid_search_software,
+    layered_pass,
     loss,
     make_b92_loss,
     make_program_loss,
     pareto_filter,
     program_prep_circuit,
+    program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
     quadratic_fidelity,
     quality,
     report_from_forms,
+    shift_gradient_states,
 )
 from paulicloner.simcore import Circuit, GateOp, apply_circuit, basis_state
 
@@ -170,6 +175,85 @@ class TestGradients:
             )
 
 
+def _shift_rule_prep_gradient(forms, f_target, p):
+    """Parameter-shift reference: the state derivatives chained through the forms."""
+    m_ab, m_ae = forms_mean_matrices(forms)
+    psi, dpsi = program_prep_state_and_shift_grads(p)
+    f_ab = quadratic_fidelity(m_ab, psi)
+    return np.array(
+        [
+            20.0 * (f_ab - f_target) * 2.0 * np.real(psi.conj() @ m_ab @ dp)
+            - 2.0 * np.real(psi.conj() @ m_ae @ dp)
+            for dp in dpsi
+        ]
+    )
+
+
+def _shift_rule_b92_gradient(f_target, p):
+    """Parameter-shift reference on the b92 fidelities, one parameter at a time."""
+    f_ab, _ = b92_qml_fidelities(p)
+    # fidelities are trigonometric in the full angle, hence frequency 1
+    derivs = shift_gradient_states(lambda q: np.array(b92_qml_fidelities(q)), p, 1.0)
+    d_ab, d_ae = np.array(derivs).T
+    return 20.0 * (f_ab - f_target) * d_ab - d_ae
+
+
+def _prep_forms(name):
+    bases = mubs_for(2).bases
+    if name == "ng-twenty":
+        ch = channel_with_single_error(2, PauliString("YI"), 0.45)
+        return fidelity_quadratic_forms(ClonerKind.NG, 2, bases, ch)
+    if name == "qid-twenty":
+        ch = PauliChannel(2, {PauliString("XZ"): 0.2, PauliString("YY"): 0.1})
+        return fidelity_quadratic_forms(ClonerKind.QID, 2, bases, ch)
+    return fidelity_quadratic_forms(ClonerKind.NG, 2, bases[:2], None)  # pairs
+
+
+class TestAdjointGradients:
+    @pytest.mark.parametrize("name", ["ng-twenty", "qid-twenty", "pairs"])
+    def test_program_prep_matches_shift_reference(self, name):
+        rng = np.random.default_rng(30)
+        forms = _prep_forms(name)
+        m_ab, m_ae = forms_mean_matrices(forms)
+        objective, gradient = make_program_loss(forms, 0.55, "program-prep")
+        for _ in range(4):
+            p = rng.uniform(-math.pi, math.pi, 60)
+            value, g = program_prep_loss_and_grad(np.stack([m_ab, m_ae]), 0.55, p)
+            assert abs(value - objective(p)) < 1e-14
+            np.testing.assert_allclose(
+                g, _shift_rule_prep_gradient(forms, 0.55, p), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(gradient(p), g)
+
+    @pytest.mark.parametrize("f_target", [0.6, 0.8])
+    def test_b92_matches_shift_reference(self, f_target):
+        rng = np.random.default_rng(31)
+        objective, gradient = make_b92_loss(f_target)
+        for _ in range(4):
+            p = rng.uniform(-math.pi, math.pi, 18)
+            value, g = b92_loss_and_grad(f_target, p)
+            assert abs(value - loss(*b92_qml_fidelities(p), f_target)) < 1e-14
+            assert abs(value - objective(p)) < 1e-14
+            np.testing.assert_allclose(
+                g, _shift_rule_b92_gradient(f_target, p), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(gradient(p), g)
+
+    def test_forward_state_is_program_prep_state(self):
+        from paulicloner.optimize import _PREP_INPUTS, _PREP_RING_PERM
+
+        seen = []
+
+        def capture(final):
+            seen.append(final.copy())
+            return 0.0, np.zeros_like(final)
+
+        p = np.random.default_rng(32).uniform(-math.pi, math.pi, 60)
+        _, g = layered_pass(p.reshape(5, 4, 3), _PREP_INPUTS, _PREP_RING_PERM, capture)
+        np.testing.assert_array_equal(seen[0][0], program_prep_state(p))
+        np.testing.assert_array_equal(g, np.zeros(60))
+
+
 class TestQuadraticForms:
     def test_forms_reproduce_simulation(self):
         rng = np.random.default_rng(7)
@@ -240,6 +324,9 @@ class TestGridSearch:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             grid_search_software(ClonerKind.NG, 4, lambda s: 0.0)
+        for resolution in (0, 2, 7):
+            with pytest.raises(ValueError, match="at least 8"):
+                grid_frontier_b92(ClonerKind.NG, [0.5], resolution)
 
     def test_b92_grid_frontiers_of_both_families_agree(self):
         fs = [0.6, 0.7, 0.8, 0.85]

@@ -9,11 +9,13 @@ from paulicloner.simcore import (
     GateOp,
     StateVector,
     apply_circuit,
+    axis_rotations,
     basis_state,
     fidelity_pure,
     inject_state,
     partial_trace,
     reduced_density_matrix,
+    rotation_blocks,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -117,6 +119,43 @@ class TestApplyCircuit:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             apply_circuit(basis_state(2, 0), Circuit(3, (GateOp("H", (0,)),)))
+
+
+class TestRotations:
+    def test_gate_matrices_are_the_closed_forms(self):
+        for angle in np.random.default_rng(40).uniform(-10, 10, 50):
+            c, s = math.cos(angle / 2), math.sin(angle / 2)
+            e = np.exp(-0.5j * angle)
+            closed = {
+                "RX": [[c, -1j * s], [-1j * s, c]],
+                "RY": [[c, -s], [s, c]],
+                "RZ": [[e, 0], [0, e.conjugate()]],
+            }
+            for name, want in closed.items():
+                got = GateOp(name, (0,), angle).matrix()
+                np.testing.assert_array_equal(got, np.array(want, dtype=complex))
+
+    def test_batched_rotations_match_scalar_ones(self):
+        angles = np.random.default_rng(41).uniform(-4, 4, (5, 4, 3))
+        batch = axis_rotations(angles)
+        for idx in np.ndindex(5, 4, 3):
+            scalar = axis_rotations(angles[idx])[idx[-1]]
+            np.testing.assert_array_equal(batch[idx], scalar)
+
+    def test_blocks_and_derivatives(self):
+        angles = np.random.default_rng(42).uniform(-4, 4, (6, 3))
+        u, du = rotation_blocks(angles)
+        for block, derivs, (a, b, c) in zip(u, du, angles):
+            gates = (("RZ", c), ("RY", b), ("RX", a))
+            rz, ry, rx = (GateOp(n, (0,), t).matrix() for n, t in gates)
+            np.testing.assert_allclose(block, rz @ ry @ rx, atol=1e-15)
+            for g in range(3):
+                # d/dt exp(-i t P / 2) = (U(t + pi) - U(t - pi)) / 4 exactly
+                shift = np.zeros(3)
+                shift[g] = math.pi
+                plus = rotation_blocks(np.array([a, b, c]) + shift)[0]
+                minus = rotation_blocks(np.array([a, b, c]) - shift)[0]
+                np.testing.assert_allclose(derivs[g], (plus - minus) / 4, atol=1e-15)
 
 
 class TestPartialTrace:
