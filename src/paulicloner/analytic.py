@@ -49,7 +49,7 @@ class ImbalanceEta:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
 
     @classmethod
@@ -304,7 +304,7 @@ def table1_angles(
         if eta is None:
             raise ValueError("the imbalanced cloner requires eta")
         eta_val = eta.eta if isinstance(eta, ImbalanceEta) else float(eta)
-        if eta_val <= 0:
+        if not eta_val > 0:
             raise ValueError("eta must be positive")
         return NgAngles(math.atan(eta_val * math.tan(2 * theta)) / 2, theta, theta)
     raise ValueError(f"unknown cloner kind {kind!r}")

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def _program_from_args(args, kind: ClonerKind) -> SoftwareState:
         values = [complex(v) for v in args.amplitudes.split(",")]
         amps = np.asarray(values)
         norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("amplitudes must not all be zero")
+        if not 0 < norm < math.inf:
+            raise ValueError("amplitudes must be finite and not all zero")
         return SoftwareState(amps / norm)
     rho, phi, theta = (float(v) for v in args.angles.split(","))
     if args.n != 1:
@@ -125,11 +125,9 @@ def cmd_fidelities(args) -> int:
         )
     channel = _channel_from_args(args, args.n)
     all_bases = mubs_for(args.n)
+    bases = list(all_bases.bases)
     if args.bases:
-        labels = [b.strip() for b in args.bases.split(",")]
-        bases = [all_bases[lbl] for lbl in labels]
-    else:
-        bases = list(all_bases.bases)
+        bases = [all_bases[lbl.strip()] for lbl in args.bases.split(",")]
     report = clone_fidelities(kind, args.n, program, channel=channel, bases=bases)
     payload = {
         "kind": kind.value,
@@ -412,11 +410,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
-    basis_labels: list[str] = []
-    for row in result.rows:
-        for lbl in row.f_ab:
-            if lbl not in basis_labels:
-                basis_labels.append(lbl)
+    basis_labels = list(dict.fromkeys(lbl for row in result.rows for lbl in row.f_ab))
     header = ["f_target", "series", "label", "F_AB_avg", "F_AE_avg"]
     header += [f"F_AB_{lbl}" for lbl in basis_labels]
     header += [f"F_AE_{lbl}" for lbl in basis_labels]
@@ -444,36 +438,30 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
     return lines
 
 
-def _optimizer_config_from_args(args) -> optimize.OptimizerConfig | None:
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    cfg = optimize.default_task_config(args.task)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if not overrides:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, **overrides)
-
-
-def cmd_sweep(args) -> int:
-    n = 2 if args.task in ("twenty", "pairs") else 1
-    channel = _channel_from_args(args, n)
-    f_values = _parse_f_range(args.f) if args.f else None
-    cfg = _optimizer_config_from_args(args)
-    result = optimize.frontier_sweep(
+def _run_sweep(args, f_values) -> optimize.SweepResult:
+    """The frontier run behind sweep and optimize, from the shared run options."""
+    channel = _channel_from_args(args, optimize.task_num_clone_qubits(args.task))
+    overrides = {
+        "steps": args.steps,
+        "restarts": args.restarts,
+        "learning_rate": args.lr,
+        "seed": args.seed,
+    }
+    cfg = replace(
+        optimize.default_task_config(args.task),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
+    return optimize.frontier_sweep(
         args.task,
         f_values=f_values,
         cfg=cfg,
         channel=channel,
         grid_resolution=args.grid_resolution,
     )
+
+
+def cmd_sweep(args) -> int:
+    result = _run_sweep(args, _parse_f_range(args.f) if args.f else None)
     lines = _sweep_csv_lines(result, vars(args))
     if args.out:
         _write_lines(args.out, lines)
@@ -484,33 +472,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    n = 2 if args.task in ("twenty", "pairs") else 1
-    channel = _channel_from_args(args, n)
-    cfg = _optimizer_config_from_args(args)
-    result = optimize.frontier_sweep(
-        args.task,
-        f_values=[args.f_target],
-        cfg=cfg,
-        channel=channel,
-        grid_resolution=args.grid_resolution,
-    )
-    payload = []
-    for row in result.rows:
-        payload.append(
-            {
-                "f_target": None if math.isnan(row.f_target) else row.f_target,
-                "series": row.series,
-                "label": row.label,
-                "f_ab": row.f_ab,
-                "f_ae": row.f_ae,
-                "f_ab_avg": row.f_ab_avg,
-                "f_ae_avg": row.f_ae_avg,
-                "params": None
-                if row.parameters is None
-                else [float(p) for p in row.parameters],
-                "target_miss": row.target_miss,
-            }
-        )
+    result = _run_sweep(args, [args.f_target])
+    payload = [
+        {
+            "f_target": None if math.isnan(row.f_target) else row.f_target,
+            "series": row.series,
+            "label": row.label,
+            "f_ab": row.f_ab,
+            "f_ae": row.f_ae,
+            "f_ab_avg": row.f_ab_avg,
+            "f_ae_avg": row.f_ae_avg,
+            "params": None
+            if row.parameters is None
+            else [float(p) for p in row.parameters],
+            "target_miss": row.target_miss,
+        }
+        for row in result.rows
+    ]
     _print_json({"task": args.task, "rows": payload})
     return 0
 
@@ -589,27 +567,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("sweep", help="frontier sweep over Bob-fidelity targets")
-    p.add_argument("--task", choices=list(optimize.TASKS), required=True)
-    p.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
+    # the options every frontier run takes, shared by sweep and optimize
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--task", choices=list(optimize.TASKS), required=True)
+    run.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--steps", type=int, default=None)
+    run.add_argument("--restarts", type=int, default=None)
+    run.add_argument("--lr", type=float, default=None)
+    run.add_argument("--grid-resolution", type=int, default=64)
+
+    p = sub.add_parser(
+        "sweep", parents=[run], help="frontier sweep over Bob-fidelity targets"
+    )
     p.add_argument("--f", help="target range start:stop:step (default per task)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--grid-resolution", type=int, default=64)
     p.add_argument("--out", help="CSV output path (default: print)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("optimize", help="optimize one Bob-fidelity target")
-    p.add_argument("--task", choices=list(optimize.TASKS), required=True)
+    p = sub.add_parser("optimize", parents=[run], help="optimize one Bob-fidelity target")
     p.add_argument("--f-target", type=float, required=True)
-    p.add_argument("--noise", help="channel spec")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--grid-resolution", type=int, default=64)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("mubs", help="print the mutually unbiased bases")

@@ -68,7 +68,7 @@ class SoftwareState:
         n = round(math.log(amps.size, 4))
         if 4**n != amps.size or n < 1:
             raise ValueError(f"program length {amps.size} is not a power of 4")
-        if abs(np.linalg.norm(amps) - 1.0) > PROGRAM_NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= PROGRAM_NORM_TOL:
             raise ValueError("program state is not normalized")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -137,7 +137,7 @@ class MubSet:
         for b in self.bases:
             if b.label == label:
                 return b
-        raise KeyError(label)
+        raise ValueError(f"no basis {label!r}; choose from {', '.join(self.labels)}")
 
     @property
     def labels(self) -> tuple[str, ...]:

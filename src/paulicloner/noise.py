@@ -34,16 +34,16 @@ class PauliChannel:
             if len(p) != self.num_qubits:
                 raise ValueError(f"{p} does not act on {self.num_qubits} qubits")
             w = float(w)
-            if w < -_PROB_TOL or w > 1 + _PROB_TOL:
+            if not -_PROB_TOL <= w <= 1 + _PROB_TOL:
                 raise ValueError(f"probability {w} for {p} outside [0, 1]")
             cleaned[p] = cleaned.get(p, 0.0) + w
         ident = PauliString.identity(self.num_qubits)
         total_err = sum(w for p, w in cleaned.items() if not p.is_identity)
         if ident not in cleaned:
-            if total_err > 1 + _PROB_TOL:
+            if not total_err <= 1 + _PROB_TOL:
                 raise ValueError(f"error probabilities sum to {total_err} > 1")
             cleaned[ident] = 1.0 - total_err
-        if abs(sum(cleaned.values()) - 1.0) > _PROB_TOL:
+        if not abs(sum(cleaned.values()) - 1.0) <= _PROB_TOL:
             raise ValueError("channel probabilities do not sum to 1")
         object.__setattr__(self, "probs", cleaned)
 
@@ -130,9 +130,9 @@ def noisy_fidelity_1q(
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     for p in (p_x, p_y, p_z):
-        if p < 0 or p > 1:
+        if not 0 <= p <= 1:
             raise ValueError(f"probability {p} outside [0, 1]")
-    if p_x + p_y + p_z > 1 + _PROB_TOL:
+    if not p_x + p_y + p_z <= 1 + _PROB_TOL:
         raise ValueError("error probabilities sum to more than 1")
     harmful = {
         "X": p_y + p_z,

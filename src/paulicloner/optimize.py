@@ -19,10 +19,16 @@ program ansatz uses the parameter-shift rule, and the parameter-shift
 derivatives of the program-prep ansatz remain as the reference the adjoint
 gradient is tested against.  A central finite-difference fallback is
 available wherever no gradient is supplied.
+
+Every sweep row is read from what Adam optimized: program rows from the
+quadratic forms, b92 rows (per input too) from the adjoint forward pass.
+Gate-by-gate simulation (``b92_per_state_fidelities`` and the cloner
+circuits) is the oracle the tests compare against, not a production path.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +41,6 @@ from .cloner import (
     FidelityReport,
     NgAngles,
     SoftwareState,
-    b92_per_state_fidelities,
     clone_fidelities,
     cloner_outputs,
     mix_branches,
@@ -80,13 +85,15 @@ class AnsatzSpec:
         return cls(kind, np.zeros(ANSATZ_PARAM_COUNTS[kind]))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.1
     steps: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     restarts: int = 5
     seed: int = 0
 
@@ -158,6 +165,7 @@ _PREP_RING_PERM = _compose_perms(
 _B92_CNOT_PERM = _cnot_index_perm(2, 0, 1)
 _PREP_INPUTS = np.eye(1, 16, dtype=complex)
 _B92_INPUTS = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)], dtype=complex)
+_B92_LABELS = ("0", "+")  # the inputs' labels in b92_per_state_fidelities
 _B92_STATES = np.kron(_B92_INPUTS, [[1.0, 0.0]])  # row k: input k (x) |0>
 
 
@@ -356,11 +364,11 @@ def adam_optimize(objective, spec: AnsatzSpec, cfg: OptimizerConfig, grad=None):
         restart_best = (trace[0], params.copy())
         for t in range(1, cfg.steps + 1):
             g = grad(params)
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            m_hat = m / (1 - cfg.adam_beta1**t)
-            v_hat = v / (1 - cfg.adam_beta2**t)
-            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             val = float(objective(params))
             if not math.isfinite(val):
                 raise RuntimeError(f"objective diverged at step {t} of restart {restart}")
@@ -493,7 +501,7 @@ def _b92_pass(parameters: np.ndarray, adjoint=None):
 
 
 def _b92_fidelities(final: np.ndarray):
-    """(F_AB, F_AE) averaged over the inputs, and each input's Bob/Eve overlaps.
+    """Each input's F_AB and F_AE (arrays over the inputs) and Bob/Eve overlaps.
 
     Bob clones input k well when the first qubit of final state k stays in
     it, Eve when the second qubit does: F = psi^dag (P_k x I) psi and
@@ -502,22 +510,23 @@ def _b92_fidelities(final: np.ndarray):
     m = final.reshape(2, 2, 2)
     bob = np.einsum("ka,kaj->kj", _B92_INPUTS.conj(), m)
     eve = np.einsum("kb,kib->ki", _B92_INPUTS.conj(), m)
-    f_ab = float(np.mean(np.einsum("kj,kj->k", bob.conj(), bob).real))
-    f_ae = float(np.mean(np.einsum("ki,ki->k", eve.conj(), eve).real))
+    f_ab = np.einsum("kj,kj->k", bob.conj(), bob).real
+    f_ae = np.einsum("ki,ki->k", eve.conj(), eve).real
     return f_ab, f_ae, bob, eve
 
 
 def b92_qml_fidelities(parameters: np.ndarray) -> tuple[float, float]:
     """Average (F_AB, F_AE) of the ansatz over |0> and |+>, fast path."""
     f_ab, f_ae, _, _ = _b92_fidelities(_b92_pass(parameters))
-    return f_ab, f_ae
+    return float(np.mean(f_ab)), float(np.mean(f_ae))
 
 
 def b92_loss_and_grad(f_target: float, params: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss of the 18-parameter b92 ansatz and its gradient from one adjoint sweep."""
 
     def adjoint(final: np.ndarray):
-        f_ab, f_ae, bob, eve = _b92_fidelities(final)
+        per_ab, per_ae, bob, eve = _b92_fidelities(final)
+        f_ab, f_ae = float(np.mean(per_ab)), float(np.mean(per_ae))
         # d F / d conj(psi_k), halved for the mean over the two inputs
         d_ab = 0.5 * np.einsum("ka,kj->kaj", _B92_INPUTS, bob).reshape(2, 4)
         d_ae = 0.5 * np.einsum("kb,ki->kib", _B92_INPUTS, eve).reshape(2, 4)
@@ -705,34 +714,50 @@ class SweepResult:
         ]
 
 
-TASKS = ("bb84", "sixstate", "twenty", "b92", "pairs")
-
-_TASK_DEFAULT_CFG = {
-    "bb84": OptimizerConfig(steps=120, restarts=4),
-    "sixstate": OptimizerConfig(steps=120, restarts=4),
-    "twenty": OptimizerConfig(steps=100, restarts=3),
-    "b92": OptimizerConfig(steps=100, restarts=5),
-    "pairs": OptimizerConfig(steps=200, restarts=5),
+# per task: register size N of its cloners, trained ansatz, default settings
+_TASK_SPECS = {
+    "bb84": (1, "ng-angles", OptimizerConfig(steps=120, restarts=4)),
+    "sixstate": (1, "ng-angles", OptimizerConfig(steps=120, restarts=4)),
+    "twenty": (2, "program-prep", OptimizerConfig(steps=100, restarts=3)),
+    "b92": (1, "b92", OptimizerConfig(steps=100, restarts=5)),
+    "pairs": (2, "program-prep", OptimizerConfig(steps=200, restarts=5)),
 }
+TASKS = tuple(_TASK_SPECS)
+
+
+def task_num_clone_qubits(task: str) -> int:
+    """Register size N of the task's cloners, and so of its channel."""
+    return _TASK_SPECS[task][0]
 
 
 def default_task_config(task: str) -> OptimizerConfig:
-    return _TASK_DEFAULT_CFG[task]
+    return _TASK_SPECS[task][2]
 
 
 def default_f_values(task: str) -> list[float]:
-    lo = 0.25 if task in ("twenty", "pairs") else 0.5
     if task == "pairs":
         return [0.75, 0.85]
+    lo = 0.25 if task_num_clone_qubits(task) == 2 else 0.5
     return [round(float(f), 10) for f in np.arange(lo + 0.05, 1.0, 0.05)]
 
 
-def _mub_pairs():
-    labels = [b.label for b in mubs_for(2).bases]
+def _adam_units(task: str) -> list[tuple]:
+    """(cloner kind, basis labels, series, row label) of each Adam series of
+    the task, in seed order; the b92 ansatz is its own cloner (kind None)."""
+    if task == "b92":
+        return [(None, (), "qml", "")]
+    if task == "bb84":
+        return [(ClonerKind.NG, ("Z", "X"), "ng", "")]
+    if task == "sixstate":
+        return [(ClonerKind.NG, ("Z", "X", "Y"), "ng", "")]
+    kinds = (ClonerKind.NG, ClonerKind.QID)
+    labels = mubs_for(2).labels
+    if task == "twenty":
+        return [(kind, labels, kind.value, "") for kind in kinds]
     return [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
+        (kind, pair, kind.value, "".join(pair))
+        for pair in itertools.combinations(labels, 2)
+        for kind in kinds
     ]
 
 
@@ -741,19 +766,25 @@ def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
     return replace(cfg, seed=int(child.generate_state(1)[0]))
 
 
-def _optimize_row(
-    forms: dict,
-    f_target: float,
-    ansatz_kind: str,
-    cfg: OptimizerConfig,
-    series: str,
-    label: str = "",
-) -> SweepRow:
-    objective, gradient = make_program_loss(forms, f_target, ansatz_kind)
-    spec = AnsatzSpec.zeros(ansatz_kind)
-    params, _ = adam_optimize(objective, spec, cfg, grad=gradient)
-    psi = _PROGRAM_STATE_FNS[ansatz_kind](params)
-    report = report_from_forms(forms, psi)
+def _adam_row(ansatz, forms, f_target, cfg, series, label) -> SweepRow:
+    """Adam at one Bob-fidelity target.
+
+    The row's fidelities are read from what Adam optimized: the quadratic
+    forms for a program ansatz, the adjoint forward pass for b92.
+    """
+    if ansatz == "b92":
+        objective, gradient = make_b92_loss(f_target)
+    else:
+        objective, gradient = make_program_loss(forms, f_target, ansatz)
+    params, _ = adam_optimize(objective, AnsatzSpec.zeros(ansatz), cfg, grad=gradient)
+    if ansatz == "b92":
+        per_ab, per_ae, _, _ = _b92_fidelities(_b92_pass(params))
+        report = FidelityReport.from_per_state(
+            {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ab)},
+            {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae)},
+        )
+    else:
+        report = report_from_forms(forms, _PROGRAM_STATE_FNS[ansatz](params))
     miss = abs(report.f_ab_avg - f_target)
     if miss > 0.02:
         logger.warning(
@@ -763,6 +794,10 @@ def _optimize_row(
             f_target,
             report.f_ab_avg,
         )
+    return _report_row(f_target, series, label, report, params, miss)
+
+
+def _report_row(f_target, series, label, report, params=None, miss=None) -> SweepRow:
     return SweepRow(
         f_target,
         series,
@@ -776,24 +811,41 @@ def _optimize_row(
     )
 
 
-def _reference_row(
-    kind: ClonerKind,
-    n: int,
-    program: SoftwareState,
-    channel: PauliChannel | None,
-    series: str,
-) -> SweepRow:
-    report = clone_fidelities(kind, n, program, channel=channel)
-    return SweepRow(
-        math.nan,
-        series,
-        "",
-        report.f_ab,
-        report.f_ae,
-        report.f_ab_avg,
-        report.f_ae_avg,
-        None,
-    )
+def _reference_rows(task, f_values, channel, grid_resolution) -> list[SweepRow]:
+    """The task's reference rows: the phase-covariant curve (bb84), the
+    universal curve (sixstate) or point (twenty), the grid frontiers (b92).
+
+    They are computed before any Adam run, so bad inputs fail fast.
+    """
+    if task == "bb84":
+        rows = []
+        for f in f_values:
+            try:
+                eve = pccm_reference_eve(f, channel)
+            except ValueError:
+                continue
+            rows.append(SweepRow(f, "pccm", "", {}, {}, f, eve, None))
+        return rows
+    if task == "sixstate":
+        xs, ys = uqcm_reference_curve(channel)
+        order = np.argsort(xs)
+        xs, ys = xs[order], ys[order]
+        return [
+            SweepRow(f, "uqcm", "", {}, {}, f, float(np.interp(f, xs, ys)), None)
+            for f in f_values
+            if xs[0] - 1e-9 <= f <= xs[-1] + 1e-9
+        ]
+    if task == "twenty":
+        report = clone_fidelities(ClonerKind.NG, 2, uqcm_program_ng(2), channel=channel)
+        return [_report_row(math.nan, "uqcm", "", report)]
+    if task == "b92":
+        families = ((ClonerKind.NG, "grid-ng"), (ClonerKind.QID, "grid-qid"))
+        return [
+            SweepRow(f, series, "", {}, {}, f, best, None)
+            for family, series in families
+            for f, best in grid_frontier_b92(family, f_values, grid_resolution)
+        ]
+    return []
 
 
 def frontier_sweep(
@@ -805,9 +857,10 @@ def frontier_sweep(
 ) -> SweepResult:
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
-    Emits one optimized row per target per series, plus closed-form reference
-    series where the task has one.  Rows are deterministic for a fixed
-    config: every row owns a seed derived from (cfg.seed, row index).
+    Emits one optimized row per target per Adam series, plus the task's
+    reference rows.  Rows are deterministic for a fixed config: the row at
+    target i of the u-th series (``_adam_units`` order) owns the seed
+    derived from (cfg.seed, u * len(f_values) + i).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -816,114 +869,23 @@ def frontier_sweep(
         raise ValueError("f_values must not be empty")
     if any(not 0.0 <= f <= 1.0 for f in f_values):
         raise ValueError("f targets must lie in [0, 1]")
+    if task == "pairs" and channel is not None:
+        raise ValueError("the reduced-pairs task is noiseless")
     f_values = sorted(f_values)
     cfg = default_task_config(task) if cfg is None else cfg
+    n, ansatz, _ = _TASK_SPECS[task]
 
-    rows: list[SweepRow] = []
-    if task in ("bb84", "sixstate"):
-        labels = ("Z", "X") if task == "bb84" else ("Z", "X", "Y")
-        bases = [mubs_for(1)[lbl] for lbl in labels]
-        forms = fidelity_quadratic_forms(ClonerKind.NG, 1, bases, channel)
-        rows += [
-            _optimize_row(forms, f, "ng-angles", _row_config(cfg, i), "ng")
-            for i, f in enumerate(f_values)
-        ]
-        rows += _closed_form_reference_rows(task, f_values, channel)
-    elif task == "twenty":
-        bases = mubs_for(2).bases
-        for kind, series in ((ClonerKind.NG, "ng"), (ClonerKind.QID, "qid")):
-            forms = fidelity_quadratic_forms(kind, 2, bases, channel)
-            offset = 0 if series == "ng" else len(f_values)
-            rows += [
-                _optimize_row(
-                    forms, f, "program-prep", _row_config(cfg, i + offset), series
-                )
-                for i, f in enumerate(f_values)
-            ]
-        rows.append(
-            _reference_row(ClonerKind.NG, 2, uqcm_program_ng(2), channel, "uqcm")
-        )
-    elif task == "b92":
-        # the grid rows go first: they check the resolution before Adam runs
-        for family, series in ((ClonerKind.NG, "grid-ng"), (ClonerKind.QID, "grid-qid")):
-            for f, best in grid_frontier_b92(family, f_values, grid_resolution):
-                rows.append(
-                    SweepRow(f, series, "", {}, {}, f, best, None)
-                )
-        rows += [_b92_qml_row(f, _row_config(cfg, i)) for i, f in enumerate(f_values)]
-    elif task == "pairs":
-        if channel is not None:
-            raise ValueError("the reduced-pairs task is noiseless")
-        mubset = mubs_for(2)
-        row_index = 0
-        for pair in _mub_pairs():
-            bases = [mubset[lbl] for lbl in pair]
-            label = "".join(pair)
-            for kind, series in ((ClonerKind.NG, "ng"), (ClonerKind.QID, "qid")):
-                forms = fidelity_quadratic_forms(kind, 2, bases, None)
-                for f in f_values:
-                    rows.append(
-                        _optimize_row(
-                            forms,
-                            f,
-                            "program-prep",
-                            _row_config(cfg, row_index),
-                            series,
-                            label,
-                        )
-                    )
-                    row_index += 1
+    rows = _reference_rows(task, f_values, channel, grid_resolution)
+    for u, (kind, labels, series, label) in enumerate(_adam_units(task)):
+        forms = None
+        if kind is not None:
+            bases = [mubs_for(n)[lbl] for lbl in labels]
+            forms = fidelity_quadratic_forms(kind, n, bases, channel)
+        for i, f in enumerate(f_values):
+            row_cfg = _row_config(cfg, u * len(f_values) + i)
+            rows.append(_adam_row(ansatz, forms, f, row_cfg, series, label))
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
-
-
-def _b92_qml_row(f_target: float, cfg: OptimizerConfig) -> SweepRow:
-    objective, gradient = make_b92_loss(f_target)
-    params, _ = adam_optimize(objective, AnsatzSpec.zeros("b92"), cfg, grad=gradient)
-    per = b92_per_state_fidelities(b92_ansatz_circuit(params))
-    f_ab = {lbl: v[0] for lbl, v in per.items()}
-    f_ae = {lbl: v[1] for lbl, v in per.items()}
-    f_ab_avg = float(np.mean(list(f_ab.values())))
-    row = SweepRow(
-        f_target,
-        "qml",
-        "",
-        f_ab,
-        f_ae,
-        f_ab_avg,
-        float(np.mean(list(f_ae.values()))),
-        params,
-        abs(f_ab_avg - f_target),
-    )
-    if row.target_miss > 0.02:
-        logger.warning(
-            "qml f=%.3f: converged Bob average %.4f misses the target",
-            f_target,
-            row.f_ab_avg,
-        )
-    return row
-
-
-def _closed_form_reference_rows(task, f_values, channel) -> list[SweepRow]:
-    rows = []
-    if task == "bb84":
-        for f in f_values:
-            try:
-                eve = pccm_reference_eve(f, channel)
-            except ValueError:
-                continue
-            rows.append(SweepRow(f, "pccm", "", {}, {}, f, eve, None))
-    else:
-        xs, ys = uqcm_reference_curve(channel)
-        lo, hi = float(np.min(xs)), float(np.max(xs))
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-        for f in f_values:
-            if lo - 1e-9 <= f <= hi + 1e-9:
-                rows.append(
-                    SweepRow(f, "uqcm", "", {}, {}, f, float(np.interp(f, xs, ys)), None)
-                )
-    return rows
 
 
 def pareto_filter(points) -> list[tuple[float, float]]:

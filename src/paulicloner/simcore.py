@@ -173,7 +173,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got {amps.shape}"
             )
         norm_sq = float(np.real(amps.conj() @ amps))
-        if abs(norm_sq - 1.0) > VALIDATION_EPS:
+        if not abs(norm_sq - 1.0) <= VALIDATION_EPS:
             raise ValueError(
                 f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1):.3e}"
             )

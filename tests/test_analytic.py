@@ -255,6 +255,10 @@ class TestTable1Angles:
             table1_angles("imbalanced")
         with pytest.raises(ValueError):
             ImbalanceEta(0.0)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            ImbalanceEta(math.nan)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            table1_angles("imbalanced", eta=math.nan)
 
     def test_eta_from_channel(self):
         eta = ImbalanceEta.from_channel(0.25, 0.0, 0.0)

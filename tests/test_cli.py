@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import paulicloner
 from paulicloner import analytic, cli, optimize
+from paulicloner.noise import parse_channel_spec
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +102,39 @@ class TestFidelitiesCommand:
         )
         assert code == 2
         assert "exactly one" in err
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (("--amplitudes", "1,0,0,nan"), "must be finite"),
+            (("--angles", "nan,0,0"), "not normalized"),
+            (("--preset", "imbalanced(nan)"), "eta must be positive"),
+            (("--preset", "uqcm-sym", "--noise", "X=nan"), "nan for X outside [0, 1]"),
+        ],
+    )
+    def test_nan_input_is_a_usage_error(self, capsys, source, message):
+        argv = ["fidelities", "--kind", "ng", "--n", "1", *source]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_unknown_basis_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "fidelities",
+            "--kind",
+            "ng",
+            "--n",
+            "1",
+            "--preset",
+            "uqcm-sym",
+            "--bases",
+            "Z,Q",
+        )
+        assert code == 2
+        assert out == ""
+        assert "'Q'" in err and "Z, X, Y" in err
 
     def test_unknown_preset(self, capsys):
         code, _, _ = run_cli(
@@ -254,6 +290,40 @@ class TestOptimizeCommand:
         assert ng_rows[0]["target_miss"] == pytest.approx(miss, abs=1e-11)
         others = [r for r in payload["rows"] if r["series"] != "ng"]
         assert others and all(r["target_miss"] is None for r in others)
+
+
+    @pytest.mark.parametrize(
+        "task, noise, num_rows", [("bb84", "X=0.25", 2), ("b92", None, 3)]
+    )
+    def test_rows_equal_the_sweep_rows(self, capsys, task, noise, num_rows):
+        argv = ["optimize", "--task", task, "--f-target", "0.75", "--seed", "4"]
+        argv += ["--steps", "5", "--restarts", "2", "--grid-resolution", "16"]
+        code, out, _ = run_cli(capsys, *argv, *(["--noise", noise] if noise else []))
+        assert code == 0
+        result = optimize.frontier_sweep(
+            task,
+            [0.75],
+            cfg=replace(optimize.default_task_config(task), steps=5, restarts=2, seed=4),
+            channel=parse_channel_spec(noise, 1) if noise else None,
+            grid_resolution=16,
+        )
+        expected = [
+            {
+                "f_target": None if math.isnan(row.f_target) else row.f_target,
+                "series": row.series,
+                "label": row.label,
+                "f_ab": row.f_ab,
+                "f_ae": row.f_ae,
+                "f_ab_avg": row.f_ab_avg,
+                "f_ae_avg": row.f_ae_avg,
+                "params": None if row.parameters is None else list(row.parameters),
+                "target_miss": row.target_miss,
+            }
+            for row in result.rows
+        ]
+        assert len(expected) == num_rows
+        expected = json.loads(json.dumps(cli._round_floats(expected)))
+        assert json.loads(out)["rows"] == expected
 
 
 class TestTableAndMubs:

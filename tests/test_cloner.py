@@ -70,6 +70,15 @@ class TestNgAngles:
             np.testing.assert_allclose(direct, simulated, atol=1e-12)
 
 
+class TestSoftwareState:
+    @pytest.mark.parametrize(
+        "amps", [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, np.nan], [np.nan] * 4]
+    )
+    def test_rejects_unnormalized_and_nan(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            SoftwareState(np.array(amps))
+
+
 class TestBuildNg:
     def test_single_qubit_gate_list(self):
         ops = build_ng(1, SoftwareState.computational(1)).ops

@@ -44,6 +44,10 @@ class TestSingleQubitMubs:
         np.testing.assert_allclose(mubs["X"].states[0].amplitudes, [S2, S2])
         np.testing.assert_allclose(mubs["Y"].states[1].amplitudes, [S2, -1j * S2])
 
+    def test_unknown_label_names_the_bases(self):
+        with pytest.raises(ValueError, match="choose from Z, X, Y"):
+            single_qubit_mubs()["Q"]
+
     def test_cross_basis_overlap(self):
         mubs = single_qubit_mubs()
         for a in mubs["Z"].states:

@@ -79,6 +79,15 @@ class TestNoisyFidelity:
         with pytest.raises(ValueError):
             noisy_fidelity_1q(0.5, "W", 0.1, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(np.nan, 0.1, 0.0, 0.0), (0.5, np.nan, 0.0, 0.0), (0.5, 0.1, 0.0, np.nan)],
+    )
+    def test_rejects_nan(self, args):
+        fidelity, p_x, p_y, p_z = args
+        with pytest.raises(ValueError):
+            noisy_fidelity_1q(fidelity, "Z", p_x, p_y, p_z)
+
 
 class TestChannelConstruction:
     def test_single_error_channel(self):
@@ -98,6 +107,19 @@ class TestChannelConstruction:
             channel_with_single_error(1, PauliString("X"), 1.5)
         with pytest.raises(ValueError):
             PauliChannel(1, {PauliString("X"): 0.7, PauliString("Y"): 0.7})
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            {"X": np.nan},
+            {"X": 0.1, "Y": np.nan},
+            {"I": np.nan, "X": 0.1},
+            {"I": 0.5, "X": np.nan},
+        ],
+    )
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError):
+            PauliChannel(1, probs)
 
     def test_parse_spec(self):
         ch = parse_channel_spec("YI=0.45, XX=0.05", 2)

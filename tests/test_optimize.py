@@ -5,10 +5,17 @@ import pytest
 from oracle import reference_fidelities
 
 from paulicloner.analytic import QualityWeights, table1_angles
-from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
+from paulicloner import optimize
+from paulicloner.cloner import (
+    ClonerKind,
+    SoftwareState,
+    b92_per_state_fidelities,
+    clone_fidelities,
+)
 from paulicloner.mub import PauliString, mubs_for
 from paulicloner.noise import PauliChannel, channel_with_single_error
 from paulicloner.optimize import (
+    TASKS,
     AnsatzSpec,
     OptimizerConfig,
     adam_optimize,
@@ -337,7 +344,69 @@ class TestGridSearch:
             assert abs(e1 - e2) < 2e-3
 
 
+PAIR_LABELS = (
+    "M0M1", "M0M2", "M0M3", "M0M4", "M1M2", "M1M3", "M1M4", "M2M3", "M2M4", "M3M4"
+)
+# per task: its Adam series (series, label) in seed order, its reference series
+SWEEP_SERIES = {
+    "bb84": ([("ng", "")], ["pccm"]),
+    "sixstate": ([("ng", "")], ["uqcm"]),
+    "twenty": ([("ng", ""), ("qid", "")], []),
+    "b92": ([("qml", "")], ["grid-ng", "grid-qid"]),
+    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], []),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_rows_and_row_seeds_per_task(self, task, monkeypatch):
+        fs = [0.7, 0.8]
+        cfg = OptimizerConfig(steps=2, restarts=1, seed=21)
+        seeds = {}
+        real_adam = optimize.adam_optimize
+
+        def recording_adam(objective, spec, row_cfg, grad=None):
+            params, trace = real_adam(objective, spec, row_cfg, grad)
+            seeds[id(params)] = row_cfg.seed
+            return params, trace
+
+        monkeypatch.setattr(optimize, "adam_optimize", recording_adam)
+        result = frontier_sweep(task, f_values=fs, cfg=cfg, grid_resolution=16)
+        units, references = SWEEP_SERIES[task]
+        expected = sorted(
+            [(f, s, lbl) for f in fs for s, lbl in units]
+            + [(f, s, "") for f in fs for s in references]
+        )
+        if task == "twenty":
+            expected.append((None, "uqcm", ""))  # the universal point
+        got = [
+            (None if math.isnan(r.f_target) else r.f_target, r.series, r.label)
+            for r in result.rows
+        ]
+        assert got == expected
+        assert len(seeds) == len(units) * len(fs)
+        # the row at target i of the u-th Adam series owns seed u * len(fs) + i
+        for r in result.rows:
+            if r.parameters is not None:
+                k = units.index((r.series, r.label)) * len(fs) + fs.index(r.f_target)
+                child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1000 + k,))
+                assert seeds[id(r.parameters)] == int(child.generate_state(1)[0])
+
+    def test_b92_rows_match_the_simulation_oracle(self):
+        cfg = OptimizerConfig(steps=30, restarts=2, seed=4)
+        result = frontier_sweep("b92", f_values=[0.7, 0.8], cfg=cfg, grid_resolution=16)
+        rows = result.series("qml")
+        assert len(rows) == 2
+        for row in rows:
+            per = b92_per_state_fidelities(b92_ansatz_circuit(row.parameters))
+            assert list(row.f_ab) == list(row.f_ae) == list(per)
+            for lbl, (f_ab, f_ae) in per.items():
+                assert abs(row.f_ab[lbl] - f_ab) < 1e-12
+                assert abs(row.f_ae[lbl] - f_ae) < 1e-12
+            assert abs(row.f_ab_avg - np.mean([v[0] for v in per.values()])) < 1e-12
+            assert abs(row.f_ae_avg - np.mean([v[1] for v in per.values()])) < 1e-12
+            assert row.target_miss == abs(row.f_ab_avg - row.f_target)
+
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             frontier_sweep("mystery")

@@ -288,6 +288,8 @@ class TestValidation:
     def test_state_vector_must_be_normalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            StateVector(1, np.array([1.0, np.nan]))
 
     def test_density_matrix_checks(self):
         with pytest.raises(ValueError):
