@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,6 +167,7 @@ class Check:
 
     @property
     def passed(self) -> bool:
+        # false for a NaN deviation, which compares false with everything
         return self.deviation <= self.tolerance
 
 
@@ -176,29 +178,135 @@ def _random_program(rng, n: int, complex_amps: bool = False) -> SoftwareState:
     return SoftwareState(v / np.linalg.norm(v))
 
 
+def _max_abs(a, b) -> float:
+    """Largest |a - b| over matching entries; a NaN entry makes it NaN."""
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
+def _worst(count: int, trial, *args) -> float:
+    """Largest deviation over ``count`` runs of ``trial(*args)``; NaN propagates."""
+    return float(np.max([trial(*args) for _ in range(count)]))
+
+
+def _prep_circuit_deviation() -> float:
+    """How far each MUB preparation circuit, run on |k>, is from basis state k
+    up to a global phase."""
+    devs = []
+    for idx, basis in enumerate(mubs_for(2).bases):
+        circuit = mub.mub_prep_circuit(idx)
+        for k, ref in enumerate(basis.states):
+            got = simcore.apply_circuit(simcore.basis_state(2, k), circuit).amplitudes
+            phase = np.vdot(ref.amplitudes, got)
+            devs += [abs(abs(phase) - 1.0), _max_abs(got, phase * ref.amplitudes)]
+    return float(np.max(devs))
+
+
+def _classes_form_groups(n: int) -> bool:
+    """The 2^n + 1 commuting classes partition the non-identity Paulis, and
+    each class plus the identity is a group of commuting strings."""
+    classes = mub.commuting_classes(n)
+    seen: set[int] = set()
+    ok = len(classes) == 2**n + 1
+    for cls in classes:
+        idx = {mub.pauli_to_index(p) for p in cls}
+        ok &= len(idx) == 2**n - 1 and not (idx & seen)
+        seen |= idx
+        group = idx | {0}
+        ok &= all((u ^ v) in group for u in group for v in group)
+        ok &= all(mub._symplectic_commutes(u, v, n) for u in idx for v in idx)
+    return ok and len(seen) == 4**n - 1
+
+
+def _pairs_partition() -> bool:
+    """Every unordered pair contributes to exactly one Eve fidelity, every
+    index j > 0 to exactly one Bob fidelity."""
+    pairs = Counter(pr for prs in analytic.ng_eve_pairs(2).values() for pr in prs)
+    stabilizers = analytic.ng_stabilizer_indices(2)
+    indices = Counter(j for idx in stabilizers.values() for j in idx)
+    once = set(pairs.values()) | set(indices.values()) == {1}
+    return len(pairs) == 120 and len(indices) == 15 and once
+
+
+def _closed_form_trial(rng, kind: ClonerKind, n: int, formula) -> float:
+    """A random program's per-state fidelities: closed form against engine."""
+    s = _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
+    ref = clone_fidelities(kind, n, s)
+    got = formula(s)
+
+    def values(rep):
+        labels = ref.basis_labels
+        return [(*rep.per_state_ab[lbl], *rep.per_state_ae[lbl]) for lbl in labels]
+
+    return _max_abs(values(ref), values(got))
+
+
+def _noisy_transform_trial(rng) -> float:
+    """The one-qubit noise transform of the clean fidelities against the
+    engine's fidelities under a random Pauli channel."""
+    kind = ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID
+    s = _random_program(rng, 1)
+    p_x, p_y, p_z, _ = rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0)
+    clean = clone_fidelities(kind, 1, s)
+    noisy = clone_fidelities(kind, 1, s, channel=PauliChannel.from_xyz(p_x, p_y, p_z))
+    got = [
+        noisy_fidelity_1q(f[lbl], lbl, p_x, p_y, p_z)
+        for f in (clean.f_ab, clean.f_ae)
+        for lbl in "ZXY"
+    ]
+    return _max_abs(got, [f[lbl] for f in (noisy.f_ab, noisy.f_ae) for lbl in "ZXY"])
+
+
+def _transfer_trial(rng) -> float:
+    """Off-diagonal size of Bob's Pauli transfer matrix for a random program."""
+    n = 1 if rng.random() < 0.5 else 2
+    r = bob_pauli_transfer_matrix(ClonerKind.NG, n, _random_program(rng, n))
+    return _max_abs(r, np.diag(np.diag(r)))
+
+
+def _bob_fidelity_trial(rng) -> float:
+    """The generalized Bob fidelity against the two-qubit NG closed form."""
+    s = _random_program(rng, 2)
+    rep = analytic.ng2q_fidelities(s)
+    bases = mubs_for(2).bases
+    got = [analytic.ng_nq_bob_fidelity(s, basis) for basis in bases]
+    return _max_abs(got, [rep.f_ab[basis.label] for basis in bases])
+
+
+def _unitarity_trial(rng) -> float:
+    """A random circuit keeps a random state's norm and its inverse undoes it."""
+    n = int(rng.integers(2, 5))
+    ops = []
+    for _ in range(12):
+        name = simcore.GATE_NAMES[rng.integers(len(simcore.GATE_NAMES))]
+        arity = simcore.GATE_ARITY[name]
+        if arity > n:
+            continue
+        qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
+        angle = float(rng.uniform(-math.pi, math.pi))
+        needs_angle = name in simcore.ROTATION_GATES
+        ops.append(simcore.GateOp(name, qubits, angle if needs_angle else None))
+    circuit = simcore.Circuit(n, tuple(ops))
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    state = simcore.StateVector(n, v / np.linalg.norm(v))
+    out = simcore.apply_circuit(state, circuit)
+    back = simcore.apply_circuit(out, circuit.inverse())
+    norm_dev = abs(float(np.linalg.norm(out.amplitudes)) - 1.0)
+    return float(np.max([norm_dev, _max_abs(back.amplitudes, state.amplitudes)]))
+
+
 def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
-    """All closed-form-versus-simulation oracles and structure checks."""
+    """All closed-form-versus-simulation oracles and structure checks.
+
+    The randomized checks draw from one stream, in the order listed.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
-
     for n in (1, 2):
         dev = mub.unbiasedness_deviation(mubs_for(n).bases, n)
         checks.append(Check(f"mub-unbiasedness-{n}q", dev, 1e-12))
-
-    dev = 0.0
-    for idx, basis in enumerate(mubs_for(2).bases):
-        circuit = mub.mub_prep_circuit(idx)
-        for k, ref in enumerate(basis.states):
-            got = simcore.apply_circuit(simcore.basis_state(2, k), circuit)
-            phase = np.vdot(ref.amplitudes, got.amplitudes)
-            dev = max(dev, abs(abs(phase) - 1.0))
-            dev = max(
-                dev, float(np.max(np.abs(got.amplitudes - phase * ref.amplitudes)))
-            )
-    checks.append(Check("mub-prep-circuits", dev, 1e-12))
-
+    checks.append(Check("mub-prep-circuits", _prep_circuit_deviation(), 1e-12))
     expected_1q = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
     expected_2q = np.array(
         [
@@ -209,35 +317,14 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
             [1, 1, 1, 0, 1],
         ]
     )
-    checks.append(
-        Check(
-            "action-table",
-            float(
-                np.max(np.abs(mub.action_table(1) - expected_1q))
-                + np.max(np.abs(mub.action_table(2) - expected_2q))
-            ),
-            0.0,
-        )
+    table_dev = _max_abs(mub.action_table(1), expected_1q) + _max_abs(
+        mub.action_table(2), expected_2q
     )
+    checks.append(Check("action-table", table_dev, 0.0))
+    group_law = all(_classes_form_groups(n) for n in (1, 2, 3))
+    checks.append(Check("commuting-classes-group-law", 0.0 if group_law else 1.0, 0.0))
 
-    dev = 0.0
-    for n in (1, 2, 3):
-        classes = mub.commuting_classes(n)
-        seen: set[int] = set()
-        ok = len(classes) == 2**n + 1
-        for cls in classes:
-            idx = {mub.pauli_to_index(p) for p in cls}
-            ok &= len(idx) == 2**n - 1 and not (idx & seen)
-            seen |= idx
-            group = idx | {0}
-            ok &= all((u ^ v) in group for u in group for v in group)
-            ok &= all(
-                mub._symplectic_commutes(u, v, n) for u in idx for v in idx
-            )
-        ok &= len(seen) == 4**n - 1
-        dev = max(dev, 0.0 if ok else 1.0)
-    checks.append(Check("commuting-classes-group-law", dev, 0.0))
-
+    # built per call, not at import: the closed forms are looked up when checked
     families = [
         ("ng-1q", ClonerKind.NG, 1, analytic.ng_fidelities),
         ("qid-1q", ClonerKind.QID, 1, analytic.qid_fidelities),
@@ -245,119 +332,17 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
         ("qid-2q", ClonerKind.QID, 2, analytic.qid_fidelities),
     ]
     for name, kind, n, formula in families:
-        dev = 0.0
-        for _ in range(trials):
-            s = _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
-            ref = clone_fidelities(kind, n, s)
-            got = formula(s)
-            for lbl in ref.basis_labels:
-                dev = max(
-                    dev,
-                    float(
-                        np.max(
-                            np.abs(
-                                np.array(ref.per_state_ab[lbl])
-                                - np.array(got.per_state_ab[lbl])
-                            )
-                        )
-                    ),
-                    float(
-                        np.max(
-                            np.abs(
-                                np.array(ref.per_state_ae[lbl])
-                                - np.array(got.per_state_ae[lbl])
-                            )
-                        )
-                    ),
-                )
+        dev = _worst(trials, _closed_form_trial, rng, kind, n, formula)
         checks.append(Check(f"analytic-vs-sim-{name}", dev, 1e-10))
-
-    dev = 0.0
-    for _ in range(max(trials, 200)):
-        kind = ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID
-        s = _random_program(rng, 1)
-        p = rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0)
-        p_x, p_y, p_z = p[0], p[1], p[2]
-        channel = PauliChannel.from_xyz(p_x, p_y, p_z)
-        clean = clone_fidelities(kind, 1, s)
-        noisy = clone_fidelities(kind, 1, s, channel=channel)
-        for lbl in "ZXY":
-            dev = max(
-                dev,
-                abs(
-                    noisy_fidelity_1q(clean.f_ab[lbl], lbl, p_x, p_y, p_z)
-                    - noisy.f_ab[lbl]
-                ),
-                abs(
-                    noisy_fidelity_1q(clean.f_ae[lbl], lbl, p_x, p_y, p_z)
-                    - noisy.f_ae[lbl]
-                ),
-            )
+    dev = _worst(max(trials, 200), _noisy_transform_trial, rng)
     checks.append(Check("noisy-transform-oracle", dev, 1e-10))
-
-    dev = 0.0
-    for _ in range(100):
-        n = 1 if rng.random() < 0.5 else 2
-        s = _random_program(rng, n)
-        r = bob_pauli_transfer_matrix(ClonerKind.NG, n, s)
-        off = r - np.diag(np.diag(r))
-        dev = max(dev, float(np.max(np.abs(off))))
+    dev = _worst(100, _transfer_trial, rng)
     checks.append(Check("pauli-transfer-diagonal", dev, 1e-10))
-
-    # structural: every unordered pair contributes to exactly one Eve
-    # fidelity, every index j > 0 to exactly one Bob fidelity
-    pair_counts: dict[tuple[int, int], int] = {}
-    index_counts: dict[int, int] = {}
-    for lbl, pairs in analytic.ng_eve_pairs(2).items():
-        for pr in pairs:
-            pair_counts[pr] = pair_counts.get(pr, 0) + 1
-    for lbl, idx in analytic.ng_stabilizer_indices(2).items():
-        for j in idx:
-            index_counts[j] = index_counts.get(j, 0) + 1
-    structural_ok = (
-        len(pair_counts) == 120
-        and all(v == 1 for v in pair_counts.values())
-        and len(index_counts) == 15
-        and all(v == 1 for v in index_counts.values())
-    )
-    checks.append(Check("eve-pair-partition", 0.0 if structural_ok else 1.0, 0.0))
-
-    dev = 0.0
-    for _ in range(min(trials, 100)):
-        s = _random_program(rng, 2)
-        rep = analytic.ng2q_fidelities(s)
-        for basis in mubs_for(2).bases:
-            dev = max(
-                dev,
-                abs(analytic.ng_nq_bob_fidelity(s, basis) - rep.f_ab[basis.label]),
-            )
+    checks.append(Check("eve-pair-partition", 0.0 if _pairs_partition() else 1.0, 0.0))
+    dev = _worst(min(trials, 100), _bob_fidelity_trial, rng)
     checks.append(Check("generalized-bob-fidelity", dev, 1e-12))
-
-    dev = 0.0
-    gates = ["H", "X", "Z", "S", "RX", "RY", "RZ", "CNOT", "CCNOT", "CRY"]
-    for _ in range(min(trials, 200)):
-        n = int(rng.integers(2, 5))
-        ops = []
-        for _ in range(12):
-            name = gates[rng.integers(len(gates))]
-            arity = {"CNOT": 2, "CRY": 2, "CCNOT": 3}.get(name, 1)
-            if arity > n:
-                continue
-            qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
-            angle = float(rng.uniform(-math.pi, math.pi))
-            needs_angle = name in simcore.ROTATION_GATES
-            ops.append(
-                simcore.GateOp(name, qubits, angle if needs_angle else None)
-            )
-        circuit = simcore.Circuit(n, tuple(ops))
-        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        state = simcore.StateVector(n, v / np.linalg.norm(v))
-        out = simcore.apply_circuit(state, circuit)
-        dev = max(dev, abs(float(np.linalg.norm(out.amplitudes)) - 1.0))
-        back = simcore.apply_circuit(out, circuit.inverse())
-        dev = max(dev, float(np.max(np.abs(back.amplitudes - state.amplitudes))))
+    dev = _worst(min(trials, 200), _unitarity_trial, rng)
     checks.append(Check("circuit-unitarity", dev, 1e-10))
-
     return checks
 
 
@@ -385,8 +370,11 @@ def _parse_f_range(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"malformed f range {spec!r}, expected start:stop:step") from None
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad f range {spec!r}")
+    # NaN fails these comparisons, and finite bounds keep the loop below finite
+    if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):
+        raise ValueError(
+            f"bad --f range {spec!r}: need 0 <= start <= stop <= 1 and a finite step > 0"
+        )
     values = []
     f = start
     while f <= stop + 1e-9:

@@ -251,8 +251,8 @@ class FidelityReport:
 
     @classmethod
     def from_per_state(cls, per_ab: dict, per_ae: dict) -> "FidelityReport":
-        f_ab = {lbl: float(np.mean(v)) for lbl, v in per_ab.items()}
-        f_ae = {lbl: float(np.mean(v)) for lbl, v in per_ae.items()}
+        f_ab = {lbl: float(sum(v) / len(v)) for lbl, v in per_ab.items()}
+        f_ae = {lbl: float(sum(v) / len(v)) for lbl, v in per_ae.items()}
         return cls(f_ab, f_ae, per_ab, per_ae)
 
     @property

@@ -120,14 +120,15 @@ def apply_channel(rho: DensityMatrix, channel: PauliChannel) -> DensityMatrix:
 
 
 def noisy_fidelity_1q(
-    fidelity: float, basis: str, p_x: float, p_y: float, p_z: float
-) -> float:
+    fidelity: float | np.ndarray, basis: str, p_x: float, p_y: float, p_z: float
+) -> float | np.ndarray:
     """Noisy per-basis fidelity from the noiseless one, single qubit.
 
     Each basis is immune to its own error type; the other two error rates
-    shrink the fidelity affinely towards 1/2.
+    shrink the fidelity affinely towards 1/2.  ``fidelity`` may be a float
+    or an array of them; the result has the same shape.
     """
-    if not 0.0 <= fidelity <= 1.0:
+    if not np.all((fidelity >= 0.0) & (fidelity <= 1.0)):
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     for p in (p_x, p_y, p_z):
         if not 0 <= p <= 1:

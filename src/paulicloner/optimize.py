@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import QualityWeights, table1_angles, uqcm_program_ng
+from .analytic import QualityWeights, uqcm_program_ng
 from .cloner import (
     ClonerKind,
     FidelityReport,
@@ -98,8 +98,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be at least 1")
 
@@ -232,63 +234,6 @@ def ng_angles_state(parameters: np.ndarray) -> np.ndarray:
     return ng_angles_to_program(NgAngles(rho, phi, theta)).amplitudes.copy()
 
 
-def _expand_1q(u: np.ndarray, qubit: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(2**qubit), u), np.eye(2 ** (3 - qubit)))
-
-
-def _shifted_block_difference(angles: np.ndarray, which: int) -> np.ndarray:
-    shifts = np.zeros((2, 3))
-    shifts[:, which] = (math.pi, -math.pi)
-    plus, minus = rotation_blocks(angles + shifts)[0]
-    return plus - minus
-
-
-def program_prep_state_and_shift_grads(parameters: np.ndarray):
-    """State and all 60 parameter-shift derivatives d psi / d theta_k.
-
-    This is the reference the adjoint gradient is tested against: the +-pi
-    shifted circuits differ from the base circuit in a single rotation
-    block, so the states before each block and the operator of the
-    remaining circuit are cached and reused; the result is numerically
-    identical to shifting one parameter at a time.
-    """
-    p = np.asarray(parameters, dtype=float).reshape(5, 4, 3)
-    u = rotation_blocks(p)[0]
-    # op sequence: per layer, 4 rotation blocks then the CNOT ring
-    psi = np.zeros(16, dtype=complex)
-    psi[0] = 1.0
-    pre_states = []  # state before each rotation block, in (layer, qubit) order
-    for layer in range(5):
-        for q in range(4):
-            pre_states.append(psi)
-            psi = _expand_1q(u[layer, q], q) @ psi
-        psi = psi[_PREP_RING_PERM]
-    # suffix operators: W[layer][q] maps the state after block (layer, q)
-    # to the final state
-    w = np.eye(16, dtype=complex)
-    suffix = [[None] * 4 for _ in range(5)]
-    for layer in reversed(range(5)):
-        for q in reversed(range(4)):
-            if q == 3:
-                # W R for the ring R, which acts right after block (layer, 3)
-                suffix[layer][q] = w[:, np.argsort(_PREP_RING_PERM)]
-            else:
-                suffix[layer][q] = suffix[layer][q + 1] @ _expand_1q(
-                    u[layer, q + 1], q + 1
-                )
-            if q == 0:
-                w = suffix[layer][q] @ _expand_1q(u[layer, q], q)
-    grads = []
-    for layer in range(5):
-        for q in range(4):
-            pre = pre_states[layer * 4 + q]
-            w_after = suffix[layer][q]
-            for g in range(3):
-                diff = _expand_1q(_shifted_block_difference(p[layer, q], g), q)
-                grads.append(0.25 * (w_after @ (diff @ pre)))
-    return psi, grads
-
-
 _PROGRAM_STATE_FNS = {"program-prep": program_prep_state, "ng-angles": ng_angles_state}
 # amplitudes are trig in theta/2 for rotation-gate circuits, in theta for the
 # bare-angle program parameterization
@@ -322,6 +267,13 @@ def shift_gradient_states(
         minus = state_fn(shifted)
         grads.append(0.5 * frequency * (plus - minus))
     return grads
+
+
+def program_prep_state_and_shift_grads(parameters: np.ndarray):
+    """State of the program-prep ansatz and its 60 parameter-shift derivatives
+    d psi / d theta_k: the reference the adjoint gradient is tested against."""
+    p = np.asarray(parameters, dtype=float).reshape(-1)
+    return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
 
 
 def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -652,23 +604,24 @@ def pccm_reference_eve(f_ab_avg: float, channel: PauliChannel | None) -> float:
     ) / 2
 
 
-def uqcm_reference_curve(channel: PauliChannel | None, num_points: int = 4001):
-    """(noisy Bob avg, noisy Eve avg) along the asymmetric universal family."""
+UQCM_CURVE_POINTS = 4001
+
+
+def uqcm_reference_curve(channel: PauliChannel | None):
+    """(noisy Bob avg, noisy Eve avg) along the asymmetric universal family,
+    at UQCM_CURVE_POINTS angles theta in [0, pi/2]."""
     p = _xyz_probs(channel)
-    thetas = np.linspace(0.0, math.pi / 2, num_points)
-    xs, ys = [], []
-    for theta in thetas:
-        prog = table1_angles("uqcm", theta=theta).to_program()
-        a, b, c, d = prog.amplitudes.real
-        f_b = a**2 + c**2
-        f_e = 0.5 + a * c + b * d
-        xs.append(
-            np.mean([noisy_fidelity_1q(f_b, bl, p["X"], p["Y"], p["Z"]) for bl in "ZXY"])
-        )
-        ys.append(
-            np.mean([noisy_fidelity_1q(f_e, bl, p["X"], p["Y"], p["Z"]) for bl in "ZXY"])
-        )
-    return np.array(xs), np.array(ys)
+    theta = np.linspace(0.0, math.pi / 2, UQCM_CURVE_POINTS)
+    # the program of table1_angles("uqcm", theta=theta), as amplitude arrays
+    rho = np.arctan(math.sqrt(2) * np.sin(theta))
+    a = np.cos(theta) * np.cos(rho)
+    b = math.cos(math.pi / 4) * np.sin(rho)
+    c = np.sin(theta) * np.cos(rho)
+    d = math.sin(math.pi / 4) * np.sin(rho)
+    return tuple(
+        sum(noisy_fidelity_1q(f, bl, p["X"], p["Y"], p["Z"]) for bl in "ZXY") / 3
+        for f in (a**2 + c**2, 0.5 + a * c + b * d)
+    )
 
 
 def _xyz_probs(channel: PauliChannel | None) -> dict:

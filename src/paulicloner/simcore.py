@@ -35,7 +35,9 @@ _CCNOT[6:, 6:] = _X
 
 SINGLE_QUBIT_GATES = ("H", "X", "Z", "S", "RX", "RY", "RZ")
 ROTATION_GATES = ("RX", "RY", "RZ", "CRY")
-GATE_NAMES = SINGLE_QUBIT_GATES + ("CNOT", "CCNOT", "CRY")
+# number of qubits each gate acts on, controls included
+GATE_ARITY = dict.fromkeys(SINGLE_QUBIT_GATES, 1) | {"CNOT": 2, "CCNOT": 3, "CRY": 2}
+GATE_NAMES = tuple(GATE_ARITY)
 
 
 # -i P for P = X, Y, Z: exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-i P)
@@ -95,7 +97,7 @@ class GateOp:
     def __post_init__(self) -> None:
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
-        expected = {"CNOT": 2, "CCNOT": 3, "CRY": 2}.get(self.name, 1)
+        expected = GATE_ARITY[self.name]
         if len(self.qubits) != expected:
             raise ValueError(f"{self.name} takes {expected} qubits, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
@@ -205,14 +207,15 @@ class DensityMatrix:
 
 def check_density_matrices(m: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is a state:
-    Hermitian, unit trace and positive semidefinite within the tolerances."""
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > 100 * VALIDATION_EPS:
+    Hermitian, unit trace and positive semidefinite within the tolerances.
+    Each check is written so that a NaN entry fails it."""
+    if not np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) <= 100 * VALIDATION_EPS:
         raise ValueError("matrix is not Hermitian")
     trace = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
     worst = trace[np.argmax(np.abs(trace - 1.0))]
-    if abs(worst - 1.0) > 100 * VALIDATION_EPS:
+    if not abs(worst - 1.0) <= 100 * VALIDATION_EPS:
         raise ValueError(f"trace is {worst}, expected 1")
-    if np.min(np.linalg.eigvalsh(m)) < -1000 * VALIDATION_EPS:
+    if not np.min(np.linalg.eigvalsh(m)) >= -1000 * VALIDATION_EPS:
         raise ValueError("matrix has a negative eigenvalue")
 
 

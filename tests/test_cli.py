@@ -190,6 +190,17 @@ class TestValidateCommand:
         assert code == 1
         assert "[FAIL] analytic-vs-sim-qid-2q" in out
 
+    def test_nan_in_table_fails_with_named_check(self, capsys, monkeypatch):
+        # a NaN deviation must not be dropped by the worst-case maximum
+        bad = tuple(
+            (i, j, math.nan) if idx == 0 else (i, j, s)
+            for idx, (i, j, s) in enumerate(analytic._QID2Q_AB_M2)
+        )
+        monkeypatch.setattr(analytic, "_QID2Q_AB_M2", bad)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert "[FAIL] analytic-vs-sim-qid-2q" in out
+
 
 class TestSweepCommand:
     def test_b92_sweep_csv_is_deterministic(self, capsys, tmp_path):
@@ -244,6 +255,19 @@ class TestSweepCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "sweep", "--task", "b92", "--f", "nonsense")
         assert code == 2
+        # rejected before enumeration: 0:inf:0.1 would never finish
+        for spec in ("0:inf:0.1", "0:nan:0.1", "nan:0.5:0.1", "0.5:0.6:inf", "-0.1:0.5:0.1"):
+            code, out, err = run_cli(capsys, "sweep", "--task", "b92", f"--f={spec}")
+            assert (code, out) == (2, "")
+            assert "--f" in err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, capsys, lr):
+        argv = ["sweep", "--task", "bb84", "--f", "0.7:0.7:0.1", "--lr", lr]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "learning_rate" in err
 
     def test_optimizer_failure_exits_1(self, capsys, monkeypatch):
         def exploding(*args, **kwargs):

@@ -79,6 +79,15 @@ class TestNoisyFidelity:
         with pytest.raises(ValueError):
             noisy_fidelity_1q(0.5, "W", 0.1, 0.0, 0.0)
 
+    def test_array_of_fidelities(self):
+        fids = np.array([0.0, 0.3, 0.75, 1.0])
+        got = noisy_fidelity_1q(fids, "X", 0.1, 0.2, 0.05)
+        want = [noisy_fidelity_1q(float(f), "X", 0.1, 0.2, 0.05) for f in fids]
+        np.testing.assert_array_equal(got, want)
+        for bad in (np.array([0.5, np.nan]), np.array([0.5, 1.2])):
+            with pytest.raises(ValueError):
+                noisy_fidelity_1q(bad, "X", 0.1, 0.2, 0.05)
+
     @pytest.mark.parametrize(
         "args",
         [(np.nan, 0.1, 0.0, 0.0), (0.5, np.nan, 0.0, 0.0), (0.5, 0.1, 0.0, np.nan)],

@@ -13,7 +13,7 @@ from paulicloner.cloner import (
     clone_fidelities,
 )
 from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import PauliChannel, channel_with_single_error
+from paulicloner.noise import PauliChannel, channel_with_single_error, noisy_fidelity_1q
 from paulicloner.optimize import (
     TASKS,
     AnsatzSpec,
@@ -160,17 +160,6 @@ class TestGradients:
             g = gradient(p)
             fd = central_difference(objective, p)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
-
-    def test_combined_shift_evaluation_matches_plain_rule(self):
-        from paulicloner.optimize import shift_gradient_states
-
-        rng = np.random.default_rng(5)
-        p = rng.uniform(-math.pi, math.pi, 60)
-        psi, grads = program_prep_state_and_shift_grads(p)
-        np.testing.assert_allclose(psi, program_prep_state(p), atol=1e-13)
-        plain = shift_gradient_states(program_prep_state, p, 0.5)
-        for a, b in zip(grads, plain):
-            np.testing.assert_allclose(a, b, atol=1e-13)
 
     def test_b92_shift_matches_central_difference(self):
         rng = np.random.default_rng(6)
@@ -443,6 +432,20 @@ class TestSweep:
         assert xs == sorted(xs)
         assert all(ys[i] >= ys[i + 1] for i in range(len(ys) - 1))
         assert (0.6, 0.9) not in front  # dominated by (0.7, 0.95)
+
+    def test_universal_curve_matches_the_scalar_path(self):
+        # each point: the table1_angles program, its closed forms, and the
+        # scalar noise transform averaged over the three bases
+        ch = PauliChannel.from_xyz(0.25, 0.0, 0.1)
+        xs, ys = optimize.uqcm_reference_curve(ch)
+        assert xs.shape == ys.shape == (optimize.UQCM_CURVE_POINTS,)
+        thetas = np.linspace(0.0, math.pi / 2, optimize.UQCM_CURVE_POINTS)
+        for i in (0, 1, 1234, 2000, optimize.UQCM_CURVE_POINTS - 1):
+            program = table1_angles("uqcm", theta=thetas[i]).to_program()
+            a, b, c, d = program.amplitudes.real
+            for got, f in ((xs[i], a**2 + c**2), (ys[i], 0.5 + a * c + b * d)):
+                want = np.mean([noisy_fidelity_1q(f, bl, 0.25, 0.0, 0.1) for bl in "ZXY"])
+                assert got == pytest.approx(want, abs=1e-15)
 
     def test_sixstate_beats_universal_reference(self):
         # biased noise (p_X=0.25, p_Z=0.1): the optimized cloner must beat

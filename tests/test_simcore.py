@@ -298,6 +298,10 @@ class TestValidation:
             DensityMatrix(1, np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
+        with pytest.raises(ValueError):
+            DensityMatrix(1, np.array([[np.nan, 0], [0, np.nan]]))
+        with pytest.raises(ValueError):
+            DensityMatrix(1, np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
     def test_gate_op_validation(self):
         with pytest.raises(ValueError):
