@@ -70,8 +70,8 @@ from .optimize import (
     SweepResult,
     adam_optimize,
     evaluate_ansatz,
+    exact_frontier_point,
     frontier_sweep,
-    grid_search_software,
     loss,
     quality,
 )

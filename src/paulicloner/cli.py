@@ -95,7 +95,8 @@ def _program_from_args(args, kind: ClonerKind) -> SoftwareState:
     if args.preset:
         return resolve_preset(args.preset, kind, args.n)
     if args.amplitudes:
-        values = [complex(v) for v in args.amplitudes.split(",")]
+        # commas or spaces: a sweep row's params column replays as it is
+        values = [complex(v) for v in args.amplitudes.replace(",", " ").split()]
         amps = np.asarray(values)
         norm = np.linalg.norm(amps)
         if not 0 < norm < math.inf:
@@ -365,6 +366,9 @@ def cmd_validate(args) -> int:
 # sweep / optimize
 
 
+MAX_F_TARGETS = 1000
+
+
 def _parse_f_range(spec: str) -> list[float]:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
@@ -375,6 +379,9 @@ def _parse_f_range(spec: str) -> list[float]:
         raise ValueError(
             f"bad --f range {spec!r}: need 0 <= start <= stop <= 1 and a finite step > 0"
         )
+    # counted before enumerating; a float quotient, since it may overflow an int
+    if (stop - start) / step + 1 > MAX_F_TARGETS:
+        raise ValueError(f"--f range {spec!r} asks for more than {MAX_F_TARGETS} targets")
     values = []
     f = start
     while f <= stop + 1e-9:
@@ -439,13 +446,7 @@ def _run_sweep(args, f_values) -> optimize.SweepResult:
         optimize.default_task_config(args.task),
         **{k: v for k, v in overrides.items() if v is not None},
     )
-    return optimize.frontier_sweep(
-        args.task,
-        f_values=f_values,
-        cfg=cfg,
-        channel=channel,
-        grid_resolution=args.grid_resolution,
-    )
+    return optimize.frontier_sweep(args.task, f_values=f_values, cfg=cfg, channel=channel)
 
 
 def cmd_sweep(args) -> int:
@@ -555,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
-    # the options every frontier run takes, shared by sweep and optimize
+    # the options every frontier run takes, shared by sweep and optimize;
+    # seed, steps, restarts and lr drive the Adam series only
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--task", choices=list(optimize.TASKS), required=True)
     run.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
@@ -563,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=None)
     run.add_argument("--restarts", type=int, default=None)
     run.add_argument("--lr", type=float, default=None)
-    run.add_argument("--grid-resolution", type=int, default=64)
 
     p = sub.add_parser(
         "sweep", parents=[run], help="frontier sweep over Bob-fidelity targets"

@@ -1,5 +1,5 @@
-"""Program-state optimization: Adam with adjoint gradients, grid search
-over single-qubit programs, and the frontier sweeps of the standard
+"""Program-state optimization: the exact frontier of two quadratic forms,
+Adam with adjoint gradients, and the frontier sweeps of the standard
 eavesdropping tasks.
 
 Every clone fidelity is a quadratic form psi^dag M psi in the injected
@@ -11,16 +11,20 @@ evaluates programs and their gradients from M alone, which keeps the
 two-qubit optimization runs fast.  Gate-by-gate simulation remains the
 reference path; the forms are checked against it in the tests.
 
+The best F_AE at a given F_AB over all programs is an eigenproblem
+(``exact_frontier_point``), which solves the bb84 and sixstate rows and the
+b92 reference rows (``grid-ng``, ``grid-qid``) on their Bob targets.  Adam
+trains the 60-parameter program-prep ansatz of the two-qubit tasks (twenty,
+pairs) and the b92 ansatz, a cloner of its own.
+
 The two layered rotation ansaetze (program-prep and b92) get exact
 gradients from one adjoint sweep: a forward pass that keeps the state
 entering each rotation block, then one backward pass of the loss's adjoint
-vector through the inverse circuit (``layered_pass``).  The bare-angle
-program ansatz uses the parameter-shift rule, and the parameter-shift
+vector through the inverse circuit (``layered_pass``).  The parameter-shift
 derivatives of the program-prep ansatz remain as the reference the adjoint
-gradient is tested against.  A central finite-difference fallback is
-available wherever no gradient is supplied.
+gradient is tested against.
 
-Every sweep row is read from what Adam optimized: program rows from the
+Every sweep row is read from what produced it: program rows from the
 quadratic forms, b92 rows (per input too) from the adjoint forward pass.
 Gate-by-gate simulation (``b92_per_state_fidelities`` and the cloner
 circuits) is the oracle the tests compare against, not a production path.
@@ -39,22 +43,20 @@ from .analytic import QualityWeights, uqcm_program_ng
 from .cloner import (
     ClonerKind,
     FidelityReport,
-    NgAngles,
     SoftwareState,
     clone_fidelities,
     cloner_outputs,
     mix_branches,
-    ng_angles_to_program,
     resolve_bases,
     state_rows,
 )
 from .mub import mubs_for
 from .noise import PauliChannel, noisy_fidelity_1q
-from .simcore import Circuit, GateOp, rotation_blocks
+from .simcore import Circuit, GateOp, rotation_block, rotation_blocks
 
 logger = logging.getLogger("paulicloner")
 
-ANSATZ_PARAM_COUNTS = {"b92": 18, "program-prep": 60, "ng-angles": 3}
+ANSATZ_PARAM_COUNTS = {"b92": 18, "program-prep": 60}
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,6 @@ class AnsatzSpec:
             )
         params.flags.writeable = False
         object.__setattr__(self, "parameters", params)
-
-    @property
-    def num_params(self) -> int:
-        return ANSATZ_PARAM_COUNTS[self.kind]
 
     @classmethod
     def zeros(cls, kind: str) -> "AnsatzSpec":
@@ -180,7 +178,8 @@ def layered_pass(
     then the index permutation ``entangler`` (``psi = psi[entangler]``).
     ``parameters`` has shape (L, n, 3) and ``inputs`` is a (K, 2^n) batch.
 
-    Without ``adjoint`` this returns the final states.  Otherwise
+    Without ``adjoint`` this returns the final states, building neither the
+    blocks' derivatives nor the states that enter them.  Otherwise
     ``adjoint(final)`` must return ``(value, lam)`` with ``lam`` the
     derivative of the real loss ``value`` in the conjugate final states; the
     result is ``(value, gradient)``, the gradient flat in parameter order.
@@ -191,12 +190,16 @@ def layered_pass(
     k = len(inputs)
     # block (layer, q) acts on axis 2 of the states reshaped to shapes[q]
     shapes = [(k, 2**q, 2, 2 ** (n - 1 - q)) for q in range(n)]
-    u, du = rotation_blocks(parameters)
+    if adjoint is None:
+        u, pre = rotation_block(parameters), None
+    else:
+        u, du = rotation_blocks(parameters)
+        pre = np.empty((num_layers, n) + inputs.shape, dtype=complex)
     psi = inputs
-    pre = np.empty((num_layers, n) + inputs.shape, dtype=complex)
     for layer in range(num_layers):
         for q in range(n):
-            pre[layer, q] = psi
+            if pre is not None:
+                pre[layer, q] = psi
             t = psi.reshape(shapes[q])
             psi = np.einsum("ab,kibj->kiaj", u[layer, q], t).reshape(k, -1)
         psi = psi[:, entangler]
@@ -229,22 +232,11 @@ def program_prep_state(parameters: np.ndarray) -> np.ndarray:
     return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM)[0]
 
 
-def ng_angles_state(parameters: np.ndarray) -> np.ndarray:
-    rho, phi, theta = parameters
-    return ng_angles_to_program(NgAngles(rho, phi, theta)).amplitudes.copy()
-
-
-_PROGRAM_STATE_FNS = {"program-prep": program_prep_state, "ng-angles": ng_angles_state}
-# amplitudes are trig in theta/2 for rotation-gate circuits, in theta for the
-# bare-angle program parameterization
-_PROGRAM_STATE_FREQ = {"program-prep": 0.5, "ng-angles": 1.0}
-
-
 def evaluate_ansatz(spec: AnsatzSpec):
-    """The b92 ansatz yields a Circuit; the program ansaetze a SoftwareState."""
+    """The b92 ansatz yields a Circuit; the program-prep ansatz a SoftwareState."""
     if spec.kind == "b92":
         return b92_ansatz_circuit(spec.parameters)
-    return SoftwareState(_PROGRAM_STATE_FNS[spec.kind](spec.parameters))
+    return SoftwareState(program_prep_state(spec.parameters))
 
 
 def shift_gradient_states(
@@ -276,38 +268,24 @@ def program_prep_state_and_shift_grads(parameters: np.ndarray):
     return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
 
 
-def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    grad = np.empty(parameters.size)
-    for k in range(parameters.size):
-        shifted = parameters.copy()
-        shifted[k] += h
-        fp = fn(shifted)
-        shifted[k] -= 2 * h
-        fm = fn(shifted)
-        grad[k] = (fp - fm) / (2 * h)
-    return grad
+def adam_optimize(objective, start: np.ndarray, cfg: OptimizerConfig, grad):
+    """Minimize ``objective``, whose gradient is ``grad``, with Adam.
 
-
-def adam_optimize(objective, spec: AnsatzSpec, cfg: OptimizerConfig, grad=None):
-    """Minimize ``objective`` over the ansatz parameters with Adam.
-
-    Restart 0 starts from ``spec.parameters``; further restarts draw uniform
-    random angles from per-restart streams derived from ``cfg.seed``.  The
-    best parameters seen anywhere (across steps and restarts) are returned
-    together with the loss trace of the winning restart.  Falls back to
-    central finite differences when no gradient is supplied.
+    Restart 0 starts from ``start``; further restarts draw uniform random
+    angles from per-restart streams derived from ``cfg.seed``.  The best
+    parameters seen anywhere (across steps and restarts) are returned
+    together with the loss trace of the winning restart.
     """
-    if grad is None:
-        grad = lambda p: central_difference(objective, p)
+    start = np.asarray(start, dtype=float)
     best_loss, best_params, best_trace = math.inf, None, None
     for restart in range(cfg.restarts):
         if restart == 0:
-            params = spec.parameters.copy()
+            params = start.copy()
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
             )
-            params = rng.uniform(-math.pi, math.pi, spec.num_params)
+            params = rng.uniform(-math.pi, math.pi, start.size)
         m = np.zeros_like(params)
         v = np.zeros_like(params)
         trace = [float(objective(params))]
@@ -409,39 +387,17 @@ def program_prep_loss_and_grad(
     return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM, adjoint)
 
 
-def make_program_loss(forms: dict, f_target: float, ansatz_kind: str):
-    """Loss and exact gradient for a program-producing ansatz on fixed forms.
-
-    The layered program-prep ansatz gets its gradient from one adjoint
-    sweep; the bare-angle ansatz from the parameter-shift rule.
-    """
+def make_program_loss(forms: dict, f_target: float):
+    """Loss of the program-prep ansatz on fixed forms, and its adjoint gradient."""
     m_ab, m_ae = forms_mean_matrices(forms)
-    state_fn = _PROGRAM_STATE_FNS[ansatz_kind]
+    forms_stack = np.stack([m_ab, m_ae])
 
     def objective(params: np.ndarray) -> float:
-        psi = state_fn(params)
+        psi = program_prep_state(params)
         return loss(quadratic_fidelity(m_ab, psi), quadratic_fidelity(m_ae, psi), f_target)
 
-    if ansatz_kind == "program-prep":
-        forms_stack = np.stack([m_ab, m_ae])
-
-        def adjoint_gradient(params: np.ndarray) -> np.ndarray:
-            return program_prep_loss_and_grad(forms_stack, f_target, params)[1]
-
-        return objective, adjoint_gradient
-
     def gradient(params: np.ndarray) -> np.ndarray:
-        psi = state_fn(params)
-        dpsi = shift_gradient_states(state_fn, params, _PROGRAM_STATE_FREQ[ansatz_kind])
-        f_ab = quadratic_fidelity(m_ab, psi)
-        lhs_ab = psi.conj() @ m_ab
-        lhs_ae = psi.conj() @ m_ae
-        g = np.empty(params.size)
-        for k, dp in enumerate(dpsi):
-            d_ab = 2.0 * np.real(lhs_ab @ dp)
-            d_ae = 2.0 * np.real(lhs_ae @ dp)
-            g[k] = 20.0 * (f_ab - f_target) * d_ab - d_ae
-        return g
+        return program_prep_loss_and_grad(forms_stack, f_target, params)[1]
 
     return objective, gradient
 
@@ -501,86 +457,94 @@ def make_b92_loss(f_target: float):
 
 
 # ---------------------------------------------------------------------------
-# grid search over single-qubit programs
+# the exact frontier of two quadratic forms
 
 
-def _angle_grid(resolution: int):
-    rhos = np.linspace(0.0, math.pi / 2, resolution)
-    full = np.linspace(0.0, 2 * math.pi, 2 * resolution, endpoint=False)
-    return rhos, full
+def _edge_program(m_ab: np.ndarray, m_ae: np.ndarray, sign: int) -> np.ndarray:
+    """Best F_AE program on the top (sign 1) or bottom (sign -1) eigenspace of M_ab."""
+    w, v = np.linalg.eigh(sign * m_ab)
+    space = v[:, w >= w[-1] - 1e-10]
+    return space @ np.linalg.eigh(space.conj().T @ m_ae @ space)[1][:, -1]
 
 
-def grid_search_software(
-    family: ClonerKind, resolution: int, objective, num_clone_qubits: int = 1
-) -> SoftwareState:
-    """Best single-qubit program over a uniform angular grid of the 3-sphere.
+def _span_program(m_ab, m_ae, f, v_lo, v_hi) -> np.ndarray:
+    """Best F_AE program with F_AB = f on the great circle through v_lo and v_hi.
 
-    The sphere is covered by rho in [0, pi/2] against full circles in theta
-    and phi, which reaches every real sign pattern.  The grid itself does not
-    depend on the cloner family; ``objective`` decides what is evaluated.
-    Ties keep the earliest grid point in (rho, phi, theta) iteration order.
+    With u = 2t, psi(t) = cos t q1 + sin t q2 has F = c0 + c1 cos u + c2 sin u
+    for either form, so F_AB = f has two roots u and the better one is kept.
     """
-    if num_clone_qubits != 1:
-        raise ValueError("grid search covers single-qubit programs only")
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    rhos, full = _angle_grid(resolution)
-    best_val, best_state = -math.inf, None
-    for rho in rhos:
-        for phi in full:
-            for theta in full:
-                state = ng_angles_to_program(NgAngles(rho, phi, theta))
-                val = float(objective(state))
-                if val > best_val:
-                    best_val, best_state = val, state
-    return best_state
+    overlap = np.vdot(v_lo, v_hi)
+    if overlap != 0:
+        # rephased so that <v_lo|v_hi> >= 0: the circle then passes through v_hi
+        v_hi = v_hi * (abs(overlap) / overlap)
+    rest = v_hi - abs(overlap) * v_lo
+    if np.linalg.norm(rest) <= 1e-10:
+        return v_lo
+    q = np.stack([v_lo, rest / np.linalg.norm(rest)], axis=1)
+
+    def coefficients(m):
+        a = (q.conj().T @ m @ q).real
+        return (a[0, 0] + a[1, 1]) / 2, (a[0, 0] - a[1, 1]) / 2, a[0, 1]
+
+    (a0, a1, a2), (b0, b1, b2) = coefficients(m_ab), coefficients(m_ae)
+    phase = math.atan2(a2, a1)
+    width = math.acos(min(max((f - a0) / max(math.hypot(a1, a2), 1e-300), -1.0), 1.0))
+    eve = lambda u: b1 * math.cos(u) + b2 * math.sin(u)
+    u = max(phase - width, phase + width, key=eve)
+    return math.cos(u / 2) * q[:, 0] + math.sin(u / 2) * q[:, 1]
 
 
-def _b92_cloud_slice(family: ClonerKind, rho: float, full: np.ndarray):
-    p, t = np.meshgrid(full, full, indexing="ij")
-    a = np.cos(t) * math.cos(rho)
-    b = np.cos(p) * math.sin(rho)
-    c = np.sin(t) * math.cos(rho)
-    d = np.sin(p) * math.sin(rho)
-    if family == ClonerKind.NG:
-        f_ab = ((a**2 + c**2) + (a**2 + b**2)) / 2
-        f_ae = (0.5 + a * c + b * d + 0.5 + a * b + c * d) / 2
-    else:
-        f_ab = ((a**2 + d**2) + (a * d + b * c + 0.5)) / 2
-        f_ae = ((a**2 + b**2) + (a * b + c * d + 0.5)) / 2
-    return f_ab.ravel(), f_ae.ravel()
+def exact_frontier_point(m_ab: np.ndarray, m_ae: np.ndarray, f: float) -> np.ndarray:
+    """The program of largest F_AE = psi^dag M_ae psi with F_AB = psi^dag M_ab psi = f.
 
-
-def grid_frontier_b92(
-    family: ClonerKind, f_values, resolution: int = 128
-) -> list[tuple[float, float]]:
-    """Grid-search frontier values at the requested Bob fidelities.
-
-    The (F_AB, F_AE) cloud over the angle grid is Pareto-filtered and the
-    frontier polyline evaluated at each target; reading a hard threshold off
-    the raw cloud instead would be noisier where the grid slices the
-    frontier ridge coarsely.  Grid error shrinks with the squared spacing.
+    The reachable (F_AB, F_AE) pairs form a convex set (Toeplitz-Hausdorff),
+    whose upper boundary is traced by the top eigenvector of M_ae + lam M_ab;
+    its F_AB grows with lam.  Bisection on lam = tan(theta), theta in
+    (-pi/2, pi/2), brackets f between two eigenvectors, and the 2x2 problem
+    on their span lands on f, also on a flat segment of the frontier (a
+    degenerate top eigenvalue) where the two differ.  A target outside
+    [lambda_min(M_ab), lambda_max(M_ab)] gives the program at that end, with
+    the best F_AE there.  Real forms give a real program.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    f_values = list(f_values)
-    rhos, full = _angle_grid(resolution)
-    pareto: list[tuple[float, float]] = []
-    for rho in rhos:  # one slice at a time keeps the working set small
-        f_ab, f_ae = _b92_cloud_slice(family, float(rho), full)
-        order = np.argsort(f_ab)[::-1]
-        f_ab, f_ae = f_ab[order], f_ae[order]
-        cummax = np.maximum.accumulate(f_ae)
-        keep = np.ones(f_ab.size, dtype=bool)
-        keep[1:] = f_ae[1:] >= cummax[:-1]
-        pareto = pareto_filter(pareto + list(zip(f_ab[keep], f_ae[keep])))
-    xs = np.array([p[0] for p in pareto])
-    ys = np.array([p[1] for p in pareto])
+    real = not (np.any(np.imag(m_ab)) or np.any(np.imag(m_ae)))
+    if real:
+        m_ab, m_ae = np.real(m_ab), np.real(m_ae)
+    v_lo, v_hi = _edge_program(m_ab, m_ae, -1), _edge_program(m_ab, m_ae, 1)
+    if f <= quadratic_fidelity(m_ab, v_lo):
+        return v_lo
+    if f >= quadratic_fidelity(m_ab, v_hi):
+        return v_hi
+    lo, hi = -math.pi / 2, math.pi / 2
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        v = np.linalg.eigh(math.cos(mid) * m_ae + math.sin(mid) * m_ab)[1][:, -1]
+        if quadratic_fidelity(m_ab, v) < f:
+            lo, v_lo = mid, v
+        else:
+            hi, v_hi = mid, v
+    psi = _span_program(m_ab, m_ae, f, v_lo, v_hi)
+    assert not real or np.isrealobj(psi)
+    return psi
+
+
+def grid_frontier_b92(family: ClonerKind, f_values) -> list[tuple[float, float]]:
+    """(f, best F_AE at F_AB = f) for the b92 inputs |0> and |+>, exactly.
+
+    The 4x4 forms average each receiver's fidelity over state 0 of the Z and
+    X bases, and ``exact_frontier_point`` solves each target.  The name is
+    that of the angle-grid search this replaced; the ``grid-ng`` and
+    ``grid-qid`` rows and the benchmark's layer tracer still use it.
+    """
+    forms = fidelity_quadratic_forms(family, 1, [mubs_for(1)[lbl] for lbl in "ZX"])
+    m_ab, m_ae = ((m["Z"][0] + m["X"][0]) / 2 for m in (forms["ab"], forms["ae"]))
     out = []
     for f in f_values:
-        if f > xs[-1] + 1e-9:
+        psi = exact_frontier_point(m_ab, m_ae, f)
+        if abs(quadratic_fidelity(m_ab, psi) - f) > 1e-9:
             raise ValueError(f"target {f} beyond the reachable Bob fidelity")
-        out.append((float(f), float(np.interp(f, xs, ys))))
+        out.append((float(f), quadratic_fidelity(m_ae, psi)))
     return out
 
 
@@ -649,8 +613,10 @@ class SweepRow:
     f_ae: dict
     f_ab_avg: float
     f_ae_avg: float
+    # program amplitudes (exact rows) or ansatz angles (Adam rows); None for
+    # reference rows
     parameters: np.ndarray | None
-    # |F_AB_avg - f_target| of an optimized row; None for reference and grid rows
+    # |F_AB_avg - f_target| of an optimized row; None for reference rows
     target_miss: float | None = None
 
 
@@ -667,10 +633,11 @@ class SweepResult:
         ]
 
 
-# per task: register size N of its cloners, trained ansatz, default settings
+# per task: register size N of its cloners, solver ("exact" or the trained
+# ansatz), default Adam settings (validated for every task, used by Adam only)
 _TASK_SPECS = {
-    "bb84": (1, "ng-angles", OptimizerConfig(steps=120, restarts=4)),
-    "sixstate": (1, "ng-angles", OptimizerConfig(steps=120, restarts=4)),
+    "bb84": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
+    "sixstate": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
     "twenty": (2, "program-prep", OptimizerConfig(steps=100, restarts=3)),
     "b92": (1, "b92", OptimizerConfig(steps=100, restarts=5)),
     "pairs": (2, "program-prep", OptimizerConfig(steps=200, restarts=5)),
@@ -694,9 +661,9 @@ def default_f_values(task: str) -> list[float]:
     return [round(float(f), 10) for f in np.arange(lo + 0.05, 1.0, 0.05)]
 
 
-def _adam_units(task: str) -> list[tuple]:
-    """(cloner kind, basis labels, series, row label) of each Adam series of
-    the task, in seed order; the b92 ansatz is its own cloner (kind None)."""
+def _units(task: str) -> list[tuple]:
+    """(cloner kind, basis labels, series, row label) of each optimized series
+    of the task, in seed order; the b92 ansatz is its own cloner (kind None)."""
     if task == "b92":
         return [(None, (), "qml", "")]
     if task == "bb84":
@@ -719,6 +686,23 @@ def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
     return replace(cfg, seed=int(child.generate_state(1)[0]))
 
 
+def _exact_rows(forms, f_values, series, label) -> list[SweepRow]:
+    """The exact frontier at each Bob-fidelity target; ``params`` holds the
+    program amplitudes, as ``fidelities --amplitudes`` takes them."""
+    m_ab, m_ae = forms_mean_matrices(forms)
+    reachable = np.linalg.eigvalsh(m_ab)[[0, -1]]
+    rows = []
+    for f in f_values:
+        psi = exact_frontier_point(m_ab, m_ae, f)
+        report = report_from_forms(forms, psi)
+        miss = abs(report.f_ab_avg - f)
+        if miss > 1e-9:
+            msg = "%s %s f=%.3f: outside the reachable Bob interval [%.4f, %.4f]"
+            logger.warning(msg, series, label, f, *reachable)
+        rows.append(_report_row(f, series, label, report, psi, miss))
+    return rows
+
+
 def _adam_row(ansatz, forms, f_target, cfg, series, label) -> SweepRow:
     """Adam at one Bob-fidelity target.
 
@@ -728,8 +712,9 @@ def _adam_row(ansatz, forms, f_target, cfg, series, label) -> SweepRow:
     if ansatz == "b92":
         objective, gradient = make_b92_loss(f_target)
     else:
-        objective, gradient = make_program_loss(forms, f_target, ansatz)
-    params, _ = adam_optimize(objective, AnsatzSpec.zeros(ansatz), cfg, grad=gradient)
+        objective, gradient = make_program_loss(forms, f_target)
+    start = np.zeros(ANSATZ_PARAM_COUNTS[ansatz])
+    params, _ = adam_optimize(objective, start, cfg, gradient)
     if ansatz == "b92":
         per_ab, per_ae, _, _ = _b92_fidelities(_b92_pass(params))
         report = FidelityReport.from_per_state(
@@ -737,7 +722,7 @@ def _adam_row(ansatz, forms, f_target, cfg, series, label) -> SweepRow:
             {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae)},
         )
     else:
-        report = report_from_forms(forms, _PROGRAM_STATE_FNS[ansatz](params))
+        report = report_from_forms(forms, program_prep_state(params))
     miss = abs(report.f_ab_avg - f_target)
     if miss > 0.02:
         logger.warning(
@@ -764,9 +749,9 @@ def _report_row(f_target, series, label, report, params=None, miss=None) -> Swee
     )
 
 
-def _reference_rows(task, f_values, channel, grid_resolution) -> list[SweepRow]:
+def _reference_rows(task, f_values, channel) -> list[SweepRow]:
     """The task's reference rows: the phase-covariant curve (bb84), the
-    universal curve (sixstate) or point (twenty), the grid frontiers (b92).
+    universal curve (sixstate) or point (twenty), the exact frontiers (b92).
 
     They are computed before any Adam run, so bad inputs fail fast.
     """
@@ -796,7 +781,7 @@ def _reference_rows(task, f_values, channel, grid_resolution) -> list[SweepRow]:
         return [
             SweepRow(f, series, "", {}, {}, f, best, None)
             for family, series in families
-            for f, best in grid_frontier_b92(family, f_values, grid_resolution)
+            for f, best in grid_frontier_b92(family, f_values)
         ]
     return []
 
@@ -806,14 +791,14 @@ def frontier_sweep(
     f_values=None,
     cfg: OptimizerConfig | None = None,
     channel: PauliChannel | None = None,
-    grid_resolution: int = 64,
 ) -> SweepResult:
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
-    Emits one optimized row per target per Adam series, plus the task's
-    reference rows.  Rows are deterministic for a fixed config: the row at
-    target i of the u-th series (``_adam_units`` order) owns the seed
-    derived from (cfg.seed, u * len(f_values) + i).
+    Emits one optimized row per target per series, plus the task's reference
+    rows.  bb84 and sixstate rows are exact; ``cfg`` drives the Adam series
+    only.  Adam rows are deterministic for a fixed config: the row at target
+    i of the u-th series (``_units`` order) owns the seed derived from
+    (cfg.seed, u * len(f_values) + i).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -826,17 +811,20 @@ def frontier_sweep(
         raise ValueError("the reduced-pairs task is noiseless")
     f_values = sorted(f_values)
     cfg = default_task_config(task) if cfg is None else cfg
-    n, ansatz, _ = _TASK_SPECS[task]
+    n, solver, _ = _TASK_SPECS[task]
 
-    rows = _reference_rows(task, f_values, channel, grid_resolution)
-    for u, (kind, labels, series, label) in enumerate(_adam_units(task)):
+    rows = _reference_rows(task, f_values, channel)
+    for u, (kind, labels, series, label) in enumerate(_units(task)):
         forms = None
         if kind is not None:
             bases = [mubs_for(n)[lbl] for lbl in labels]
             forms = fidelity_quadratic_forms(kind, n, bases, channel)
+        if solver == "exact":
+            rows += _exact_rows(forms, f_values, series, label)
+            continue
         for i, f in enumerate(f_values):
             row_cfg = _row_config(cfg, u * len(f_values) + i)
-            rows.append(_adam_row(ansatz, forms, f, row_cfg, series, label))
+            rows.append(_adam_row(solver, forms, f, row_cfg, series, label))
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 

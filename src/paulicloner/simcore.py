@@ -56,15 +56,25 @@ def axis_rotations(angles) -> np.ndarray:
     return np.cos(half) * _I2 + np.sin(half) * _MINUS_I_PAULIS
 
 
-# row 0 of the stacked products is the block itself; row r = 1, 2, 3 has
-# factor r - 1 (RX, RY, RZ) replaced by its derivative
-_DERIVATIVE_SLOTS = np.eye(4, 3, k=-1, dtype=bool)[..., None, None]
+# row g of the stacked products has factor g (RX, RY, RZ) replaced by its
+# derivative
+_DERIVATIVE_SLOTS = np.eye(3, dtype=bool)[..., None, None]
 
 
 def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcast product of stacked 2x2 matrices, as two elementwise passes
     (einsum and matmul are slower on 2x2 stacks)."""
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _zyx_product(f: np.ndarray) -> np.ndarray:
+    """f[..., 2, :, :] f[..., 1, :, :] f[..., 0, :, :] for stacked factors."""
+    return _matmul_2x2(_matmul_2x2(f[..., 2, :, :], f[..., 1, :, :]), f[..., 0, :, :])
+
+
+def rotation_block(angles) -> np.ndarray:
+    """RZ(c) RY(b) RX(a) for (..., 3) angles, shape (..., 2, 2)."""
+    return _zyx_product(axis_rotations(angles))
 
 
 def rotation_blocks(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +86,7 @@ def rotation_blocks(angles) -> tuple[np.ndarray, np.ndarray]:
     f = axis_rotations(angles)
     d = 0.5 * _matmul_2x2(_MINUS_I_PAULIS, f)  # d/da exp(-i a P/2) = -i P/2 exp(..)
     t = np.where(_DERIVATIVE_SLOTS, d[..., None, :, :, :], f[..., None, :, :, :])
-    out = _matmul_2x2(_matmul_2x2(t[..., 2, :, :], t[..., 1, :, :]), t[..., 0, :, :])
-    return out[..., 0, :, :], out[..., 1:, :, :]
+    return _zyx_product(f), _zyx_product(t)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Gate-by-gate reference for the compiled cloner engine.
+"""References for the tests: a gate-by-gate cloner and central differences.
 
 Every input state and Kraus branch is simulated on its own: the program and
 the (error-applied) input are injected into the 3N-qubit register, the
 hardware circuit runs gate by gate, and the receivers' reduced states are
-mixed with the branch weights.
+mixed with the branch weights.  ``central_difference`` is the derivative
+reference for the adjoint gradients.
 """
 
 import numpy as np
@@ -60,3 +61,15 @@ def reference_transfer_matrix(kind, n, program):
         for i, pi in enumerate(paulis):
             r[i, j] = np.trace(pi @ image) / 2**n
     return r
+
+
+def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    grad = np.empty(parameters.size)
+    for k in range(parameters.size):
+        shifted = parameters.copy()
+        shifted[k] += h
+        fp = fn(shifted)
+        shifted[k] -= 2 * h
+        fm = fn(shifted)
+        grad[k] = (fp - fm) / (2 * h)
+    return grad

@@ -12,6 +12,8 @@ import pytest
 
 import paulicloner
 from paulicloner import analytic, cli, optimize
+from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
+from paulicloner.mub import mubs_for
 from paulicloner.noise import parse_channel_spec
 
 
@@ -217,8 +219,6 @@ class TestSweepCommand:
             "2",
             "--seed",
             "9",
-            "--grid-resolution",
-            "16",
         ]
         code, _, _ = run_cli(capsys, *argv, "--out", str(path1))
         assert code == 0
@@ -240,13 +240,56 @@ class TestSweepCommand:
             else:
                 assert row["target_miss"] == ""
 
-    @pytest.mark.parametrize("resolution", ["0", "2"])
-    def test_b92_grid_resolution_below_floor_exits_2(self, capsys, resolution):
-        argv = ["sweep", "--task", "b92", "--f", "0.5:0.5:0.1"]
-        code, out, err = run_cli(capsys, *argv, "--grid-resolution", resolution)
-        assert code == 2
-        assert out == ""
-        assert "resolution must be at least 8" in err
+    @pytest.mark.parametrize(
+        "task, noise, f, count",
+        [
+            ("bb84", "X=0.25", "0.55:0.95:0.05", 9),
+            ("sixstate", "X=0.25,Z=0.1", "0.6:0.8:0.05", 5),
+        ],
+    )
+    def test_exact_rows_replay_from_their_amplitudes(
+        self, capsys, caplog, task, noise, f, count
+    ):
+        code, out, _ = run_cli(capsys, "sweep", "--task", task, "--noise", noise, "--f", f)
+        assert code == 0
+        rows = [r for r in csv.DictReader(out.splitlines()[1:]) if r["series"] == "ng"]
+        assert len(rows) == count
+        channel = parse_channel_spec(noise, 1)
+        labels, reachable = {"bb84": ("ZX", 0.875), "sixstate": ("ZXY", 23 / 30)}[task]
+        bases = [mubs_for(1)[lbl] for lbl in labels]
+        for row in rows:
+            amps = np.array([float(a) for a in row["params"].split()])
+            assert amps.size == 4
+            rep = clone_fidelities(ClonerKind.NG, 1, SoftwareState(amps), channel, bases)
+            want = {"F_AB_avg": rep.f_ab_avg, "F_AE_avg": rep.f_ae_avg}
+            want.update({f"F_AB_{k}": v for k, v in rep.f_ab.items()})
+            want.update({f"F_AE_{k}": v for k, v in rep.f_ae.items()})
+            for key, value in want.items():
+                assert abs(float(row[key]) - value) < 1e-9
+            target, f_ab = float(row["f_target"]), float(row["F_AB_avg"])
+            if target <= reachable:
+                assert abs(f_ab - target) < 1e-9
+            else:  # the row at the end of the reachable interval, with its miss
+                assert abs(f_ab - reachable) < 1e-11
+                assert float(row["target_miss"]) == pytest.approx(target - reachable)
+                assert f"f={target:.3f}: outside the reachable Bob interval [" in caplog.text
+        # the fidelities command takes the params column as printed
+        argv = ["fidelities", "--kind", "ng", "--n", "1", "--noise", noise]
+        code, out, _ = run_cli(capsys, *argv, "--amplitudes", rows[0]["params"])
+        assert code == 0
+        payload = json.loads(out)
+        for lbl in labels:
+            assert abs(payload["f_ab"][lbl] - float(rows[0][f"F_AB_{lbl}"])) < 1e-9
+            assert abs(payload["f_ae"][lbl] - float(rows[0][f"F_AE_{lbl}"])) < 1e-9
+
+    def test_too_many_targets_exit_2_at_once(self, capsys):
+        # counted, not enumerated: 10^12 targets fail before any list is built
+        code, out, err = run_cli(capsys, "sweep", "--task", "bb84", "--f", "0:1:1e-12")
+        assert (code, out) == (2, "")
+        assert "--f" in err and f"more than {cli.MAX_F_TARGETS} targets" in err
+        assert len(cli._parse_f_range("0.001:1:0.001")) == cli.MAX_F_TARGETS == 1000
+        with pytest.raises(ValueError, match="--f"):
+            cli._parse_f_range("0:1:0.001")
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -275,7 +318,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(optimize, "adam_optimize", exploding)
         code, _, err = run_cli(
-            capsys, "sweep", "--task", "bb84", "--noise", "X=0.25", "--f", "0.7:0.7:0.1"
+            capsys, "sweep", "--task", "twenty", "--noise", "YI=0.45", "--f", "0.5:0.5:0.1"
         )
         assert code == 1
         assert "diverged" in err
@@ -308,8 +351,8 @@ class TestOptimizeCommand:
         payload = json.loads(out)
         ng_rows = [r for r in payload["rows"] if r["series"] == "ng"]
         assert len(ng_rows) == 1
-        assert len(ng_rows[0]["params"]) == 3
-        assert 0.5 <= ng_rows[0]["f_ab_avg"] <= 1.0
+        assert len(ng_rows[0]["params"]) == 4
+        assert abs(ng_rows[0]["f_ab_avg"] - 0.7) < 1e-9
         miss = abs(ng_rows[0]["f_ab_avg"] - 0.7)
         assert ng_rows[0]["target_miss"] == pytest.approx(miss, abs=1e-11)
         others = [r for r in payload["rows"] if r["series"] != "ng"]
@@ -321,7 +364,7 @@ class TestOptimizeCommand:
     )
     def test_rows_equal_the_sweep_rows(self, capsys, task, noise, num_rows):
         argv = ["optimize", "--task", task, "--f-target", "0.75", "--seed", "4"]
-        argv += ["--steps", "5", "--restarts", "2", "--grid-resolution", "16"]
+        argv += ["--steps", "5", "--restarts", "2"]
         code, out, _ = run_cli(capsys, *argv, *(["--noise", noise] if noise else []))
         assert code == 0
         result = optimize.frontier_sweep(
@@ -329,7 +372,6 @@ class TestOptimizeCommand:
             [0.75],
             cfg=replace(optimize.default_task_config(task), steps=5, restarts=2, seed=4),
             channel=parse_channel_spec(noise, 1) if noise else None,
-            grid_resolution=16,
         )
         expected = [
             {

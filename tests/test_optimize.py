@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracle import reference_fidelities
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import central_difference, reference_fidelities
 
 from paulicloner.analytic import QualityWeights, table1_angles
 from paulicloner import optimize
@@ -22,13 +24,12 @@ from paulicloner.optimize import (
     b92_ansatz_circuit,
     b92_loss_and_grad,
     b92_qml_fidelities,
-    central_difference,
     evaluate_ansatz,
+    exact_frontier_point,
     fidelity_quadratic_forms,
     forms_mean_matrices,
     frontier_sweep,
     grid_frontier_b92,
-    grid_search_software,
     layered_pass,
     loss,
     make_b92_loss,
@@ -121,10 +122,9 @@ class TestAnsatz:
 class TestAdam:
     def test_toy_quadratic(self):
         objective = lambda p: float((p[0] - 1.0) ** 2)
+        gradient = lambda p: np.array([2.0 * (p[0] - 1.0), 0.0, 0.0])
         params, trace = adam_optimize(
-            objective,
-            AnsatzSpec("ng-angles", np.zeros(3)),
-            OptimizerConfig(steps=100, restarts=1),
+            objective, np.zeros(3), OptimizerConfig(steps=100, restarts=1), gradient
         )
         assert abs(params[0] - 1.0) < 1e-3
         assert trace[-1] < trace[0]
@@ -134,17 +134,16 @@ class TestAdam:
             return float("nan")
 
         with pytest.raises(RuntimeError):
-            adam_optimize(
-                bad, AnsatzSpec("ng-angles", np.zeros(3)), OptimizerConfig(restarts=1)
-            )
+            adam_optimize(bad, np.zeros(3), OptimizerConfig(restarts=1), np.zeros_like)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         target = rng.uniform(-1, 1, 3)
         objective = lambda p: float(np.sum((p - target) ** 2))
+        gradient = lambda p: 2.0 * (p - target)
         cfg = OptimizerConfig(steps=30, restarts=3, seed=11)
-        p1, t1 = adam_optimize(objective, AnsatzSpec("ng-angles", np.zeros(3)), cfg)
-        p2, t2 = adam_optimize(objective, AnsatzSpec("ng-angles", np.zeros(3)), cfg)
+        p1, t1 = adam_optimize(objective, np.zeros(3), cfg, gradient)
+        p2, t2 = adam_optimize(objective, np.zeros(3), cfg, gradient)
         np.testing.assert_array_equal(p1, p2)
         assert t1 == t2
 
@@ -154,7 +153,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         ch = channel_with_single_error(2, PauliString("YI"), 0.45)
         forms = fidelity_quadratic_forms(ClonerKind.NG, 2, mubs_for(2).bases, ch)
-        objective, gradient = make_program_loss(forms, 0.5, "program-prep")
+        objective, gradient = make_program_loss(forms, 0.5)
         for _ in range(5):
             p = rng.uniform(-math.pi, math.pi, 60)
             g = gradient(p)
@@ -211,7 +210,7 @@ class TestAdjointGradients:
         rng = np.random.default_rng(30)
         forms = _prep_forms(name)
         m_ab, m_ae = forms_mean_matrices(forms)
-        objective, gradient = make_program_loss(forms, 0.55, "program-prep")
+        objective, gradient = make_program_loss(forms, 0.55)
         for _ in range(4):
             p = rng.uniform(-math.pi, math.pi, 60)
             value, g = program_prep_loss_and_grad(np.stack([m_ab, m_ae]), 0.55, p)
@@ -294,55 +293,131 @@ class TestQuadraticForms:
                         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
-class TestGridSearch:
-    def test_recovers_phase_covariant_optimum(self):
-        # maximize Eve's Z+X quality with Bob's pinned hard: the optimum is
-        # the symmetric phase-covariant machine
-        from paulicloner.analytic import ng1q_fidelities
+def _mean_forms(kind, labels, channel=None):
+    bases = [mubs_for(1)[lbl] for lbl in labels]
+    return forms_mean_matrices(fidelity_quadratic_forms(kind, 1, bases, channel))
 
-        target = 0.5 + math.sin(math.pi / 4) / 2
 
-        def objective(state):
-            r = ng1q_fidelities(state)
-            bob = (r.f_ab["Z"] + r.f_ab["X"]) / 2
-            eve = (r.f_ae["Z"] + r.f_ae["X"]) / 2
-            return eve - 100.0 * (bob - target) ** 2
+class TestExactFrontier:
+    def test_bb84_forms_give_the_phase_covariant_point(self):
+        # the symmetric phase-covariant cloner: F_AE = F_AB = 1/2 + sqrt(2)/4
+        m_ab, m_ae = _mean_forms(ClonerKind.NG, "ZX")
+        f = 0.5 + math.sqrt(2) / 4
+        psi = exact_frontier_point(m_ab, m_ae, f)
+        assert abs(quadratic_fidelity(m_ab, psi) - f) < 1e-12
+        assert abs(quadratic_fidelity(m_ae, psi) - f) < 1e-12
 
-        got = ng1q_fidelities(grid_search_software(ClonerKind.NG, 16, objective))
-        # within grid spacing of the phase-covariant point
-        assert abs((got.f_ab["Z"] + got.f_ab["X"]) / 2 - target) < 0.02
-        assert abs((got.f_ae["Z"] + got.f_ae["X"]) / 2 - target) < 0.02
+    def test_sixstate_forms_give_the_universal_point(self):
+        m_ab, m_ae = _mean_forms(ClonerKind.NG, "ZXY")
+        psi = exact_frontier_point(m_ab, m_ae, 5 / 6)
+        assert abs(quadratic_fidelity(m_ab, psi) - 5 / 6) < 1e-12
+        assert abs(quadratic_fidelity(m_ae, psi) - 5 / 6) < 1e-12
 
-    def test_constant_objective_keeps_first_grid_point(self):
-        best = grid_search_software(ClonerKind.NG, 8, lambda s: 0.0)
-        np.testing.assert_allclose(best.amplitudes, [1, 0, 0, 0], atol=1e-12)
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            grid_search_software(ClonerKind.NG, 4, lambda s: 0.0)
-        for resolution in (0, 2, 7):
-            with pytest.raises(ValueError, match="at least 8"):
-                grid_frontier_b92(ClonerKind.NG, [0.5], resolution)
-
-    def test_b92_grid_frontiers_of_both_families_agree(self):
+    def test_b92_frontiers_of_both_families_agree(self):
         fs = [0.6, 0.7, 0.8, 0.85]
-        ng = grid_frontier_b92(ClonerKind.NG, fs, 48)
-        qid = grid_frontier_b92(ClonerKind.QID, fs, 48)
+        ng = grid_frontier_b92(ClonerKind.NG, fs)
+        qid = grid_frontier_b92(ClonerKind.QID, fs)
         for (f1, e1), (f2, e2) in zip(ng, qid):
             assert f1 == f2
-            assert abs(e1 - e2) < 2e-3
+            assert abs(e1 - e2) < 1e-12
+        assert abs(ng[2][1] - 0.9) < 1e-12  # F_AE = 0.9 at F_AB = 0.8
+
+    def test_real_forms_give_a_real_program_on_target(self):
+        m_ab, m_ae = _mean_forms(ClonerKind.QID, "ZX", PauliChannel.from_xyz(0.1, 0.05, 0.2))
+        lo, hi = np.linalg.eigvalsh(m_ab)[[0, -1]]
+        for f in np.linspace(lo, hi, 11):
+            psi = exact_frontier_point(m_ab, m_ae, f)
+            assert np.isrealobj(psi)
+            assert abs(np.linalg.norm(psi) - 1) < 1e-12
+            assert abs(quadratic_fidelity(m_ab, psi) - f) < 1e-9
+
+    def test_unreachable_targets_give_the_ends(self):
+        # the best F_AE on each degenerate extreme eigenspace of M_ab
+        m_ab, m_ae = np.diag([0.2, 0.2, 0.9, 0.9]), np.diag([0.3, 0.8, 0.1, 0.0])
+        top = exact_frontier_point(m_ab, m_ae, 0.95)
+        np.testing.assert_allclose(np.abs(top), [0, 0, 1, 0], atol=1e-12)
+        bottom = exact_frontier_point(m_ab, m_ae, 0.1)
+        np.testing.assert_allclose(np.abs(bottom), [0, 1, 0, 0], atol=1e-12)
+
+    def test_flat_segment_is_solved_in_the_span_of_its_ends(self):
+        # M_ae + M_ab has the degenerate top eigenvalue 1 on e0 (F_AB 0.2) and
+        # e1 (F_AB 0.6): every target between lies on F_AE = 1 - F_AB
+        m_ab, m_ae = np.diag([0.2, 0.6, 0.0, 0.9]), np.diag([0.8, 0.4, 0.0, 0.0])
+        for f in (0.25, 0.4, 0.55):
+            psi = exact_frontier_point(m_ab, m_ae, f)
+            assert abs(quadratic_fidelity(m_ab, psi) - f) < 1e-12
+            assert abs(quadratic_fidelity(m_ae, psi) - (1 - f)) < 1e-12
+
+    def test_span_problem_keeps_the_better_root(self):
+        # on cos t e0 + sin t e1, F_AB = 0.4 - 0.2 cos 2t and F_AE = 0.5 + 0.3 sin 2t:
+        # F_AB = 0.4 at t = +-pi/4, where F_AE is 0.8 or 0.2
+        m_ab = np.diag([0.2, 0.6, 0.0, 0.0])
+        m_ae = np.zeros((4, 4))
+        m_ae[:2, :2] = [[0.5, 0.3], [0.3, 0.5]]
+        e = np.eye(4)
+        psi = optimize._span_program(m_ab, m_ae, 0.4, e[0], e[1])
+        assert abs(quadratic_fidelity(m_ab, psi) - 0.4) < 1e-12
+        assert abs(quadratic_fidelity(m_ae, psi) - 0.8) < 1e-12
+
+    def test_complex_forms(self):
+        rng = np.random.default_rng(40)
+        a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in "ab")
+        m_ab, m_ae = a @ a.conj().T / 8, b @ b.conj().T / 8
+        lo, hi = np.linalg.eigvalsh(m_ab)[[0, -1]]
+        lams = np.linspace(-20, 20, 4001)
+        tops = np.array([np.linalg.eigvalsh(m_ae + lam * m_ab)[-1] for lam in lams])
+        for f in np.linspace(lo, hi, 7)[1:-1]:
+            psi = exact_frontier_point(m_ab, m_ae, f)
+            assert abs(quadratic_fidelity(m_ab, psi) - f) < 1e-9
+            # weak duality bounds F_AE from above; the grid of lam nearly attains it
+            gap = np.min(tops - lams * f) - quadratic_fidelity(m_ae, psi)
+            assert -1e-12 <= gap < 1e-3
+
+
+# a random single-qubit Pauli channel: weights of X, Y, Z and the identity
+channels = st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0.01)
+
+
+class TestFrontierProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(channels, st.sampled_from(list(ClonerKind)), st.sampled_from(["ZX", "ZXY"]))
+    def test_mean_forms_are_hermitian_psd(self, weights, kind, labels):
+        p = np.array(weights) / sum(weights)
+        for m in _mean_forms(kind, labels, PauliChannel.from_xyz(*p[:3])):
+            np.testing.assert_allclose(m, m.conj().T, rtol=0, atol=1e-14)
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(channels, st.sampled_from(list(ClonerKind)), st.sampled_from(["ZX", "ZXY"]))
+    def test_frontier_is_non_increasing_and_concave(self, weights, kind, labels):
+        p = np.array(weights) / sum(weights)
+        m_ab, m_ae = _mean_forms(kind, labels, PauliChannel.from_xyz(*p[:3]))
+        # from the largest F_AB at which Eve's best is reached, to Bob's best
+        w, v = np.linalg.eigh(m_ae)
+        top = v[:, w >= w[-1] - 1e-10]
+        f_start = np.linalg.eigvalsh(top.conj().T @ m_ab @ top)[-1]
+        fs = np.linspace(f_start, np.linalg.eigvalsh(m_ab)[-1], 12)
+        eve = []
+        for f in fs:
+            psi = exact_frontier_point(m_ab, m_ae, f)
+            assert abs(quadratic_fidelity(m_ab, psi) - f) < 1e-9
+            eve.append(quadratic_fidelity(m_ae, psi))
+        assert abs(eve[0] - w[-1]) < 1e-9
+        assert np.all(np.diff(eve) <= 1e-9)
+        assert np.all(np.diff(eve, 2) <= 1e-9)
 
 
 PAIR_LABELS = (
     "M0M1", "M0M2", "M0M3", "M0M4", "M1M2", "M1M3", "M1M4", "M2M3", "M2M4", "M3M4"
 )
-# per task: its Adam series (series, label) in seed order, its reference series
+# per task: its optimized series (series, label) in seed order, whether they
+# are Adam series, its reference series
 SWEEP_SERIES = {
-    "bb84": ([("ng", "")], ["pccm"]),
-    "sixstate": ([("ng", "")], ["uqcm"]),
-    "twenty": ([("ng", ""), ("qid", "")], []),
-    "b92": ([("qml", "")], ["grid-ng", "grid-qid"]),
-    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], []),
+    "bb84": ([("ng", "")], False, ["pccm"]),
+    "sixstate": ([("ng", "")], False, ["uqcm"]),
+    "twenty": ([("ng", ""), ("qid", "")], True, []),
+    "b92": ([("qml", "")], True, ["grid-ng", "grid-qid"]),
+    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], True, []),
 }
 
 
@@ -354,14 +429,14 @@ class TestSweep:
         seeds = {}
         real_adam = optimize.adam_optimize
 
-        def recording_adam(objective, spec, row_cfg, grad=None):
-            params, trace = real_adam(objective, spec, row_cfg, grad)
+        def recording_adam(objective, start, row_cfg, grad):
+            params, trace = real_adam(objective, start, row_cfg, grad)
             seeds[id(params)] = row_cfg.seed
             return params, trace
 
         monkeypatch.setattr(optimize, "adam_optimize", recording_adam)
-        result = frontier_sweep(task, f_values=fs, cfg=cfg, grid_resolution=16)
-        units, references = SWEEP_SERIES[task]
+        result = frontier_sweep(task, f_values=fs, cfg=cfg)
+        units, adam, references = SWEEP_SERIES[task]
         expected = sorted(
             [(f, s, lbl) for f in fs for s, lbl in units]
             + [(f, s, "") for f in fs for s in references]
@@ -373,17 +448,17 @@ class TestSweep:
             for r in result.rows
         ]
         assert got == expected
-        assert len(seeds) == len(units) * len(fs)
+        assert len(seeds) == (len(units) * len(fs) if adam else 0)
         # the row at target i of the u-th Adam series owns seed u * len(fs) + i
         for r in result.rows:
-            if r.parameters is not None:
+            if adam and r.parameters is not None:
                 k = units.index((r.series, r.label)) * len(fs) + fs.index(r.f_target)
                 child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1000 + k,))
                 assert seeds[id(r.parameters)] == int(child.generate_state(1)[0])
 
     def test_b92_rows_match_the_simulation_oracle(self):
         cfg = OptimizerConfig(steps=30, restarts=2, seed=4)
-        result = frontier_sweep("b92", f_values=[0.7, 0.8], cfg=cfg, grid_resolution=16)
+        result = frontier_sweep("b92", f_values=[0.7, 0.8], cfg=cfg)
         rows = result.series("qml")
         assert len(rows) == 2
         for row in rows:
