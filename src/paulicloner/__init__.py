@@ -52,7 +52,6 @@ from .cloner import (
 )
 from .analytic import (
     ImbalanceEta,
-    QualityWeights,
     ng1q_fidelities,
     ng2q_fidelities,
     ng_nq_bob_fidelity,
@@ -73,7 +72,6 @@ from .optimize import (
     exact_frontier_point,
     frontier_sweep,
     loss,
-    quality,
 )
 
 __version__ = "0.1.0"

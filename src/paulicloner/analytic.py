@@ -26,23 +26,6 @@ from .mub import MubBasis, invariant_paulis, mubs_for
 
 
 @dataclass(frozen=True)
-class QualityWeights:
-    """Per-basis weights of the scalarized cloning quality."""
-
-    weights: dict
-
-    def __post_init__(self) -> None:
-        w = {str(k): float(v) for k, v in self.weights.items()}
-        if not w or all(v == 0.0 for v in w.values()):
-            raise ValueError("quality weights must not all be zero")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_xyz(cls, x: float, y: float, z: float) -> "QualityWeights":
-        return cls({"X": x, "Y": y, "Z": z})
-
-
-@dataclass(frozen=True)
 class ImbalanceEta:
     """Noise-imbalance ratio between the Z- and X-affected error weights."""
 

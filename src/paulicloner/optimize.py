@@ -15,14 +15,15 @@ The best F_AE at a given F_AB over all programs is an eigenproblem
 (``exact_frontier_point``), which solves the bb84 and sixstate rows and the
 b92 reference rows (``grid-ng``, ``grid-qid``) on their Bob targets.  Adam
 trains the 60-parameter program-prep ansatz of the two-qubit tasks (twenty,
-pairs) and the b92 ansatz, a cloner of its own.
+pairs) and the b92 ansatz, a cloner of its own.  Every restart of every row
+of a sweep is one trajectory of a single batch that Adam steps in lockstep.
 
-The two layered rotation ansaetze (program-prep and b92) get exact
-gradients from one adjoint sweep: a forward pass that keeps the state
-entering each rotation block, then one backward pass of the loss's adjoint
-vector through the inverse circuit (``layered_pass``).  The parameter-shift
-derivatives of the program-prep ansatz remain as the reference the adjoint
-gradient is tested against.
+The two layered rotation ansaetze (program-prep and b92) get each step's
+losses and exact gradients, for the whole batch, from one adjoint sweep: a
+forward pass that keeps the states entering each rotation block, then one
+backward pass of the loss's adjoint vectors through the inverse circuit
+(``layered_pass``).  The parameter-shift derivatives of the program-prep
+ansatz remain as the reference the adjoint gradient is tested against.
 
 Every sweep row is read from what produced it: program rows from the
 quadratic forms, b92 rows (per input too) from the adjoint forward pass.
@@ -32,6 +33,7 @@ circuits) is the oracle the tests compare against, not a production path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import QualityWeights, uqcm_program_ng
+from .analytic import uqcm_program_ng
 from .cloner import (
     ClonerKind,
     FidelityReport,
@@ -109,17 +111,6 @@ def loss(f_ab: float, f_ae: float, f_target: float) -> float:
     return 10.0 * (f_ab - f_target) ** 2 - f_ae
 
 
-def quality(weights: QualityWeights, report: FidelityReport, party: str) -> float:
-    """Weighted sum of per-basis fidelities for one receiver."""
-    values = {"bob": report.f_ab, "eve": report.f_ae}[party.lower()]
-    total = 0.0
-    for basis in values:
-        if basis not in weights.weights:
-            raise ValueError(f"no weight given for basis {basis}")
-        total += weights.weights[basis] * values[basis]
-    return total
-
-
 def b92_ansatz_circuit(parameters: np.ndarray) -> Circuit:
     """Three blocks of per-qubit RX, RY, RZ followed by CNOT 0 -> 1."""
     p = np.asarray(parameters, dtype=float).reshape(3, 2, 3)
@@ -172,54 +163,58 @@ _B92_STATES = np.kron(_B92_INPUTS, [[1.0, 0.0]])  # row k: input k (x) |0>
 def layered_pass(
     parameters: np.ndarray, inputs: np.ndarray, entangler: np.ndarray, adjoint=None
 ):
-    """Run a layered rotation ansatz forward, and backward when ``adjoint`` is given.
+    """Run a batch of layered rotation ansaetze forward, and backward when
+    ``adjoint`` is given.
 
     Each of the L layers applies RZ RY RX to every qubit, in qubit order,
-    then the index permutation ``entangler`` (``psi = psi[entangler]``).
-    ``parameters`` has shape (L, n, 3) and ``inputs`` is a (K, 2^n) batch.
+    then the index permutation ``entangler`` (``psi = psi[..., entangler]``).
+    ``parameters`` has shape (B, L, n, 3), one set per trajectory; each
+    starts from the (K, 2^n) ``inputs``, and one einsum per block serves
+    the whole batch of (B, K, 2^n) states.
 
     Without ``adjoint`` this returns the final states, building neither the
     blocks' derivatives nor the states that enter them.  Otherwise
-    ``adjoint(final)`` must return ``(value, lam)`` with ``lam`` the
-    derivative of the real loss ``value`` in the conjugate final states; the
-    result is ``(value, gradient)``, the gradient flat in parameter order.
-    Each gradient entry is ``2 Re <lam_after| dU |pre>`` for the block's
-    derivative ``dU``, with ``lam`` run back through the inverse layers.
+    ``adjoint(final)`` must return ``(values, lam)``: the B real losses and
+    ``lam`` their derivatives in the conjugate final states.  The result is
+    ``(values, gradients)``, a flat gradient row per trajectory.  Each entry
+    is ``2 Re <lam_after| dU |pre>`` for the block's derivative ``dU``, with
+    ``lam`` run back through the inverse layers.
     """
-    num_layers, n, _ = parameters.shape
+    b, num_layers, n, _ = parameters.shape
     k = len(inputs)
-    # block (layer, q) acts on axis 2 of the states reshaped to shapes[q]
-    shapes = [(k, 2**q, 2, 2 ** (n - 1 - q)) for q in range(n)]
+    # block (layer, q) acts on axis 3 of the states reshaped to shapes[q]
+    shapes = [(b, k, 2**q, 2, 2 ** (n - 1 - q)) for q in range(n)]
+    angles = np.moveaxis(parameters, 0, 2)  # (L, n, B, 3)
     if adjoint is None:
-        u, pre = rotation_block(parameters), None
+        u, pre = rotation_block(angles), None
     else:
-        u, du = rotation_blocks(parameters)
-        pre = np.empty((num_layers, n) + inputs.shape, dtype=complex)
-    psi = inputs
+        u, du = rotation_blocks(angles)
+        pre = np.empty((num_layers, n, b) + inputs.shape, dtype=complex)
+    psi = np.broadcast_to(inputs, (b,) + inputs.shape)
     for layer in range(num_layers):
         for q in range(n):
             if pre is not None:
                 pre[layer, q] = psi
             t = psi.reshape(shapes[q])
-            psi = np.einsum("ab,kibj->kiaj", u[layer, q], t).reshape(k, -1)
-        psi = psi[:, entangler]
+            psi = np.einsum("zab,zkibj->zkiaj", u[layer, q], t).reshape(b, k, -1)
+        psi = psi[..., entangler]
     if adjoint is None:
         return psi
-    value, lam = adjoint(psi)
+    values, lam = adjoint(psi)
     # mu = conj(lam) runs back through the transposed blocks, which spares
     # a conjugation per block
     mu = lam.conj()
     inverse = np.argsort(entangler)
-    overlaps = np.empty((num_layers, n, 2, 2), dtype=complex)
+    overlaps = np.empty((num_layers, n, b, 2, 2), dtype=complex)
     for layer in reversed(range(num_layers)):
-        mu = mu[:, inverse]
+        mu = mu[..., inverse]
         for q in reversed(range(n)):
             t = mu.reshape(shapes[q])
             pre_q = pre[layer, q].reshape(shapes[q])
-            overlaps[layer, q] = np.einsum("kiaj,kibj->ab", t, pre_q)
-            mu = np.einsum("ba,kibj->kiaj", u[layer, q], t).reshape(k, -1)
-    grad = 2.0 * np.einsum("lqgab,lqab->lqg", du, overlaps).real
-    return value, grad.reshape(-1)
+            overlaps[layer, q] = np.einsum("zkiaj,zkibj->zab", t, pre_q)
+            mu = np.einsum("zba,zkibj->zkiaj", u[layer, q], t).reshape(b, k, -1)
+    grad = 2.0 * np.einsum("lqzgab,lqzab->zlqg", du, overlaps).real
+    return values, grad.reshape(b, -1)
 
 
 def program_prep_state(parameters: np.ndarray) -> np.ndarray:
@@ -228,8 +223,8 @@ def program_prep_state(parameters: np.ndarray) -> np.ndarray:
     Matches simulating program_prep_circuit; the circuit builder remains the
     reference and the equivalence is covered by tests.
     """
-    p = np.asarray(parameters, dtype=float).reshape(5, 4, 3)
-    return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM)[0]
+    p = np.asarray(parameters, dtype=float).reshape(1, 5, 4, 3)
+    return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM)[0, 0]
 
 
 def evaluate_ansatz(spec: AnsatzSpec):
@@ -268,47 +263,47 @@ def program_prep_state_and_shift_grads(parameters: np.ndarray):
     return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
 
 
-def adam_optimize(objective, start: np.ndarray, cfg: OptimizerConfig, grad):
-    """Minimize ``objective``, whose gradient is ``grad``, with Adam.
+def restart_starts(cfg: OptimizerConfig, size: int) -> np.ndarray:
+    """The (cfg.restarts, size) starts of one Adam row: zeros for restart 0,
+    uniform angles from a stream derived from ``cfg.seed`` and r for r > 0."""
+    starts = np.zeros((cfg.restarts, size))
+    for restart in range(1, cfg.restarts):
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
+        starts[restart] = np.random.default_rng(seq).uniform(-math.pi, math.pi, size)
+    return starts
 
-    Restart 0 starts from ``start``; further restarts draw uniform random
-    angles from per-restart streams derived from ``cfg.seed``.  The best
-    parameters seen anywhere (across steps and restarts) are returned
-    together with the loss trace of the winning restart.
+
+def adam_optimize(loss_and_grad, starts: np.ndarray, cfg: OptimizerConfig):
+    """Minimize a batch of trajectories with Adam, all in lockstep.
+
+    ``starts`` holds one start point per row, shape (B, P), and
+    ``loss_and_grad`` maps (B, P) parameters to their B losses and (B, P)
+    gradients, so each step makes one call for the whole batch.  The Adam
+    updates are elementwise, which keeps every trajectory exactly what it
+    would be alone.  Returns the best parameters each trajectory saw (the
+    earliest step on a tie) and the (cfg.steps + 1, B) loss trace; a
+    non-finite loss in any trajectory raises RuntimeError.
     """
-    start = np.asarray(start, dtype=float)
-    best_loss, best_params, best_trace = math.inf, None, None
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            params = start.copy()
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
-            )
-            params = rng.uniform(-math.pi, math.pi, start.size)
-        m = np.zeros_like(params)
-        v = np.zeros_like(params)
-        trace = [float(objective(params))]
-        if not math.isfinite(trace[0]):
-            raise RuntimeError("objective is not finite at the initial point")
-        restart_best = (trace[0], params.copy())
-        for t in range(1, cfg.steps + 1):
-            g = grad(params)
+    params = np.array(starts, dtype=float)
+    m = v = np.zeros_like(params)
+    best, best_values = params.copy(), np.full(len(params), math.inf)
+    trace = np.empty((cfg.steps + 1, len(params)))
+    for t in range(cfg.steps + 1):
+        if t:
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
             m_hat = m / (1 - ADAM_BETA1**t)
             v_hat = v / (1 - ADAM_BETA2**t)
             params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            val = float(objective(params))
-            if not math.isfinite(val):
-                raise RuntimeError(f"objective diverged at step {t} of restart {restart}")
-            trace.append(val)
-            if val < restart_best[0]:
-                restart_best = (val, params.copy())
-        if restart_best[0] < best_loss:
-            best_loss, best_params = restart_best
-            best_trace = trace
-    return best_params, best_trace
+        values, g = loss_and_grad(params)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise RuntimeError(f"loss is not finite at step {t} of trajectory {bad[0]}")
+        better = values < best_values
+        best[better] = params[better]
+        best_values = np.where(better, values, best_values)
+        trace[t] = values
+    return best, trace
 
 
 # ---------------------------------------------------------------------------
@@ -368,58 +363,59 @@ def report_from_forms(forms: dict, psi: np.ndarray) -> FidelityReport:
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
-def program_prep_loss_and_grad(
-    forms_stack: np.ndarray, f_target: float, params: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Loss of the program-prep ansatz and its gradient from one adjoint sweep.
+def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
+    """Losses of a batch of program-prep ansaetze and their gradients, from
+    one adjoint sweep.
 
-    ``forms_stack`` holds the mean forms (M_ab, M_ae); the adjoint vector is
-    lam = (20 (F_AB - f) M_ab - M_ae) psi.
+    Trajectory z has the mean forms ``forms_stacks[z]`` = (M_ab, M_ae), the
+    Bob target ``f_targets[z]`` (both arrays) and the 60 angles
+    ``params[z]``; its adjoint vector is lam = (20 (F_AB - f) M_ab - M_ae) psi.
     """
-
     def adjoint(final: np.ndarray):
-        m_psi = np.einsum("rab,kb->rka", forms_stack, final)
-        f_ab, f_ae = np.einsum("ka,rka->r", final.conj(), m_psi).real
-        lam = 20.0 * (f_ab - f_target) * m_psi[0] - m_psi[1]
-        return loss(f_ab, f_ae, f_target), lam
+        m_psi = np.einsum("zrab,zkb->zrka", forms_stacks, final)
+        f_ab, f_ae = np.einsum("zka,zrka->rz", final.conj(), m_psi).real
+        lam = 20.0 * (f_ab - f_targets)[:, None, None] * m_psi[:, 0] - m_psi[:, 1]
+        return loss(f_ab, f_ae, f_targets), lam
 
-    p = np.asarray(params, dtype=float).reshape(5, 4, 3)
+    p = np.asarray(params, dtype=float).reshape(-1, 5, 4, 3)
     return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM, adjoint)
 
 
 def make_program_loss(forms: dict, f_target: float):
-    """Loss of the program-prep ansatz on fixed forms, and its adjoint gradient."""
+    """Loss of the program-prep ansatz on fixed forms, and its adjoint
+    gradient: one parameter set, a batch of one."""
     m_ab, m_ae = forms_mean_matrices(forms)
-    forms_stack = np.stack([m_ab, m_ae])
+    forms_stack, targets = np.stack([m_ab, m_ae])[None], np.array([f_target])
 
     def objective(params: np.ndarray) -> float:
         psi = program_prep_state(params)
         return loss(quadratic_fidelity(m_ab, psi), quadratic_fidelity(m_ae, psi), f_target)
 
     def gradient(params: np.ndarray) -> np.ndarray:
-        return program_prep_loss_and_grad(forms_stack, f_target, params)[1]
+        return program_prep_loss_and_grad(forms_stack, targets, params)[1][0]
 
     return objective, gradient
 
 
 def _b92_pass(parameters: np.ndarray, adjoint=None):
-    """The b92 ansatz on both inputs |0>|0> and |+>|0>: three layers, CNOT 0 -> 1."""
-    p = np.asarray(parameters, dtype=float).reshape(3, 2, 3)
+    """The b92 ansatz of each parameter set on both inputs |0>|0> and |+>|0>:
+    three layers, CNOT 0 -> 1."""
+    p = np.asarray(parameters, dtype=float).reshape(-1, 3, 2, 3)
     return layered_pass(p, _B92_STATES, _B92_CNOT_PERM, adjoint)
 
 
 def _b92_fidelities(final: np.ndarray):
-    """Each input's F_AB and F_AE (arrays over the inputs) and Bob/Eve overlaps.
+    """Each input's F_AB and F_AE, shape (B, 2), and the Bob/Eve overlaps.
 
     Bob clones input k well when the first qubit of final state k stays in
     it, Eve when the second qubit does: F = psi^dag (P_k x I) psi and
     psi^dag (I x P_k) psi with P_k the projector on input k.
     """
-    m = final.reshape(2, 2, 2)
-    bob = np.einsum("ka,kaj->kj", _B92_INPUTS.conj(), m)
-    eve = np.einsum("kb,kib->ki", _B92_INPUTS.conj(), m)
-    f_ab = np.einsum("kj,kj->k", bob.conj(), bob).real
-    f_ae = np.einsum("ki,ki->k", eve.conj(), eve).real
+    m = final.reshape(-1, 2, 2, 2)
+    bob = np.einsum("ka,zkaj->zkj", _B92_INPUTS.conj(), m)
+    eve = np.einsum("kb,zkib->zki", _B92_INPUTS.conj(), m)
+    f_ab = np.einsum("zkj,zkj->zk", bob.conj(), bob).real
+    f_ae = np.einsum("zki,zki->zk", eve.conj(), eve).real
     return f_ab, f_ae, bob, eve
 
 
@@ -429,29 +425,31 @@ def b92_qml_fidelities(parameters: np.ndarray) -> tuple[float, float]:
     return float(np.mean(f_ab)), float(np.mean(f_ae))
 
 
-def b92_loss_and_grad(f_target: float, params: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss of the 18-parameter b92 ansatz and its gradient from one adjoint sweep."""
-
+def b92_loss_and_grad(f_targets, params: np.ndarray):
+    """Losses of a batch of 18-parameter b92 ansaetze, one Bob target each
+    (an array), and their gradients from one adjoint sweep."""
     def adjoint(final: np.ndarray):
         per_ab, per_ae, bob, eve = _b92_fidelities(final)
-        f_ab, f_ae = float(np.mean(per_ab)), float(np.mean(per_ae))
+        f_ab, f_ae = np.mean(per_ab, axis=1), np.mean(per_ae, axis=1)
         # d F / d conj(psi_k), halved for the mean over the two inputs
-        d_ab = 0.5 * np.einsum("ka,kj->kaj", _B92_INPUTS, bob).reshape(2, 4)
-        d_ae = 0.5 * np.einsum("kb,ki->kib", _B92_INPUTS, eve).reshape(2, 4)
-        return loss(f_ab, f_ae, f_target), 20.0 * (f_ab - f_target) * d_ab - d_ae
+        d_ab = 0.5 * np.einsum("ka,zkj->zkaj", _B92_INPUTS, bob).reshape(-1, 2, 4)
+        d_ae = 0.5 * np.einsum("kb,zki->zkib", _B92_INPUTS, eve).reshape(-1, 2, 4)
+        lam = 20.0 * (f_ab - f_targets)[:, None, None] * d_ab - d_ae
+        return loss(f_ab, f_ae, f_targets), lam
 
     return _b92_pass(params, adjoint)
 
 
 def make_b92_loss(f_target: float):
-    """Loss and adjoint gradient for the 18-parameter b92 ansatz."""
+    """Loss and adjoint gradient for the 18-parameter b92 ansatz: one
+    parameter set, a batch of one."""
 
     def objective(params: np.ndarray) -> float:
         f_ab, f_ae = b92_qml_fidelities(params)
         return loss(f_ab, f_ae, f_target)
 
     def gradient(params: np.ndarray) -> np.ndarray:
-        return b92_loss_and_grad(f_target, params)[1]
+        return b92_loss_and_grad(np.array([f_target]), params)[1][0]
 
     return objective, gradient
 
@@ -504,29 +502,35 @@ def exact_frontier_point(m_ab: np.ndarray, m_ae: np.ndarray, f: float) -> np.nda
     on their span lands on f, also on a flat segment of the frontier (a
     degenerate top eigenvalue) where the two differ.  A target outside
     [lambda_min(M_ab), lambda_max(M_ab)] gives the program at that end, with
-    the best F_AE there.  Real forms give a real program.
+    the best F_AE there.  Real forms give a real program.  The global phase
+    makes the largest-magnitude amplitude (the first, on a tie) real and
+    positive.
     """
     real = not (np.any(np.imag(m_ab)) or np.any(np.imag(m_ae)))
     if real:
         m_ab, m_ae = np.real(m_ab), np.real(m_ae)
     v_lo, v_hi = _edge_program(m_ab, m_ae, -1), _edge_program(m_ab, m_ae, 1)
     if f <= quadratic_fidelity(m_ab, v_lo):
-        return v_lo
-    if f >= quadratic_fidelity(m_ab, v_hi):
-        return v_hi
-    lo, hi = -math.pi / 2, math.pi / 2
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        v = np.linalg.eigh(math.cos(mid) * m_ae + math.sin(mid) * m_ab)[1][:, -1]
-        if quadratic_fidelity(m_ab, v) < f:
-            lo, v_lo = mid, v
-        else:
-            hi, v_hi = mid, v
-    psi = _span_program(m_ab, m_ae, f, v_lo, v_hi)
+        psi = v_lo
+    elif f >= quadratic_fidelity(m_ab, v_hi):
+        psi = v_hi
+    else:
+        lo, hi = -math.pi / 2, math.pi / 2
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            v = np.linalg.eigh(math.cos(mid) * m_ae + math.sin(mid) * m_ab)[1][:, -1]
+            if quadratic_fidelity(m_ab, v) < f:
+                lo, v_lo = mid, v
+            else:
+                hi, v_hi = mid, v
+        psi = _span_program(m_ab, m_ae, f, v_lo, v_hi)
     assert not real or np.isrealobj(psi)
-    return psi
+    # the eigensolver leaves the global phase free; fixing it keeps the
+    # printed program the same across targets and LAPACK builds
+    top = psi[np.argmax(np.abs(psi))]
+    return psi * (abs(top) / top)
 
 
 def grid_frontier_b92(family: ClonerKind, f_values) -> list[tuple[float, float]]:
@@ -703,36 +707,45 @@ def _exact_rows(forms, f_values, series, label) -> list[SweepRow]:
     return rows
 
 
-def _adam_row(ansatz, forms, f_target, cfg, series, label) -> SweepRow:
-    """Adam at one Bob-fidelity target.
+def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
+    """Adam at every (series, target) row, each restart one trajectory of a
+    single lockstep batch; a row's winner is its first restart of least loss.
 
     The row's fidelities are read from what Adam optimized: the quadratic
     forms for a program ansatz, the adjoint forward pass for b92.
     """
+    jobs = [(u, f) for u in range(len(units)) for f in f_values]
+    size = ANSATZ_PARAM_COUNTS[ansatz]
+    starts = np.concatenate(
+        [restart_starts(_row_config(cfg, k), size) for k in range(len(jobs))]
+    )
+    targets = np.repeat([f for _, f in jobs], cfg.restarts)
     if ansatz == "b92":
-        objective, gradient = make_b92_loss(f_target)
+        loss_and_grad = functools.partial(b92_loss_and_grad, targets)
     else:
-        objective, gradient = make_program_loss(forms, f_target)
-    start = np.zeros(ANSATZ_PARAM_COUNTS[ansatz])
-    params, _ = adam_optimize(objective, start, cfg, gradient)
-    if ansatz == "b92":
-        per_ab, per_ae, _, _ = _b92_fidelities(_b92_pass(params))
-        report = FidelityReport.from_per_state(
-            {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ab)},
-            {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae)},
-        )
-    else:
-        report = report_from_forms(forms, program_prep_state(params))
-    miss = abs(report.f_ab_avg - f_target)
-    if miss > 0.02:
-        logger.warning(
-            "%s %s f=%.3f: converged Bob average %.4f misses the target",
-            series,
-            label,
-            f_target,
-            report.f_ab_avg,
-        )
-    return _report_row(f_target, series, label, report, params, miss)
+        stacks = [np.stack(forms_mean_matrices(unit_forms[u])) for u, _ in jobs]
+        stacks = np.repeat(stacks, cfg.restarts, axis=0)
+        loss_and_grad = functools.partial(program_prep_loss_and_grad, stacks, targets)
+    params, trace = adam_optimize(loss_and_grad, starts, cfg)
+    winners = trace.min(axis=0).reshape(len(jobs), cfg.restarts).argmin(axis=1)
+    best = params.reshape(len(jobs), cfg.restarts, size)[np.arange(len(jobs)), winners]
+    rows = []
+    for (u, f_target), p in zip(jobs, best):
+        _, _, series, label = units[u]
+        if ansatz == "b92":
+            per_ab, per_ae, _, _ = _b92_fidelities(_b92_pass(p))
+            report = FidelityReport.from_per_state(
+                {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ab[0])},
+                {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae[0])},
+            )
+        else:
+            report = report_from_forms(unit_forms[u], program_prep_state(p))
+        miss = abs(report.f_ab_avg - f_target)
+        if miss > 0.02:
+            msg = "%s %s f=%.3f: converged Bob average %.4f misses the target"
+            logger.warning(msg, series, label, f_target, report.f_ab_avg)
+        rows.append(_report_row(f_target, series, label, report, p, miss))
+    return rows
 
 
 def _report_row(f_target, series, label, report, params=None, miss=None) -> SweepRow:
@@ -796,9 +809,10 @@ def frontier_sweep(
 
     Emits one optimized row per target per series, plus the task's reference
     rows.  bb84 and sixstate rows are exact; ``cfg`` drives the Adam series
-    only.  Adam rows are deterministic for a fixed config: the row at target
-    i of the u-th series (``_units`` order) owns the seed derived from
-    (cfg.seed, u * len(f_values) + i).
+    only, whose rows all run in one Adam batch.  They are deterministic for
+    a fixed config: the row at target i of the u-th series (``_units``
+    order) draws its restart starts from the seed derived from (cfg.seed,
+    u * len(f_values) + i).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -814,17 +828,18 @@ def frontier_sweep(
     n, solver, _ = _TASK_SPECS[task]
 
     rows = _reference_rows(task, f_values, channel)
-    for u, (kind, labels, series, label) in enumerate(_units(task)):
-        forms = None
-        if kind is not None:
-            bases = [mubs_for(n)[lbl] for lbl in labels]
-            forms = fidelity_quadratic_forms(kind, n, bases, channel)
-        if solver == "exact":
+    units = _units(task)
+    unit_forms = [
+        None
+        if kind is None
+        else fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
+        for kind, labels, _, _ in units
+    ]
+    if solver == "exact":
+        for forms, (_, _, series, label) in zip(unit_forms, units):
             rows += _exact_rows(forms, f_values, series, label)
-            continue
-        for i, f in enumerate(f_values):
-            row_cfg = _row_config(cfg, u * len(f_values) + i)
-            rows.append(_adam_row(solver, forms, f, row_cfg, series, label))
+    else:
+        rows += _adam_rows(solver, units, unit_forms, f_values, cfg)
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 

@@ -5,7 +5,6 @@ import pytest
 
 from paulicloner.analytic import (
     ImbalanceEta,
-    QualityWeights,
     ng1q_fidelities,
     ng2q_fidelities,
     ng_eve_pairs,
@@ -331,7 +330,7 @@ class TestRealOptimality:
         # best real program by more than 1e-6
         from oracle import central_difference
 
-        from paulicloner.optimize import OptimizerConfig, adam_optimize
+        from paulicloner.optimize import OptimizerConfig, adam_optimize, restart_starts
 
         rng = np.random.default_rng(8)
         for trial in range(3):
@@ -352,14 +351,14 @@ class TestRealOptimality:
                 phases = np.exp(1j * np.concatenate([[0.0], params[3:]]))
                 return -score(ng1q_fidelities(SoftwareState(base * phases)))
 
+            def real_loss_and_grad(params):
+                values = np.array([real_objective(p) for p in params])
+                grads = np.array([central_difference(real_objective, p) for p in params])
+                return values, grads
+
             cfg = OptimizerConfig(steps=150, restarts=4, seed=trial)
-            _, trace_real = adam_optimize(
-                real_objective,
-                np.zeros(3),
-                cfg,
-                lambda p: central_difference(real_objective, p),
-            )
-            best_real = min(trace_real)
+            _, trace_real = adam_optimize(real_loss_and_grad, restart_starts(cfg, 3), cfg)
+            best_real = trace_real.min()
             best_complex = np.inf
             for restart in range(4):
                 sub = np.random.default_rng(100 * trial + restart)
@@ -382,13 +381,3 @@ class TestRealOptimality:
                     )
                     best_complex = min(best_complex, complex_objective(p))
             assert best_complex >= best_real - 1e-6
-
-
-class TestQualityWeights:
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            QualityWeights({"X": 0.0, "Y": 0.0, "Z": 0.0})
-
-    def test_from_xyz(self):
-        w = QualityWeights.from_xyz(1.0, 1.0, 0.0)
-        assert w.weights == {"X": 1.0, "Y": 1.0, "Z": 0.0}

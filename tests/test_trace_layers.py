@@ -1,0 +1,59 @@
+"""The benchmark's layer tracer binds package functions by name; a renamed or
+removed binding, or a changed call shape, must fail here rather than in the
+benchmark's traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from paulicloner import optimize
+from paulicloner.optimize import OptimizerConfig, frontier_sweep
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+
+
+@pytest.fixture(scope="module")
+def trace_layers():
+    spec = importlib.util.spec_from_file_location("trace_layers", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_every_binding_and_uninstall_restores_it(trace_layers):
+    def bindings():
+        return [
+            getattr(importlib.import_module(f"paulicloner.{mod}"), name)
+            for _, mod, name in trace_layers.FUNCTIONS
+        ]
+
+    originals = bindings()
+    patches = trace_layers.install(trace_layers.Tracer())
+    try:
+        patched = bindings()
+    finally:
+        trace_layers.uninstall(patches)
+    assert all(p is not o for p, o in zip(patched, originals))
+    assert all(b is o for b, o in zip(bindings(), originals))
+
+
+def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
+    tracer = trace_layers.Tracer()
+    cfg = OptimizerConfig(steps=3, restarts=2, seed=1)
+    patches = trace_layers.install(tracer)
+    try:
+        frontier_sweep("b92", f_values=[0.8], cfg=cfg)
+        objective, gradient = optimize.make_b92_loss(0.8)
+        objective(np.zeros(18))
+        gradient(np.zeros(18))
+    finally:
+        trace_layers.uninstall(patches)
+    metrics = trace_layers.layer_metrics(tracer)
+    assert metrics["optimize.adam.calls"][0] == 1
+    assert metrics[trace_layers.ADAM_STEPS][0] == cfg.steps * cfg.restarts
+    assert metrics["optimize.grid_frontier_b92.calls"][0] == 2
+    assert metrics["optimize.objective.calls"][0] == 1
+    assert metrics["optimize.gradient.calls"][0] == 1
