@@ -13,16 +13,18 @@ three-rotation preparation for single-qubit registers is provided
 separately for cross-checks.
 
 The hardware is one fixed circuit per (kind, N).  It is compiled once, on
-first use, into its 2^(3N) unitary by the gate-by-gate simulator.  Each
-evaluation contracts the program into that unitary and then pushes every
-input state and Kraus branch through one small matrix product; fidelities,
-reduced states, quadratic forms and the Pauli transfer matrix all come from
-that one output tensor.  The gate-by-gate simulator stays the reference
-path in the tests.
+first use, into its 2^(3N) matrix U by the gate-by-gate simulator, and the
+compile fails unless U is unitary.  Each evaluation contracts the programs
+into U and pushes every input state and Kraus branch through one small
+matrix product.  ``fidelity_matrices`` is the one fidelity engine: it reads
+the fidelities of one program column, or the quadratic forms of the
+identity, off that output tensor without forming reduced states (a unitary
+U and validated inputs make them density matrices).  The gate-by-gate
+simulator stays the reference path in the tests.
 
 Noise is modelled as a Pauli channel acting on Alice's register after state
-preparation and before the cloning hardware; the Bob/Eve reduced states of
-its Kraus branches are mixed with the branch weights.
+preparation and before the cloning hardware; the Bob/Eve fidelity matrices
+or reduced states of its Kraus branches are mixed with the branch weights.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .simcore import (
     GateOp,
     StateVector,
     basis_state,
-    check_density_matrices,
     fidelity_pure,
     inject_state,
     reduced_density_matrix,
@@ -76,10 +77,6 @@ class SoftwareState:
     @property
     def num_clone_qubits(self) -> int:
         return round(math.log(self.amplitudes.size, 4))
-
-    @property
-    def num_register_qubits(self) -> int:
-        return 2 * self.num_clone_qubits
 
     @property
     def is_real(self) -> bool:
@@ -293,6 +290,12 @@ def cloner_unitary(kind: ClonerKind, num_clone_qubits: int) -> np.ndarray:
         [simcore.apply_ops(c, circuit.num_qubits, circuit.ops) for c in columns],
         axis=1,
     )
+    # with U unitary and the inputs validated, every reduced state is a
+    # density matrix: this check stands in for checking them per evaluation
+    error = np.max(np.abs(u.conj().T @ u - columns))
+    if not error <= 1e-12:
+        msg = f"compiled {kind.value} cloner for N={num_clone_qubits} is not unitary"
+        raise RuntimeError(f"{msg}: max|U^dag U - I| = {error:.1e}")
     u.flags.writeable = False
     return u
 
@@ -312,6 +315,8 @@ def cloner_outputs(
     register of size 2^N, and the branch weights.
     """
     d = 2**num_clone_qubits
+    if programs.shape[0] != d * d:
+        raise ValueError("program size does not match the cloner registers")
     if states.ndim != 2 or states.shape[1] != d:
         raise ValueError("input state size does not match the cloner registers")
     if channel is None:
@@ -357,47 +362,33 @@ def state_rows(num_clone_qubits: int, states) -> np.ndarray:
     )
 
 
-def _reduced_states(
-    kind: ClonerKind,
-    num_clone_qubits: int,
-    program: SoftwareState,
-    states: np.ndarray,
-    channel: PauliChannel | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's and Eve's reduced states, stacked (S, 2^N, 2^N), for input rows."""
-    _check_program(num_clone_qubits, program)
-    out, weights = cloner_outputs(
-        kind, num_clone_qubits, program.amplitudes[:, None], states, channel
-    )
-    shape = (len(weights), len(states), 2**num_clone_qubits, -1)
-    # (branch, state, receiver, rest): the rest is traced out
-    bob = out[:, :, :, 0].transpose(3, 4, 0, 1, 2).reshape(shape)
-    eve = out[:, :, :, 0].transpose(3, 4, 1, 0, 2).reshape(shape)
-    rho_b = mix_branches(bob @ np.swapaxes(bob, 2, 3).conj(), weights)
-    rho_e = mix_branches(eve @ np.swapaxes(eve, 2, 3).conj(), weights)
-    return rho_b, rho_e
-
-
 def mix_branches(per_branch: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading branch axis, accumulated in branch order."""
     return sum(w * m for w, m in zip(weights, per_branch))
 
 
-def _state_fidelities(
+def fidelity_matrices(
     kind: ClonerKind,
     num_clone_qubits: int,
-    program: SoftwareState,
+    programs: np.ndarray,
     states: np.ndarray,
-    channel: PauliChannel | None,
+    channel: PauliChannel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """<psi| rho |psi> for Bob and Eve per input row, states validated once."""
-    rho_b, rho_e = _reduced_states(kind, num_clone_qubits, program, states, channel)
-    check_density_matrices(rho_b)
-    check_density_matrices(rho_e)
+    """Bob's and Eve's fidelity matrices M, each (S, P, P), for programs as
+    columns (4^N, P) and input states as rows (S, 2^N): the program
+    sum_j c_j programs[:, j] has fidelity c^dag M[s] c with input s.  One
+    column gives its fidelities at [:, 0, 0], the identity the forms."""
+    out, weights = cloner_outputs(kind, num_clone_qubits, programs, states, channel)
+    # u[k, s, j, env]: overlap of the receiver's register with reference
+    # state s for program column j, the other registers as environment
     ref = states.conj()
-    f_ab = np.einsum("sa,sab,sb->s", ref, rho_b, states).real
-    f_ae = np.einsum("sa,sab,sb->s", ref, rho_e, states).real
-    return f_ab, f_ae
+    u_ab = np.einsum("sa,aecjks->ksjec", ref, out)
+    u_ae = np.einsum("se,aecjks->ksjac", ref, out)
+    shape = (len(weights), len(states), programs.shape[1], -1)
+    u_ab, u_ae = u_ab.reshape(shape), u_ae.reshape(shape)
+    mats_ab = mix_branches((u_ab @ np.swapaxes(u_ab, 2, 3).conj()).conj(), weights)
+    mats_ae = mix_branches((u_ae @ np.swapaxes(u_ae, 2, 3).conj()).conj(), weights)
+    return mats_ab, mats_ae
 
 
 def clone_output_reduced(
@@ -408,17 +399,20 @@ def clone_output_reduced(
     channel: PauliChannel | None = None,
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """Bob's and Eve's reduced output states for one input state."""
-    rho_b, rho_e = _reduced_states(
+    out, weights = cloner_outputs(
         kind,
         num_clone_qubits,
-        program,
+        program.amplitudes[:, None],
         state_rows(num_clone_qubits, [input_state]),
         channel,
     )
-    return (
-        DensityMatrix(num_clone_qubits, rho_b[0]),
-        DensityMatrix(num_clone_qubits, rho_e[0]),
-    )
+    # (branch, receiver, rest): the rest is traced out
+    shape = (len(weights), 2**num_clone_qubits, -1)
+    bob = out[:, :, :, 0, :, 0].transpose(3, 0, 1, 2).reshape(shape)
+    eve = out[:, :, :, 0, :, 0].transpose(3, 1, 0, 2).reshape(shape)
+    rho_b = mix_branches(bob @ np.swapaxes(bob, 1, 2).conj(), weights)
+    rho_e = mix_branches(eve @ np.swapaxes(eve, 1, 2).conj(), weights)
+    return DensityMatrix(num_clone_qubits, rho_b), DensityMatrix(num_clone_qubits, rho_e)
 
 
 def clone_fidelity_states(
@@ -429,10 +423,9 @@ def clone_fidelity_states(
     channel: PauliChannel | None = None,
 ) -> list[tuple[float, float]]:
     """(F_AB, F_AE) for each input state, mixing Kraus branches if noisy."""
-    f_ab, f_ae = _state_fidelities(
-        kind, num_clone_qubits, program, state_rows(num_clone_qubits, states), channel
-    )
-    return list(zip(f_ab.tolist(), f_ae.tolist()))
+    column, rows = program.amplitudes[:, None], state_rows(num_clone_qubits, states)
+    m_ab, m_ae = fidelity_matrices(kind, num_clone_qubits, column, rows, channel)
+    return list(zip(m_ab[:, 0, 0].real.tolist(), m_ae[:, 0, 0].real.tolist()))
 
 
 def clone_fidelities(
@@ -449,10 +442,14 @@ def clone_fidelities(
     """
     bases = resolve_bases(num_clone_qubits, bases)
     states = state_rows(num_clone_qubits, [st for b in bases for st in b.states])
-    f_ab, f_ae = _state_fidelities(kind, num_clone_qubits, program, states, channel)
+    m_ab, m_ae = fidelity_matrices(
+        kind, num_clone_qubits, program.amplitudes[:, None], states, channel
+    )
     cuts = np.cumsum([len(b.states) for b in bases])[:-1]
-    per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ab, cuts))}
-    per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ae, cuts))}
+    f_ab = np.split(m_ab[:, 0, 0].real, cuts)
+    f_ae = np.split(m_ae[:, 0, 0].real, cuts)
+    per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, f_ab)}
+    per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, f_ae)}
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
@@ -479,11 +476,8 @@ def b92_per_state_fidelities(circuit: Circuit) -> dict:
 
 def b92_fidelities(circuit: Circuit) -> tuple[float, float]:
     """Average (F_AB, F_AE) over the two B92 input states."""
-    per = b92_per_state_fidelities(circuit)
-    return (
-        float(np.mean([v[0] for v in per.values()])),
-        float(np.mean([v[1] for v in per.values()])),
-    )
+    f_ab, f_ae = np.mean(list(b92_per_state_fidelities(circuit).values()), axis=0)
+    return float(f_ab), float(f_ae)
 
 
 def bob_pauli_transfer_matrix(
@@ -494,7 +488,6 @@ def bob_pauli_transfer_matrix(
     R[i, j] = Tr[P_i L(P_j)] / 2^N over the (z|x)-ordered Pauli strings.  A
     Pauli channel shows up as a diagonal matrix.
     """
-    _check_program(num_clone_qubits, program)
     dim = 2**num_clone_qubits
     out, _ = cloner_outputs(
         kind, num_clone_qubits, program.amplitudes[:, None], np.eye(dim)

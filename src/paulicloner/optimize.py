@@ -5,18 +5,19 @@ eavesdropping tasks.
 Every clone fidelity is a quadratic form psi^dag M psi in the injected
 program amplitudes, because the output state is linear in the program and
 the fidelity quadratic in the output.  The sweep machinery builds the
-Hermitian matrices M once per (cloner, channel, basis set) from the compiled
-cloner's output tensor (one column per program basis vector) and then
-evaluates programs and their gradients from M alone, which keeps the
-two-qubit optimization runs fast.  Gate-by-gate simulation remains the
-reference path; the forms are checked against it in the tests.
+Hermitian matrices M once per (cloner, channel, basis set) with the
+cloner's fidelity engine (``cloner.fidelity_matrices`` on one column per
+program basis vector) and then evaluates programs and their gradients from
+M alone, which keeps the two-qubit optimization runs fast.  Gate-by-gate
+simulation remains the reference path; the forms are checked against it in
+the tests.
 
 The best F_AE at a given F_AB over all programs is an eigenproblem
-(``exact_frontier_point``), which solves the bb84 and sixstate rows and the
-b92 reference rows (``grid-ng``, ``grid-qid``) on their Bob targets.  Adam
-trains the 60-parameter program-prep ansatz of the two-qubit tasks (twenty,
-pairs) and the b92 ansatz, a cloner of its own.  Every restart of every row
-of a sweep is one trajectory of a single batch that Adam steps in lockstep.
+(``exact_frontier_point``), which solves the bb84, sixstate and pairs rows
+and the b92 reference rows (``grid-ng``, ``grid-qid``) on their Bob targets.
+Adam trains the 60-parameter program-prep ansatz of the twenty task and the
+b92 ansatz, a cloner of its own.  Every restart of every row of a sweep is
+one trajectory of a single batch that Adam steps in lockstep.
 
 The two layered rotation ansaetze (program-prep and b92) get each step's
 losses and exact gradients, for the whole batch, from one adjoint sweep: a
@@ -47,8 +48,7 @@ from .cloner import (
     FidelityReport,
     SoftwareState,
     clone_fidelities,
-    cloner_outputs,
-    mix_branches,
+    fidelity_matrices,
     resolve_bases,
     state_rows,
 )
@@ -323,16 +323,7 @@ def fidelity_quadratic_forms(
     n = num_clone_qubits
     bases = resolve_bases(n, bases)
     states = state_rows(n, [st for b in bases for st in b.states])
-    out, weights = cloner_outputs(kind, n, np.eye(4**n), states, channel)
-    # u[k, s, j, env]: overlap of the receiver's register with reference
-    # state s for program basis vector j, the other registers as environment
-    ref = states.conj()
-    u_ab = np.einsum("sa,aecjks->ksjec", ref, out)
-    u_ae = np.einsum("se,aecjks->ksjac", ref, out)
-    shape = (len(weights), len(states), 4**n, -1)
-    u_ab, u_ae = u_ab.reshape(shape), u_ae.reshape(shape)
-    mats_ab = mix_branches((u_ab @ np.swapaxes(u_ab, 2, 3).conj()).conj(), weights)
-    mats_ae = mix_branches((u_ae @ np.swapaxes(u_ae, 2, 3).conj()).conj(), weights)
+    mats_ab, mats_ae = fidelity_matrices(kind, n, np.eye(4**n), states, channel)
     cuts = np.cumsum([len(b.states) for b in bases])[:-1]
     return {
         "ab": {b.label: m for b, m in zip(bases, np.split(mats_ab, cuts))},
@@ -644,7 +635,7 @@ _TASK_SPECS = {
     "sixstate": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
     "twenty": (2, "program-prep", OptimizerConfig(steps=100, restarts=3)),
     "b92": (1, "b92", OptimizerConfig(steps=100, restarts=5)),
-    "pairs": (2, "program-prep", OptimizerConfig(steps=200, restarts=5)),
+    "pairs": (2, "exact", OptimizerConfig(steps=200, restarts=5)),
 }
 TASKS = tuple(_TASK_SPECS)
 
@@ -808,11 +799,11 @@ def frontier_sweep(
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
     Emits one optimized row per target per series, plus the task's reference
-    rows.  bb84 and sixstate rows are exact; ``cfg`` drives the Adam series
-    only, whose rows all run in one Adam batch.  They are deterministic for
-    a fixed config: the row at target i of the u-th series (``_units``
-    order) draws its restart starts from the seed derived from (cfg.seed,
-    u * len(f_values) + i).
+    rows.  bb84, sixstate and pairs rows are exact; ``cfg`` drives the Adam
+    series only, whose rows all run in one Adam batch.  They are
+    deterministic for a fixed config: the row at target i of the u-th
+    series (``_units`` order) draws its restart starts from the seed
+    derived from (cfg.seed, u * len(f_values) + i).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")

@@ -326,6 +326,9 @@ def test_c12_bob_channel_is_pauli():
 
 
 def test_c13_parameter_shift_gradients():
+    # The adjoint gradients of the program-prep and b92 losses against
+    # central differences; the id keeps the name of the parameter-shift
+    # gradients these replaced.
     rng = np.random.default_rng(24)
     channel = channel_with_single_error(2, PauliString("YI"), 0.45)
     forms = opt.fidelity_quadratic_forms(ClonerKind.NG, 2, mubs_for(2).bases, channel)
@@ -344,4 +347,4 @@ def test_c13_parameter_shift_gradients():
         rel = float(np.linalg.norm(g - fd) / np.linalg.norm(fd))
         worst = max(worst, rel)
         assert rel < 1e-6
-    print(f"[PASS] C13 shift-rule gradients vs central differences, 50+50 points (max rel {worst:.1e})")
+    print(f"[PASS] C13 adjoint gradients vs central differences, 50+50 points (max rel {worst:.1e})")

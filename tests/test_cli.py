@@ -282,6 +282,26 @@ class TestSweepCommand:
             assert abs(payload["f_ab"][lbl] - float(rows[0][f"F_AB_{lbl}"])) < 1e-9
             assert abs(payload["f_ae"][lbl] - float(rows[0][f"F_AE_{lbl}"])) < 1e-9
 
+    def test_pairs_rows_are_exact_and_replay_from_their_amplitudes(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--task", "pairs")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert len(rows) == 2 * 10 * 2  # targets x basis pairs x families
+        for row in rows:
+            assert float(row["target_miss"]) <= 1e-9
+            params = row["params"].split()
+            assert len(params) == 16
+            bases = ",".join(row["label"][i : i + 2] for i in (0, 2))
+            argv = ["fidelities", "--kind", row["series"], "--n", "2", "--bases", bases]
+            code, out, _ = run_cli(capsys, *argv, "--amplitudes", " ".join(params))
+            assert code == 0
+            payload = json.loads(out)
+            assert abs(payload["f_ab_avg"] - float(row["F_AB_avg"])) < 1e-9
+            assert abs(payload["f_ae_avg"] - float(row["F_AE_avg"])) < 1e-9
+            for lbl in bases.split(","):
+                assert abs(payload["f_ab"][lbl] - float(row[f"F_AB_{lbl}"])) < 1e-9
+                assert abs(payload["f_ae"][lbl] - float(row[f"F_AE_{lbl}"])) < 1e-9
+
     def test_too_many_targets_exit_2_at_once(self, capsys):
         # counted, not enumerated: 10^12 targets fail before any list is built
         code, out, err = run_cli(capsys, "sweep", "--task", "bb84", "--f", "0:1:1e-12")

@@ -9,6 +9,7 @@ import pytest
 from oracle import reference_fidelities, reference_reduced, reference_transfer_matrix
 
 import paulicloner
+from paulicloner import cli, simcore
 from paulicloner.analytic import (
     qid_closed_form,
     qid_uqcm_program_2q,
@@ -400,6 +401,26 @@ class TestCompiledEngine:
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
         assert cloner_unitary(kind, n) is u
+
+    def test_non_unitary_compile_raises_and_caches_nothing(self, monkeypatch, capsys):
+        cloner_unitary.cache_clear()
+        real_apply_ops = simcore.apply_ops
+        # a compile whose columns are off by a relative 1e-10
+        monkeypatch.setattr(
+            simcore, "apply_ops", lambda *args: (1 + 1e-10) * real_apply_ops(*args)
+        )
+        with pytest.raises(RuntimeError, match="ng cloner for N=1 is not unitary"):
+            cloner_unitary(ClonerKind.NG, 1)
+        assert cloner_unitary.cache_info().currsize == 0
+        argv = ["fidelities", "--kind", "ng", "--n", "1", "--preset", "uqcm-sym"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "not unitary" in out.err
+        assert cloner_unitary.cache_info().currsize == 0
+        monkeypatch.undo()
+        u = cloner_unitary(ClonerKind.NG, 1)
+        assert cloner_unitary.cache_info().currsize == 1
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     def test_nothing_compiled_at_import(self):
         src = str(Path(paulicloner.__file__).resolve().parents[1])

@@ -478,7 +478,7 @@ SWEEP_SERIES = {
     "sixstate": ([("ng", "")], False, ["uqcm"]),
     "twenty": ([("ng", ""), ("qid", "")], True, []),
     "b92": ([("qml", "")], True, ["grid-ng", "grid-qid"]),
-    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], True, []),
+    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], False, []),
 }
 
 
