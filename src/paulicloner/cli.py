@@ -25,6 +25,7 @@ from .cloner import (
     NgAngles,
     bob_pauli_transfer_matrix,
     clone_fidelities,
+    fidelity_columns,
     ng_angles_to_program,
 )
 from .mub import mubs_for
@@ -184,11 +185,6 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b))))
 
 
-def _worst(count: int, trial, *args) -> float:
-    """Largest deviation over ``count`` runs of ``trial(*args)``; NaN propagates."""
-    return float(np.max([trial(*args) for _ in range(count)]))
-
-
 def _prep_circuit_deviation() -> float:
     """How far each MUB preparation circuit, run on |k>, is from basis state k
     up to a global phase."""
@@ -228,77 +224,94 @@ def _pairs_partition() -> bool:
     return len(pairs) == 120 and len(indices) == 15 and once
 
 
-def _closed_form_trial(rng, kind: ClonerKind, n: int, formula) -> float:
-    """A random program's per-state fidelities: closed form against engine."""
-    s = _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
-    ref = clone_fidelities(kind, n, s)
-    got = formula(s)
-
-    def values(rep):
-        labels = ref.basis_labels
-        return [(*rep.per_state_ab[lbl], *rep.per_state_ae[lbl]) for lbl in labels]
-
-    return _max_abs(values(ref), values(got))
+def _engine_columns(kind: ClonerKind, n: int, programs) -> np.ndarray:
+    """Engine fidelities, axes (program, receiver, MUB state), from one call."""
+    rows = np.array([st.amplitudes for b in mubs_for(n).bases for st in b.states])
+    columns = np.stack([s.amplitudes for s in programs], axis=1)
+    return np.moveaxis(fidelity_columns(kind, n, columns, rows), -1, 0)
 
 
-def _noisy_transform_trial(rng) -> float:
-    """The one-qubit noise transform of the clean fidelities against the
-    engine's fidelities under a random Pauli channel."""
-    kind = ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID
-    s = _random_program(rng, 1)
-    p_x, p_y, p_z, _ = rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0)
-    clean = clone_fidelities(kind, 1, s)
-    noisy = clone_fidelities(kind, 1, s, channel=PauliChannel.from_xyz(p_x, p_y, p_z))
-    got = [
-        noisy_fidelity_1q(f[lbl], lbl, p_x, p_y, p_z)
-        for f in (clean.f_ab, clean.f_ae)
-        for lbl in "ZXY"
+def _closed_form_check(rng, count: int, kind: ClonerKind, n: int, formula) -> float:
+    """Random programs' per-state fidelities: closed form against engine."""
+    programs = [
+        _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
+        for _ in range(count)
     ]
-    return _max_abs(got, [f[lbl] for f in (noisy.f_ab, noisy.f_ae) for lbl in "ZXY"])
+    bases = mubs_for(n).bases
+    want = [
+        [[f for b in bases for f in d[b.label]] for d in (r.per_state_ab, r.per_state_ae)]
+        for r in map(formula, programs)
+    ]
+    return _max_abs(_engine_columns(kind, n, programs), want)
 
 
-def _transfer_trial(rng) -> float:
-    """Off-diagonal size of Bob's Pauli transfer matrix for a random program."""
-    n = 1 if rng.random() < 0.5 else 2
-    r = bob_pauli_transfer_matrix(ClonerKind.NG, n, _random_program(rng, n))
-    return _max_abs(r, np.diag(np.diag(r)))
+def _noisy_transform_check(rng, count: int) -> float:
+    """The one-qubit noise transform of clean fidelities against noisy ones."""
+    draws = []
+    for _ in range(count):
+        kind = ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID
+        s = _random_program(rng, 1)
+        p_x, p_y, p_z, _ = rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0)
+        draws.append((kind, s, (p_x, p_y, p_z)))
+    bases = mubs_for(1).bases
+    clean = {}
+    for kind in dict.fromkeys(k for k, _, _ in draws):
+        f = _engine_columns(kind, 1, [s for k, s, _ in draws if k == kind])
+        clean[kind] = iter(f.reshape(len(f), 2, len(bases), -1).mean(axis=3))
+    got, want = [], []
+    for kind, s, probs in draws:
+        noisy = clone_fidelities(kind, 1, s, PauliChannel.from_xyz(*probs))
+        for f, f_noisy in zip(next(clean[kind]), (noisy.f_ab, noisy.f_ae)):
+            got += [noisy_fidelity_1q(x, b.label, *probs) for x, b in zip(f, bases)]
+            want += [f_noisy[b.label] for b in bases]
+    return _max_abs(got, want)
 
 
-def _bob_fidelity_trial(rng) -> float:
+def _transfer_check(rng, count: int) -> float:
+    """Off-diagonal size of Bob's Pauli transfer matrix for random programs."""
+    progs = [_random_program(rng, 1 if rng.random() < 0.5 else 2) for _ in range(count)]
+    mats = [bob_pauli_transfer_matrix(ClonerKind.NG, p.num_clone_qubits, p) for p in progs]
+    return float(np.max([_max_abs(r, np.diag(np.diag(r))) for r in mats]))
+
+
+def _bob_fidelity_check(rng, count: int) -> float:
     """The generalized Bob fidelity against the two-qubit NG closed form."""
-    s = _random_program(rng, 2)
-    rep = analytic.ng2q_fidelities(s)
-    bases = mubs_for(2).bases
-    got = [analytic.ng_nq_bob_fidelity(s, basis) for basis in bases]
-    return _max_abs(got, [rep.f_ab[basis.label] for basis in bases])
+    programs = [_random_program(rng, 2) for _ in range(count)]
+    got = [[analytic.ng_nq_bob_fidelity(s, b) for b in mubs_for(2).bases] for s in programs]
+    reports = [analytic.ng2q_fidelities(s) for s in programs]
+    return _max_abs(got, [[r.f_ab[b.label] for b in mubs_for(2).bases] for r in reports])
 
 
-def _unitarity_trial(rng) -> float:
-    """A random circuit keeps a random state's norm and its inverse undoes it."""
-    n = int(rng.integers(2, 5))
-    ops = []
-    for _ in range(12):
-        name = simcore.GATE_NAMES[rng.integers(len(simcore.GATE_NAMES))]
-        arity = simcore.GATE_ARITY[name]
-        if arity > n:
-            continue
-        qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
-        angle = float(rng.uniform(-math.pi, math.pi))
-        needs_angle = name in simcore.ROTATION_GATES
-        ops.append(simcore.GateOp(name, qubits, angle if needs_angle else None))
-    circuit = simcore.Circuit(n, tuple(ops))
-    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    state = simcore.StateVector(n, v / np.linalg.norm(v))
-    out = simcore.apply_circuit(state, circuit)
-    back = simcore.apply_circuit(out, circuit.inverse())
-    norm_dev = abs(float(np.linalg.norm(out.amplitudes)) - 1.0)
-    return float(np.max([norm_dev, _max_abs(back.amplitudes, state.amplitudes)]))
+def _unitarity_check(rng, count: int) -> float:
+    """Random circuits, run on bare amplitudes, keep norms; their inverses undo them."""
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        ops = []
+        for _ in range(12):
+            name = simcore.GATE_NAMES[rng.integers(len(simcore.GATE_NAMES))]
+            arity = simcore.GATE_ARITY[name]
+            if arity > n:
+                continue
+            qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
+            angle = float(rng.uniform(-math.pi, math.pi))
+            needs_angle = name in simcore.ROTATION_GATES
+            ops.append(simcore.GateOp(name, qubits, angle if needs_angle else None))
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        draws.append((simcore.Circuit(n, tuple(ops)), v / np.linalg.norm(v)))
+    devs = []
+    for circuit, v in draws:
+        out = simcore.apply_ops(v, circuit.num_qubits, circuit.ops)
+        back = simcore.apply_ops(out, circuit.num_qubits, circuit.inverse().ops)
+        devs += [abs(float(np.linalg.norm(out)) - 1.0), _max_abs(back, v)]
+    return float(np.max(devs))
 
 
 def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     """All closed-form-versus-simulation oracles and structure checks.
 
-    The randomized checks draw from one stream, in the order listed.
+    The randomized checks draw all their trial inputs first, from one stream in the
+    order listed; the engine then takes the programs as columns, one call per (kind, N).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -333,16 +346,16 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
         ("qid-2q", ClonerKind.QID, 2, analytic.qid_fidelities),
     ]
     for name, kind, n, formula in families:
-        dev = _worst(trials, _closed_form_trial, rng, kind, n, formula)
+        dev = _closed_form_check(rng, trials, kind, n, formula)
         checks.append(Check(f"analytic-vs-sim-{name}", dev, 1e-10))
-    dev = _worst(max(trials, 200), _noisy_transform_trial, rng)
+    dev = _noisy_transform_check(rng, max(trials, 200))
     checks.append(Check("noisy-transform-oracle", dev, 1e-10))
-    dev = _worst(100, _transfer_trial, rng)
+    dev = _transfer_check(rng, 100)
     checks.append(Check("pauli-transfer-diagonal", dev, 1e-10))
     checks.append(Check("eve-pair-partition", 0.0 if _pairs_partition() else 1.0, 0.0))
-    dev = _worst(min(trials, 100), _bob_fidelity_trial, rng)
+    dev = _bob_fidelity_check(rng, min(trials, 100))
     checks.append(Check("generalized-bob-fidelity", dev, 1e-12))
-    dev = _worst(min(trials, 200), _unitarity_trial, rng)
+    dev = _unitarity_check(rng, min(trials, 200))
     checks.append(Check("circuit-unitarity", dev, 1e-10))
     return checks
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -231,17 +232,21 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+@lru_cache(maxsize=None)
+def _gate_axes(qubits: tuple[int, ...], num_qubits: int) -> tuple[tuple, tuple]:
+    """Axis order that brings a gate's qubits to the front, and its inverse."""
+    perm = qubits + tuple(q for q in range(num_qubits) if q not in qubits)
+    return perm, tuple(perm.index(q) for q in range(num_qubits))
+
+
 def apply_ops(amplitudes: np.ndarray, num_qubits: int, ops) -> np.ndarray:
     """Apply gates to a bare amplitude vector (no validation; hot path)."""
     psi = amplitudes
     for op in ops:
-        u = op.matrix()
-        k = len(op.qubits)
-        perm = list(op.qubits) + [q for q in range(num_qubits) if q not in op.qubits]
-        t = np.transpose(psi.reshape((2,) * num_qubits), perm)
-        shape = t.shape
-        t = (u @ t.reshape(2**k, -1)).reshape(shape)
-        psi = np.transpose(t, np.argsort(perm)).reshape(-1)
+        perm, inverse = _gate_axes(tuple(op.qubits), num_qubits)
+        t = psi.reshape((2,) * num_qubits).transpose(perm)
+        t = (op.matrix() @ t.reshape(2 ** len(op.qubits), -1)).reshape(t.shape)
+        psi = t.transpose(inverse).reshape(-1)
     return psi
 
 

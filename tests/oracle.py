@@ -3,20 +3,32 @@
 Every input state and Kraus branch is simulated on its own: the program and
 the (error-applied) input are injected into the 3N-qubit register, the
 hardware circuit runs gate by gate, and the receivers' reduced states are
-mixed with the branch weights.  ``central_difference`` is the derivative
-reference for the adjoint gradients.
+mixed with the branch weights.  ``reference_unitary`` compiles the hardware
+column by column, one simulator run per basis column.
+``central_difference`` is the derivative reference for the adjoint
+gradients.
 """
 
 import numpy as np
 
-from paulicloner.cloner import ClonerLayout, build_cloner
+from paulicloner.cloner import ClonerLayout, SoftwareState, build_cloner
 from paulicloner.mub import index_to_pauli
 from paulicloner.simcore import (
     apply_circuit,
+    apply_ops,
     basis_state,
     inject_state,
     reduced_density_matrix,
 )
+
+
+def reference_unitary(kind, n):
+    """The cloner hardware's 2^(3N) x 2^(3N) unitary, one column per run."""
+    circuit = build_cloner(kind, n, SoftwareState.computational(n))
+    columns = np.eye(2**circuit.num_qubits, dtype=complex)
+    return np.stack(
+        [apply_ops(c, circuit.num_qubits, circuit.ops) for c in columns], axis=1
+    )
 
 
 def reference_reduced(kind, n, program, input_amps, channel=None):

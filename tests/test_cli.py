@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import paulicloner
-from paulicloner import analytic, cli, optimize
-from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
+from paulicloner import analytic, cli, optimize, simcore
+from paulicloner.cloner import ClonerKind, FidelityReport, SoftwareState, clone_fidelities
 from paulicloner.mub import mubs_for
 from paulicloner.noise import parse_channel_spec
 
@@ -202,6 +202,124 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert "[FAIL] analytic-vs-sim-qid-2q" in out
+
+
+VALIDATE_CHECKS = [
+    "mub-unbiasedness-1q",
+    "mub-unbiasedness-2q",
+    "mub-prep-circuits",
+    "action-table",
+    "commuting-classes-group-law",
+    "analytic-vs-sim-ng-1q",
+    "analytic-vs-sim-qid-1q",
+    "analytic-vs-sim-ng-2q",
+    "analytic-vs-sim-qid-2q",
+    "noisy-transform-oracle",
+    "pauli-transfer-diagonal",
+    "eve-pair-partition",
+    "generalized-bob-fidelity",
+    "circuit-unitarity",
+]
+
+
+def failed_checks(out: str) -> list[str]:
+    return [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+
+
+class TestValidateBatches:
+    """Each batched check still fails on a defect planted in what it checks."""
+
+    def test_benchmark_batch_size_passes_every_check_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--trials", "200", "--seed", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == VALIDATE_CHECKS
+        assert all(line.startswith("[PASS] ") for line in lines[:-1])
+        assert lines[-1] == "14/14 checks passed"
+
+    def test_complex_program_term_of_ng_1q(self, capsys, monkeypatch):
+        original = analytic.ng1q_fidelities
+        complex_seen = []
+
+        def dropped_conjugate(s):
+            # Eve's Z term as Re(a c) instead of Re(a c*): equal on real programs
+            rep = original(s)
+            complex_seen.append(not s.is_real)
+            a, b, c, d = s.amplitudes
+            f_z = 0.5 + float(np.real(a * c) + np.real(b * np.conj(d)))
+            per_ae = dict(rep.per_state_ae, Z=(f_z, f_z))
+            return FidelityReport.from_per_state(rep.per_state_ab, per_ae)
+
+        monkeypatch.setattr(analytic, "ng1q_fidelities", dropped_conjugate)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "10", "--seed", "3")
+        assert any(complex_seen) and not all(complex_seen)
+        assert code == 1
+        assert failed_checks(out) == ["analytic-vs-sim-ng-1q"]
+
+    def test_ng_2q_stabilizer_set(self, capsys, monkeypatch):
+        analytic.ng_eve_pairs(2)  # cached before the patch: only Bob's sets change
+        original = analytic.ng_stabilizer_indices
+
+        def one_index_short(n):
+            sets = dict(original(n))
+            if n == 2:
+                sets["M1"] = sets["M1"][:-1]
+            return sets
+
+        monkeypatch.setattr(analytic, "ng_stabilizer_indices", one_index_short)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert "analytic-vs-sim-ng-2q" in failed_checks(out)
+
+    def test_noise_transform(self, capsys, monkeypatch):
+        original = cli.noisy_fidelity_1q
+        monkeypatch.setattr(
+            cli, "noisy_fidelity_1q", lambda f, *args: original(f, *args) + 1e-9
+        )
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["noisy-transform-oracle"]
+
+    def test_generalized_bob_fidelity(self, capsys, monkeypatch):
+        original = analytic.ng_nq_bob_fidelity
+        monkeypatch.setattr(
+            analytic, "ng_nq_bob_fidelity", lambda s, basis: original(s, basis) + 1e-11
+        )
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["generalized-bob-fidelity"]
+
+    def test_gate_matrix_off_by_1e9(self, capsys, monkeypatch):
+        # RX runs only in the random circuits, not in the compiled cloners
+        original = simcore.GateOp.matrix
+
+        def scaled_rx(op):
+            return original(op) * (1 + 1e-9) if op.name == "RX" else original(op)
+
+        monkeypatch.setattr(simcore.GateOp, "matrix", scaled_rx)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["circuit-unitarity"]
+
+    @pytest.mark.parametrize("position", [0, 4])
+    def test_nan_anywhere_in_a_batch(self, capsys, monkeypatch, position):
+        # np.max keeps a NaN wherever it sits; Python's max may drop it
+        original = analytic.ng_fidelities
+        calls = []
+
+        def nan_at_position(s):
+            calls.append(s)
+            rep = original(s)
+            if len(calls) - 1 != position:
+                return rep
+            per_ab = {lbl: (math.nan,) * len(v) for lbl, v in rep.per_state_ab.items()}
+            return FidelityReport.from_per_state(per_ab, rep.per_state_ae)
+
+        monkeypatch.setattr(analytic, "ng_fidelities", nan_at_position)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["analytic-vs-sim-ng-1q"]
+        assert "max deviation nan" in out
 
 
 class TestSweepCommand:

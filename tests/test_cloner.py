@@ -6,7 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracle import reference_fidelities, reference_reduced, reference_transfer_matrix
+from oracle import (
+    reference_fidelities,
+    reference_reduced,
+    reference_transfer_matrix,
+    reference_unitary,
+)
 
 import paulicloner
 from paulicloner import cli, simcore
@@ -30,6 +35,8 @@ from paulicloner.cloner import (
     clone_fidelity_states,
     clone_output_reduced,
     cloner_unitary,
+    fidelity_columns,
+    fidelity_matrices,
     ng_angles_to_program,
     ng_software_prep_circuit,
 )
@@ -401,6 +408,29 @@ class TestCompiledEngine:
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
         assert cloner_unitary(kind, n) is u
+
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_one_pass_compile_equals_column_by_column(self, kind, n):
+        assert np.array_equal(cloner_unitary(kind, n), reference_unitary(kind, n))
+
+    @pytest.mark.parametrize("kind,n", [(ClonerKind.NG, 2), (ClonerKind.QID, 1)])
+    def test_columns_are_the_diagonals_and_the_single_programs(self, kind, n):
+        rng = np.random.default_rng(40 + n)
+        # past 4^N columns the batch takes the forms route, one column the direct one
+        programs = [random_program(rng, n, complex_amps=True) for _ in range(4**n + 1)]
+        columns = np.stack([p.amplitudes for p in programs], axis=1)
+        states = [random_input(rng, n) for _ in range(4)]
+        rows = np.array([st.amplitudes for st in states])
+        for channel in engine_channels(rng, n):
+            cols = fidelity_columns(kind, n, columns, rows, channel)
+            mats = fidelity_matrices(kind, n, columns, rows, channel)
+            for f, m in zip(cols, mats):
+                diagonal = np.diagonal(m, axis1=1, axis2=2).real
+                np.testing.assert_allclose(f, diagonal, rtol=0, atol=1e-14)
+            for p, prog in enumerate(programs):
+                single = clone_fidelity_states(kind, n, prog, states, channel)
+                batch = np.stack([cols[0][:, p], cols[1][:, p]], axis=1)
+                np.testing.assert_allclose(single, batch, rtol=0, atol=1e-14)
 
     def test_non_unitary_compile_raises_and_caches_nothing(self, monkeypatch, capsys):
         cloner_unitary.cache_clear()
