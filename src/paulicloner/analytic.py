@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cloner import FidelityReport, NgAngles, SoftwareState
-from .mub import MubBasis, invariant_paulis, mubs_for
+from .mub import MubBasis, mubs_for
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def ng_stabilizer_indices(num_clone_qubits: int) -> dict:
     """Program indices (>= 1) whose Pauli string leaves each basis invariant."""
     out = {}
     for basis in mubs_for(num_clone_qubits).bases:
-        mask = invariant_paulis(basis)
+        mask = basis.invariant_mask
         out[basis.label] = tuple(int(j) for j in np.flatnonzero(mask) if j > 0)
     return out
 
@@ -227,7 +227,7 @@ def ng_nq_bob_fidelity(program: SoftwareState, basis: MubBasis) -> float:
     if program.num_clone_qubits != n:
         raise ValueError("program and basis register sizes differ")
     weights = np.abs(program.amplitudes) ** 2
-    return float(np.sum(weights[invariant_paulis(basis)]))
+    return float(np.sum(weights[basis.invariant_mask]))
 
 
 def uqcm_program_ng(num_clone_qubits: int) -> SoftwareState:

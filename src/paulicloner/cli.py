@@ -262,7 +262,10 @@ def _noisy_transform_check(rng, count: int) -> float:
     for kind, s, probs in draws:
         noisy = clone_fidelities(kind, 1, s, PauliChannel.from_xyz(*probs))
         for f, f_noisy in zip(next(clean[kind]), (noisy.f_ab, noisy.f_ae)):
-            got += [noisy_fidelity_1q(x, b.label, *probs) for x, b in zip(f, bases)]
+            try:
+                got += [noisy_fidelity_1q(x, b.label, *probs) for x, b in zip(f, bases)]
+            except ValueError:  # an engine value outside [0, 1], NaN too, fails the check
+                got += [math.nan] * len(bases)
             want += [f_noisy[b.label] for b in bases]
     return _max_abs(got, want)
 

@@ -12,8 +12,9 @@ enter as amplitude vectors rather than through a preparation circuit; the
 three-rotation preparation for single-qubit registers is provided
 separately for cross-checks.
 
-The hardware is one fixed circuit per (kind, N), compiled once, on first
-use, into its 2^(3N) matrix U by one gate-by-gate pass over all basis
+The hardware is one fixed circuit per (kind, N), which holds no program;
+``build_cloner`` only checks that a program fits it.  It is compiled once, on
+first use, into its 2^(3N) matrix U by one gate-by-gate pass over all basis
 columns; the compile fails unless U is unitary.  Each evaluation contracts
 the programs into U and pushes every input and Kraus branch through one
 small product.  ``fidelity_matrices``, the one fidelity engine, reads the
@@ -156,22 +157,13 @@ class ClonerLayout:
         return self.eve + self.ancilla
 
 
-def _check_program(num_clone_qubits: int, program: SoftwareState) -> None:
-    if program.num_clone_qubits != num_clone_qubits:
-        raise ValueError(
-            f"program for {program.num_clone_qubits}-qubit registers, "
-            f"cloner built for {num_clone_qubits}"
-        )
-
-
-def build_ng(num_clone_qubits: int, program: SoftwareState) -> Circuit:
+def build_ng(num_clone_qubits: int) -> Circuit:
     """Niu-Griffiths hardware: H on Eve's register, then three bitwise CNOT layers.
 
     Layer order: Alice -> Eve, ancilla -> Alice, Eve -> ancilla, ascending
-    qubit index inside each layer.  The program is injected onto the software
-    register at state preparation time.
+    qubit index inside each layer.  The circuit holds no program: the program
+    is the initial state of the software register.
     """
-    _check_program(num_clone_qubits, program)
     lay = ClonerLayout(num_clone_qubits)
     ops: list[GateOp] = [GateOp("H", (q,)) for q in lay.eve]
     ops += [GateOp("CNOT", (a, e)) for a, e in zip(lay.alice, lay.eve)]
@@ -180,25 +172,16 @@ def build_ng(num_clone_qubits: int, program: SoftwareState) -> Circuit:
     return Circuit(lay.num_qubits, tuple(ops))
 
 
-def build_qid_1q(program: SoftwareState) -> Circuit:
+def build_qid_1q() -> Circuit:
     """Single-qubit QID hardware: four CNOTs on (Alice, Eve, ancilla)."""
-    _check_program(1, program)
-    return Circuit(
-        3,
-        (
-            GateOp("CNOT", (0, 1)),
-            GateOp("CNOT", (0, 2)),
-            GateOp("CNOT", (1, 0)),
-            GateOp("CNOT", (2, 0)),
-        ),
-    )
+    pairs = ((0, 1), (0, 2), (1, 0), (2, 0))
+    return Circuit(3, tuple(GateOp("CNOT", pair) for pair in pairs))
 
 
-def build_qid_2q(program: SoftwareState) -> Circuit:
+def build_qid_2q() -> Circuit:
     """Two-qubit QID hardware: SUM blocks onto both halves of the software
     register, then an X-conjugated inverse-shift block and a final SUM back
     onto Alice."""
-    _check_program(2, program)
     ops = (
         # SUM Alice -> Eve clone register (2, 3)
         GateOp("CNOT", (1, 3)),
@@ -227,12 +210,19 @@ def build_qid_2q(program: SoftwareState) -> Circuit:
 def build_cloner(
     kind: ClonerKind, num_clone_qubits: int, program: SoftwareState
 ) -> Circuit:
+    """The hardware circuit of the (kind, N) cloner that is to run ``program``,
+    after checking that the program fits its software register."""
+    if program.num_clone_qubits != num_clone_qubits:
+        raise ValueError(
+            f"program for {program.num_clone_qubits}-qubit registers, "
+            f"cloner built for {num_clone_qubits}"
+        )
     if kind == ClonerKind.NG:
-        return build_ng(num_clone_qubits, program)
+        return build_ng(num_clone_qubits)
     if num_clone_qubits == 1:
-        return build_qid_1q(program)
+        return build_qid_1q()
     if num_clone_qubits == 2:
-        return build_qid_2q(program)
+        return build_qid_2q()
     raise ValueError("QID circuits are available for 1- and 2-qubit registers only")
 
 
@@ -424,19 +414,6 @@ def clone_output_reduced(
     rho_b = mix_branches(bob @ np.swapaxes(bob, 1, 2).conj(), weights)
     rho_e = mix_branches(eve @ np.swapaxes(eve, 1, 2).conj(), weights)
     return DensityMatrix(num_clone_qubits, rho_b), DensityMatrix(num_clone_qubits, rho_e)
-
-
-def clone_fidelity_states(
-    kind: ClonerKind,
-    num_clone_qubits: int,
-    program: SoftwareState,
-    states,
-    channel: PauliChannel | None = None,
-) -> list[tuple[float, float]]:
-    """(F_AB, F_AE) for each input state, mixing Kraus branches if noisy."""
-    column, rows = program.amplitudes[:, None], state_rows(num_clone_qubits, states)
-    f_ab, f_ae = fidelity_columns(kind, num_clone_qubits, column, rows, channel)
-    return list(zip(f_ab[:, 0].tolist(), f_ae[:, 0].tolist()))
 
 
 def clone_fidelities(

@@ -14,19 +14,13 @@ is what ties the commuting-class structure to the fidelity formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .simcore import Circuit, GateOp, StateVector
+from .simcore import PAULIS, Circuit, GateOp, StateVector
 
-PAULI_LETTERS = "IXYZ"
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+PAULI_LETTERS = "".join(PAULIS)  # "IXYZ"
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         m = np.array([[1.0 + 0j]])
         for c in self.letters:
-            m = np.kron(m, _PAULI_MATS[c])
+            m = np.kron(m, PAULIS[c])
         return m
 
     @classmethod
@@ -118,6 +112,13 @@ class MubBasis:
     @property
     def num_qubits(self) -> int:
         return self.states[0].num_qubits
+
+    @cached_property
+    def invariant_mask(self) -> np.ndarray:
+        """Read-only ``invariant_paulis`` of this basis, computed once per object."""
+        mask = invariant_paulis(self)
+        mask.flags.writeable = False
+        return mask
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ Adam trains the 60-parameter program-prep ansatz of the twenty task and the
 b92 ansatz, a cloner of its own.  Every restart of every row of a sweep is
 one trajectory of a single batch that Adam steps in lockstep.
 
-The two layered rotation ansaetze (program-prep and b92) get each step's
+The two layered rotation ansaetze (program-prep and b92) are each written
+once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
+parameter counts and batched passes derive from it.  They get each step's
 losses and exact gradients, for the whole batch, from one adjoint sweep: a
 forward pass that keeps the states entering each rotation block, then one
 backward pass of the loss's adjoint vectors through the inverse circuit
@@ -54,11 +56,23 @@ from .cloner import (
 )
 from .mub import mubs_for
 from .noise import PauliChannel, noisy_fidelity_1q
-from .simcore import Circuit, GateOp, rotation_block, rotation_blocks
+from .simcore import Circuit, GateOp, apply_ops, rotation_block, rotation_blocks
 
 logger = logging.getLogger("paulicloner")
 
-ANSATZ_PARAM_COUNTS = {"b92": 18, "program-prep": 60}
+_B92_INPUTS = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)], dtype=complex)
+_B92_LABELS = ("0", "+")  # the inputs' labels in b92_per_state_fidelities
+
+# Each trained ansatz as (layers, qubits, CNOT pairs, input states): a layer
+# applies RX, RY, RZ to every qubit in qubit order, then CNOT on each
+# (control, target) pair in turn; the ansatz runs on each input row.
+ANSATZ_LAYOUTS = {
+    # Alice's |0> or |+> on qubit 0, which becomes Bob's; Eve's qubit 1 in |0>
+    "b92": (3, 2, ((0, 1),), np.kron(_B92_INPUTS, [[1.0, 0.0]])),
+    # a two-qubit cloner program, prepared from |0000>
+    "program-prep": (5, 4, ((0, 1), (1, 2), (2, 3), (3, 0)), np.eye(1, 16, dtype=complex)),
+}
+ANSATZ_PARAM_COUNTS = {k: lay[0] * lay[1] * 3 for k, lay in ANSATZ_LAYOUTS.items()}
 
 
 @dataclass(frozen=True)
@@ -111,53 +125,40 @@ def loss(f_ab: float, f_ae: float, f_target: float) -> float:
     return 10.0 * (f_ab - f_target) ** 2 - f_ae
 
 
+def loss_and_adjoint(f_ab, f_ae, d_ab, d_ae, f_targets):
+    """Losses of a batch, and their adjoint vectors 20 (F_AB - f) dF_AB - dF_AE
+    from the derivatives dF of the fidelities in the conjugate final states."""
+    lam = 20.0 * (f_ab - f_targets)[:, None, None] * d_ab - d_ae
+    return loss(f_ab, f_ae, f_targets), lam
+
+
+def ansatz_circuit(kind: str, parameters: np.ndarray) -> Circuit:
+    """The ansatz as gates: the reference its layered pass is tested against."""
+    num_layers, n, cnots, _ = ANSATZ_LAYOUTS[kind]
+    p = np.asarray(parameters, dtype=float).reshape(num_layers, n, 3)
+    ops: list[GateOp] = []
+    for layer in range(num_layers):
+        for q in range(n):
+            ops += [GateOp(g, (q,), a) for g, a in zip(("RX", "RY", "RZ"), p[layer, q])]
+        ops += [GateOp("CNOT", pair) for pair in cnots]
+    return Circuit(n, tuple(ops))
+
+
 def b92_ansatz_circuit(parameters: np.ndarray) -> Circuit:
     """Three blocks of per-qubit RX, RY, RZ followed by CNOT 0 -> 1."""
-    p = np.asarray(parameters, dtype=float).reshape(3, 2, 3)
-    ops: list[GateOp] = []
-    for block in range(3):
-        for q in (0, 1):
-            for g, name in enumerate(("RX", "RY", "RZ")):
-                ops.append(GateOp(name, (q,), p[block, q, g]))
-        ops.append(GateOp("CNOT", (0, 1)))
-    return Circuit(2, tuple(ops))
+    return ansatz_circuit("b92", parameters)
 
 
-def program_prep_circuit(parameters: np.ndarray) -> Circuit:
-    """Five layers of per-qubit RX, RY, RZ plus a CNOT ring on 4 qubits."""
-    p = np.asarray(parameters, dtype=float).reshape(5, 4, 3)
-    ops: list[GateOp] = []
-    for layer in range(5):
-        for q in range(4):
-            for g, name in enumerate(("RX", "RY", "RZ")):
-                ops.append(GateOp(name, (q,), p[layer, q, g]))
-        for q in range(4):
-            ops.append(GateOp("CNOT", (q, (q + 1) % 4)))
-    return Circuit(4, tuple(ops))
+def _entangler(n: int, cnots) -> np.ndarray:
+    """A CNOT layer as the index gather psi[..., perm]: the layer run on the
+    vector of basis indices."""
+    perm = apply_ops(np.arange(2**n, dtype=complex), n, [GateOp("CNOT", c) for c in cnots])
+    return perm.real.astype(int)
 
 
-def _cnot_index_perm(num_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(2**num_qubits)
-    cbit = (idx >> (num_qubits - 1 - control)) & 1
-    return np.where(cbit == 1, idx ^ (1 << (num_qubits - 1 - target)), idx)
-
-
-def _compose_perms(perms) -> np.ndarray:
-    """One gather index equivalent to applying ``psi = psi[p]`` for each p in turn."""
-    out = perms[0]
-    for p in perms[1:]:
-        out = out[p]
-    return out
-
-
-_PREP_RING_PERM = _compose_perms(
-    [_cnot_index_perm(4, q, (q + 1) % 4) for q in range(4)]
-)
-_B92_CNOT_PERM = _cnot_index_perm(2, 0, 1)
-_PREP_INPUTS = np.eye(1, 16, dtype=complex)
-_B92_INPUTS = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)], dtype=complex)
-_B92_LABELS = ("0", "+")  # the inputs' labels in b92_per_state_fidelities
-_B92_STATES = np.kron(_B92_INPUTS, [[1.0, 0.0]])  # row k: input k (x) |0>
+ENTANGLERS = {
+    kind: _entangler(n, cnots) for kind, (_, n, cnots, _) in ANSATZ_LAYOUTS.items()
+}
 
 
 def layered_pass(
@@ -217,14 +218,18 @@ def layered_pass(
     return values, grad.reshape(b, -1)
 
 
-def program_prep_state(parameters: np.ndarray) -> np.ndarray:
-    """State prepared by the layered ansatz on |0000>, without circuit objects.
+def ansatz_pass(kind: str, parameters: np.ndarray, adjoint=None):
+    """``layered_pass`` of the ansatz on its inputs, for a batch of parameter
+    sets (flat or shaped), each a row."""
+    num_layers, n, _, inputs = ANSATZ_LAYOUTS[kind]
+    p = np.asarray(parameters, dtype=float).reshape(-1, num_layers, n, 3)
+    return layered_pass(p, inputs, ENTANGLERS[kind], adjoint)
 
-    Matches simulating program_prep_circuit; the circuit builder remains the
-    reference and the equivalence is covered by tests.
-    """
-    p = np.asarray(parameters, dtype=float).reshape(1, 5, 4, 3)
-    return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM)[0, 0]
+
+def program_prep_state(parameters: np.ndarray) -> np.ndarray:
+    """State prepared by the program-prep ansatz on |0000>, without circuit
+    objects; ``ansatz_circuit`` is the reference it is tested against."""
+    return ansatz_pass("program-prep", parameters)[0, 0]
 
 
 def evaluate_ansatz(spec: AnsatzSpec):
@@ -360,16 +365,14 @@ def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
 
     Trajectory z has the mean forms ``forms_stacks[z]`` = (M_ab, M_ae), the
     Bob target ``f_targets[z]`` (both arrays) and the 60 angles
-    ``params[z]``; its adjoint vector is lam = (20 (F_AB - f) M_ab - M_ae) psi.
+    ``params[z]``; dF = M psi for each form.
     """
     def adjoint(final: np.ndarray):
         m_psi = np.einsum("zrab,zkb->zrka", forms_stacks, final)
         f_ab, f_ae = np.einsum("zka,zrka->rz", final.conj(), m_psi).real
-        lam = 20.0 * (f_ab - f_targets)[:, None, None] * m_psi[:, 0] - m_psi[:, 1]
-        return loss(f_ab, f_ae, f_targets), lam
+        return loss_and_adjoint(f_ab, f_ae, m_psi[:, 0], m_psi[:, 1], f_targets)
 
-    p = np.asarray(params, dtype=float).reshape(-1, 5, 4, 3)
-    return layered_pass(p, _PREP_INPUTS, _PREP_RING_PERM, adjoint)
+    return ansatz_pass("program-prep", params, adjoint)
 
 
 def make_program_loss(forms: dict, f_target: float):
@@ -386,13 +389,6 @@ def make_program_loss(forms: dict, f_target: float):
         return program_prep_loss_and_grad(forms_stack, targets, params)[1][0]
 
     return objective, gradient
-
-
-def _b92_pass(parameters: np.ndarray, adjoint=None):
-    """The b92 ansatz of each parameter set on both inputs |0>|0> and |+>|0>:
-    three layers, CNOT 0 -> 1."""
-    p = np.asarray(parameters, dtype=float).reshape(-1, 3, 2, 3)
-    return layered_pass(p, _B92_STATES, _B92_CNOT_PERM, adjoint)
 
 
 def _b92_fidelities(final: np.ndarray):
@@ -412,7 +408,7 @@ def _b92_fidelities(final: np.ndarray):
 
 def b92_qml_fidelities(parameters: np.ndarray) -> tuple[float, float]:
     """Average (F_AB, F_AE) of the ansatz over |0> and |+>, fast path."""
-    f_ab, f_ae, _, _ = _b92_fidelities(_b92_pass(parameters))
+    f_ab, f_ae, _, _ = _b92_fidelities(ansatz_pass("b92", parameters))
     return float(np.mean(f_ab)), float(np.mean(f_ae))
 
 
@@ -425,10 +421,9 @@ def b92_loss_and_grad(f_targets, params: np.ndarray):
         # d F / d conj(psi_k), halved for the mean over the two inputs
         d_ab = 0.5 * np.einsum("ka,zkj->zkaj", _B92_INPUTS, bob).reshape(-1, 2, 4)
         d_ae = 0.5 * np.einsum("kb,zki->zkib", _B92_INPUTS, eve).reshape(-1, 2, 4)
-        lam = 20.0 * (f_ab - f_targets)[:, None, None] * d_ab - d_ae
-        return loss(f_ab, f_ae, f_targets), lam
+        return loss_and_adjoint(f_ab, f_ae, d_ab, d_ae, f_targets)
 
-    return _b92_pass(params, adjoint)
+    return ansatz_pass("b92", params, adjoint)
 
 
 def make_b92_loss(f_target: float):
@@ -724,7 +719,7 @@ def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
     for (u, f_target), p in zip(jobs, best):
         _, _, series, label = units[u]
         if ansatz == "b92":
-            per_ab, per_ae, _, _ = _b92_fidelities(_b92_pass(p))
+            per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
             report = FidelityReport.from_per_state(
                 {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ab[0])},
                 {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae[0])},

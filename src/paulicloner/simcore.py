@@ -24,26 +24,40 @@ import numpy as np
 # and injection at 1000x).
 VALIDATION_EPS = 1e-12
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CCNOT = np.eye(8, dtype=complex)
-_CCNOT[6:, 6:] = _X
+# the single-qubit Paulis, by letter
+PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
-SINGLE_QUBIT_GATES = ("H", "X", "Z", "S", "RX", "RY", "RZ")
-ROTATION_GATES = ("RX", "RY", "RZ", "CRY")
-# number of qubits each gate acts on, controls included
-GATE_ARITY = dict.fromkeys(SINGLE_QUBIT_GATES, 1) | {"CNOT": 2, "CCNOT": 3, "CRY": 2}
-GATE_NAMES = tuple(GATE_ARITY)
+# Every gate: its arity (controls included) and its fixed matrix, or None for a
+# rotation by the op's angle.  Keep the order: it is GATE_NAMES, into which
+# validate draws random gates by index.
+GATES = {
+    "H": (1, np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)),
+    "X": (1, PAULIS["X"]),
+    "Z": (1, PAULIS["Z"]),
+    "S": (1, np.array([[1, 0], [0, 1j]], dtype=complex)),
+    "RX": (1, None),
+    "RY": (1, None),
+    "RZ": (1, None),
+    "CNOT": (2, np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
+    "CCNOT": (3, np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]),
+    "CRY": (2, None),
+}
+GATE_ARITY = {name: arity for name, (arity, _) in GATES.items()}
+GATE_NAMES = tuple(GATES)
+ROTATION_GATES = tuple(name for name, (_, fixed) in GATES.items() if fixed is None)
+# GateOp.matrix() hands every op the same array, so none may be written
+for _fixed in [*PAULIS.values(), *(m for _, m in GATES.values() if m is not None)]:
+    _fixed.flags.writeable = False
 
 
 # -i P for P = X, Y, Z: exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-i P)
 _I2 = np.eye(2)
-_MINUS_I_PAULIS = -1j * np.array([_X, [[0, -1j], [1j, 0]], _Z])
+_MINUS_I_PAULIS = -1j * np.array([PAULIS[p] for p in "XYZ"])
 
 
 def axis_rotations(angles) -> np.ndarray:
@@ -118,35 +132,24 @@ class GateOp:
             raise ValueError("control_value must be 0 or 1")
 
     def matrix(self) -> np.ndarray:
-        if self.name == "H":
-            return _H
-        if self.name == "X":
-            return _X
-        if self.name == "Z":
-            return _Z
-        if self.name == "S":
-            return _S
-        if self.name in ("RX", "RY", "RZ"):
-            return axis_rotations(self.angle)["XYZ".index(self.name[1])]
-        if self.name == "CNOT":
-            return _CNOT
-        if self.name == "CCNOT":
-            return _CCNOT
+        fixed = GATES[self.name][1]
+        if fixed is not None:
+            return fixed
+        rotation = axis_rotations(self.angle)["XYZ".index(self.name[-1])]
+        if self.name != "CRY":
+            return rotation
         # CRY: block-diagonal in the control qubit
         m = np.eye(4, dtype=complex)
         block = slice(2, 4) if self.control_value == 1 else slice(0, 2)
-        m[block, block] = axis_rotations(self.angle)[1]
+        m[block, block] = rotation
         return m
 
     def inverse(self) -> tuple["GateOp", ...]:
-        """Inverse as a sequence of ops from the same gate set (S^-1 = S^3)."""
-        if self.name in ("H", "X", "Z", "CNOT", "CCNOT"):
-            return (self,)
-        if self.name == "S":
-            return (self, self, self)
-        return (
-            GateOp(self.name, self.qubits, -self.angle, self.control_value),
-        )
+        """Inverse as a sequence of ops from the same gate set: S^-1 = S^3, any
+        other fixed gate undoes itself, a rotation negates its angle."""
+        if GATES[self.name][1] is None:
+            return (GateOp(self.name, self.qubits, -self.angle, self.control_value),)
+        return (self,) * (3 if self.name == "S" else 1)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from paulicloner.cloner import (
     SoftwareState,
     bob_pauli_transfer_matrix,
     clone_fidelities,
-    clone_fidelity_states,
+    fidelity_columns,
+    state_rows,
 )
 from paulicloner.mub import (
     PauliString,
@@ -79,8 +80,9 @@ def test_c02_n_qubit_universal_fidelity():
         assert report2.f_ab[lbl] == pytest.approx(0.7, abs=1e-9)
         assert report2.f_ae[lbl] == pytest.approx(0.7, abs=1e-9)
     states = [_random_state(rng, 3) for _ in range(100)]
-    values = clone_fidelity_states(ClonerKind.NG, 3, uqcm_program_ng(3), states)
-    for f_ab, f_ae in values:
+    column = uqcm_program_ng(3).amplitudes[:, None]
+    values = fidelity_columns(ClonerKind.NG, 3, column, state_rows(3, states))
+    for f_ab, f_ae in zip(values[0][:, 0], values[1][:, 0]):
         assert f_ab == pytest.approx(11 / 18, abs=1e-9)
         assert f_ae == pytest.approx(11 / 18, abs=1e-9)
     elapsed = time.monotonic() - start

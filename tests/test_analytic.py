@@ -25,6 +25,7 @@ from paulicloner.cloner import (
     clone_fidelities,
     ng_angles_to_program,
 )
+from paulicloner import mub
 from paulicloner.mub import MubBasis, mubs_for
 from paulicloner.simcore import StateVector
 
@@ -200,6 +201,24 @@ class TestGeneralizedBobFidelity:
         assert ng_nq_bob_fidelity(s, mubs_for(1)["Z"]) == pytest.approx(
             a[0] ** 2 + a[2] ** 2, abs=1e-12
         )
+
+    def test_invariance_mask_computed_once_per_basis(self, monkeypatch):
+        original, calls = mub.invariant_paulis, []
+        monkeypatch.setattr(mub, "invariant_paulis", lambda b: calls.append(b) or original(b))
+        # fresh objects, so no mask is cached from another test
+        bases = [MubBasis(b.label, b.states) for b in mubs_for(2).bases]
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            s = random_program(rng, 2)
+            for basis in bases:
+                want = np.sum(np.abs(s.amplitudes[original(basis)]) ** 2)
+                assert ng_nq_bob_fidelity(s, basis) == pytest.approx(want, abs=1e-15)
+        assert len(calls) == 5
+        c, s = math.cos(0.3), math.sin(0.3)
+        tilted = MubBasis("T", (StateVector(1, [c, s]), StateVector(1, [-s, c])))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="onto a basis ray"):
+                ng_nq_bob_fidelity(uqcm_program_ng(1), tilted)
 
     def test_basis_without_pauli_rays_raises(self):
         c, s = math.cos(0.3), math.sin(0.3)

@@ -280,6 +280,22 @@ class TestValidateBatches:
         assert code == 1
         assert failed_checks(out) == ["noisy-transform-oracle"]
 
+    def test_engine_nan_fails_the_noise_transform(self, capsys, monkeypatch):
+        # a NaN reaches noisy_fidelity_1q, which rejects it: the check fails, no exit 2
+        original = cli.fidelity_columns
+
+        def nan_in_last_column(kind, n, *args):
+            cols = original(kind, n, *args)
+            if n == 1:
+                for f in cols:
+                    f[:, -1] = math.nan
+            return cols
+
+        monkeypatch.setattr(cli, "fidelity_columns", nan_in_last_column)
+        code, out, err = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1 and err == ""
+        assert "noisy-transform-oracle" in failed_checks(out)
+
     def test_generalized_bob_fidelity(self, capsys, monkeypatch):
         original = analytic.ng_nq_bob_fidelity
         monkeypatch.setattr(

@@ -28,17 +28,18 @@ from paulicloner.cloner import (
     b92_fidelities,
     b92_per_state_fidelities,
     bob_pauli_transfer_matrix,
+    build_cloner,
     build_ng,
     build_qid_1q,
     build_qid_2q,
     clone_fidelities,
-    clone_fidelity_states,
     clone_output_reduced,
     cloner_unitary,
     fidelity_columns,
     fidelity_matrices,
     ng_angles_to_program,
     ng_software_prep_circuit,
+    state_rows,
 )
 from paulicloner.mub import PauliString, index_to_pauli, mubs_for
 from paulicloner.noise import PauliChannel, channel_with_single_error
@@ -89,7 +90,7 @@ class TestSoftwareState:
 
 class TestBuildNg:
     def test_single_qubit_gate_list(self):
-        ops = build_ng(1, SoftwareState.computational(1)).ops
+        ops = build_ng(1).ops
         assert [(op.name, op.qubits) for op in ops] == [
             ("H", (1,)),
             ("CNOT", (0, 1)),
@@ -98,7 +99,7 @@ class TestBuildNg:
         ]
 
     def test_two_qubit_gate_list(self):
-        ops = build_ng(2, SoftwareState.computational(2)).ops
+        ops = build_ng(2).ops
         assert [(op.name, op.qubits) for op in ops] == [
             ("H", (2,)),
             ("H", (3,)),
@@ -133,12 +134,12 @@ class TestBuildNg:
 
     def test_program_length_mismatch(self):
         with pytest.raises(ValueError):
-            build_ng(2, SoftwareState.computational(1))
+            build_cloner(ClonerKind.NG, 2, SoftwareState.computational(1))
 
 
 class TestBuildQid:
     def test_single_qubit_gate_list(self):
-        ops = build_qid_1q(SoftwareState.computational(1)).ops
+        ops = build_qid_1q().ops
         assert [(op.name, op.qubits) for op in ops] == [
             ("CNOT", (0, 1)),
             ("CNOT", (0, 2)),
@@ -147,7 +148,7 @@ class TestBuildQid:
         ]
 
     def test_two_qubit_gate_list(self):
-        ops = build_qid_2q(SoftwareState.computational(2)).ops
+        ops = build_qid_2q().ops
         assert [(op.name, op.qubits) for op in ops] == [
             ("CNOT", (1, 3)),
             ("CCNOT", (0, 2, 3)),
@@ -204,8 +205,6 @@ class TestBuildQid:
 
     def test_unsupported_register_size(self):
         with pytest.raises(ValueError):
-            from paulicloner.cloner import build_cloner
-
             build_cloner(ClonerKind.QID, 3, uqcm_program_ng(3))
 
 
@@ -322,7 +321,10 @@ class TestPauliClonerProperty:
         rng = np.random.default_rng(7)
         prog = uqcm_program_ng(2)
         states = [random_input(rng, 2) for _ in range(10)]
-        for f_ab, f_ae in clone_fidelity_states(ClonerKind.NG, 2, prog, states):
+        f_ab, f_ae = fidelity_columns(
+            ClonerKind.NG, 2, prog.amplitudes[:, None], state_rows(2, states)
+        )
+        for f_ab, f_ae in zip(f_ab[:, 0], f_ae[:, 0]):
             assert f_ab == pytest.approx(0.7, abs=1e-10)
             assert f_ae == pytest.approx(0.7, abs=1e-10)
 
@@ -366,8 +368,10 @@ class TestCompiledEngine:
         prog = random_program(rng, n, complex_amps)
         states = [random_input(rng, n) for _ in range(3)]
         for channel in engine_channels(rng, n):
-            got = clone_fidelity_states(kind, n, prog, states, channel)
-            for st, (f_ab, f_ae) in zip(states, got):
+            got = fidelity_columns(
+                kind, n, prog.amplitudes[:, None], state_rows(n, states), channel
+            )
+            for st, f_ab, f_ae in zip(states, got[0][:, 0], got[1][:, 0]):
                 ref_b, ref_e = reference_reduced(kind, n, prog, st.amplitudes, channel)
                 rho_b, rho_e = clone_output_reduced(kind, n, prog, st, channel)
                 np.testing.assert_allclose(rho_b.matrix, ref_b, rtol=0, atol=1e-12)
@@ -428,7 +432,10 @@ class TestCompiledEngine:
                 diagonal = np.diagonal(m, axis1=1, axis2=2).real
                 np.testing.assert_allclose(f, diagonal, rtol=0, atol=1e-14)
             for p, prog in enumerate(programs):
-                single = clone_fidelity_states(kind, n, prog, states, channel)
+                single = fidelity_columns(
+                    kind, n, prog.amplitudes[:, None], state_rows(n, states), channel
+                )
+                single = np.concatenate(single, axis=1)
                 batch = np.stack([cols[0][:, p], cols[1][:, p]], axis=1)
                 np.testing.assert_allclose(single, batch, rtol=0, atol=1e-14)
 
@@ -475,14 +482,11 @@ class TestCompiledEngine:
 
     def test_entry_checks(self):
         rng = np.random.default_rng(30)
+        rows3, rows4 = (state_rows(n, [random_input(rng, n)]) for n in (3, 4))
         with pytest.raises(ValueError):
-            clone_fidelity_states(
-                ClonerKind.QID, 3, uqcm_program_ng(3), [random_input(rng, 3)]
-            )
+            fidelity_columns(ClonerKind.QID, 3, uqcm_program_ng(3).amplitudes[:, None], rows3)
         with pytest.raises(ValueError, match="compiled for 1 to 3"):
-            clone_fidelity_states(
-                ClonerKind.NG, 4, uqcm_program_ng(4), [random_input(rng, 4)]
-            )
+            fidelity_columns(ClonerKind.NG, 4, uqcm_program_ng(4).amplitudes[:, None], rows4)
         with pytest.raises(ValueError):
             clone_fidelities(
                 ClonerKind.NG,

@@ -21,7 +21,11 @@ from paulicloner.optimize import (
     TASKS,
     AnsatzSpec,
     OptimizerConfig,
+    ANSATZ_LAYOUTS,
+    ENTANGLERS,
     adam_optimize,
+    ansatz_circuit,
+    ansatz_pass,
     b92_ansatz_circuit,
     b92_loss_and_grad,
     b92_qml_fidelities,
@@ -31,12 +35,10 @@ from paulicloner.optimize import (
     forms_mean_matrices,
     frontier_sweep,
     grid_frontier_b92,
-    layered_pass,
     loss,
     make_b92_loss,
     make_program_loss,
     pareto_filter,
-    program_prep_circuit,
     program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
@@ -45,7 +47,7 @@ from paulicloner.optimize import (
     report_from_forms,
     shift_gradient_states,
 )
-from paulicloner.simcore import Circuit, GateOp, apply_circuit, basis_state
+from paulicloner.simcore import Circuit, GateOp, apply_circuit, apply_ops, basis_state
 
 
 class TestLossAndQuality:
@@ -87,14 +89,22 @@ class TestAnsatz:
 
     def test_fast_state_matches_circuit(self):
         rng = np.random.default_rng(1)
-        from paulicloner.simcore import apply_ops
-
         for _ in range(10):
             p = rng.uniform(-math.pi, math.pi, 60)
             init = np.zeros(16, dtype=complex)
             init[0] = 1.0
-            ref = apply_ops(init, 4, program_prep_circuit(p).ops)
+            ref = apply_ops(init, 4, ansatz_circuit("program-prep", p).ops)
             np.testing.assert_allclose(program_prep_state(p), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(ANSATZ_LAYOUTS))
+    def test_entangler_is_the_cnot_layer(self, kind):
+        _, n, cnots, _ = ANSATZ_LAYOUTS[kind]
+        assert sorted(ENTANGLERS[kind]) == list(range(2**n))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            layer = apply_ops(psi, n, [GateOp("CNOT", pair) for pair in cnots])
+            np.testing.assert_array_equal(psi[ENTANGLERS[kind]], layer)
 
     def test_b92_fast_fidelities_match_circuit(self):
         from paulicloner.cloner import b92_per_state_fidelities
@@ -296,8 +306,6 @@ class TestAdjointGradients:
             np.testing.assert_array_equal(gradient(p), g)
 
     def test_forward_state_is_program_prep_state(self):
-        from paulicloner.optimize import _PREP_INPUTS, _PREP_RING_PERM
-
         seen = []
 
         def capture(final):
@@ -305,7 +313,7 @@ class TestAdjointGradients:
             return 0.0, np.zeros_like(final)
 
         p = np.random.default_rng(32).uniform(-math.pi, math.pi, 60)
-        _, g = layered_pass(p.reshape(1, 5, 4, 3), _PREP_INPUTS, _PREP_RING_PERM, capture)
+        _, g = ansatz_pass("program-prep", p.reshape(1, 60), capture)
         np.testing.assert_array_equal(seen[0][0, 0], program_prep_state(p))
         np.testing.assert_array_equal(g, np.zeros((1, 60)))
 

@@ -134,6 +134,35 @@ class TestRotations:
             for name, want in closed.items():
                 got = GateOp(name, (0,), angle).matrix()
                 np.testing.assert_array_equal(got, np.array(want, dtype=complex))
+            ry = np.array(closed["RY"], dtype=complex)
+            for control_value, block in ((1, slice(2, 4)), (0, slice(0, 2))):
+                want = np.eye(4, dtype=complex)
+                want[block, block] = ry
+                got = GateOp("CRY", (0, 1), angle, control_value).matrix()
+                np.testing.assert_array_equal(got, want)
+        fixed = {
+            "H": [[S2, S2], [S2, -S2]],
+            "X": [[0, 1], [1, 0]],
+            "Z": [[1, 0], [0, -1]],
+            "S": [[1, 0], [0, 1j]],
+            "CNOT": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            "CCNOT": [
+                [1, 0, 0, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0, 0, 0],
+                [0, 0, 0, 1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1, 0, 0, 0],
+                [0, 0, 0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, 0, 0, 1],
+                [0, 0, 0, 0, 0, 0, 1, 0],
+            ],
+        }
+        for name, want in fixed.items():
+            qubits = tuple(range(len(want).bit_length() - 1))
+            got = GateOp(name, qubits).matrix()
+            np.testing.assert_array_equal(got, np.array(want, dtype=complex))
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 0  # shared by every op of this gate
 
     def test_batched_rotations_match_scalar_ones(self):
         angles = np.random.default_rng(41).uniform(-4, 4, (5, 4, 3))

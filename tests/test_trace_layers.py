@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulicloner import optimize
+from paulicloner import cloner, optimize
 from paulicloner.optimize import OptimizerConfig, frontier_sweep
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
@@ -43,6 +43,8 @@ def test_install_patches_every_binding_and_uninstall_restores_it(trace_layers):
 def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     tracer = trace_layers.Tracer()
     cfg = OptimizerConfig(steps=3, restarts=2, seed=1)
+    # a cold compile, so that the sweep calls build_cloner through its hook
+    cloner.cloner_unitary.cache_clear()
     patches = trace_layers.install(tracer)
     try:
         frontier_sweep("b92", f_values=[0.8], cfg=cfg)
@@ -57,3 +59,5 @@ def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     assert metrics["optimize.grid_frontier_b92.calls"][0] == 2
     assert metrics["optimize.objective.calls"][0] == 1
     assert metrics["optimize.gradient.calls"][0] == 1
+    assert metrics["cloner.build_cloner.calls"][0] == 2
+    assert metrics["cloner.build_cloner.distinct"][0] == 2
