@@ -52,8 +52,7 @@ from .cloner import (
 )
 from .analytic import (
     ImbalanceEta,
-    ng1q_fidelities,
-    ng2q_fidelities,
+    ng_fidelities,
     ng_nq_bob_fidelity,
     qid1q_fidelities,
     qid2q_fidelities,

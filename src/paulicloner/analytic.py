@@ -1,20 +1,19 @@
 """Closed-form clone fidelities and named program states.
 
 Every fidelity of the NG and QID circuits is a quadratic form in the program
-amplitudes.  For the NG family the structure follows directly from the
-commuting-class decomposition: Bob's fidelity in a basis collects |a_0|^2
-plus |a_j|^2 over the program indices j whose (z|x)-encoded Pauli string
-stabilizes that basis, and Eve's fidelity collects the cross terms a_i a_j
-with i xor j in the same index set.  The QID coefficient tables do not have
-such a uniform rule and are stored explicitly.
-
-The single-qubit evaluators accept complex programs (relative phases enter
-Eve's fidelities through the real parts of amplitude products).  The
-two-qubit evaluators support real programs only.
+amplitudes.  For the NG family one stabilizer rule gives them all, at any
+register size and for complex programs (``ng_closed_form``): Bob's fidelity
+in a basis is the program weight on the indices j whose (z|x)-encoded Pauli
+string fixes that basis, and Eve's collects the real parts of the cross
+terms conj(a_i xor s) a_i over the same stabilizers s.  The QID coefficient
+tables do not have such a uniform rule and are stored explicitly; the
+single-qubit QID evaluator accepts complex programs, the two-qubit one real
+programs only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,25 +45,6 @@ def _uniform_report(f_ab: dict, f_ae: dict, states_per_basis: int) -> FidelityRe
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
-def ng1q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Single-qubit NG fidelities from the program amplitudes (a, b, c, d)."""
-    if s.num_clone_qubits != 1:
-        raise ValueError("expected a single-qubit program")
-    a, b, c, d = s.amplitudes
-    re = lambda u, v: float(np.real(u * np.conj(v)))
-    f_ab = {
-        "Z": abs(a) ** 2 + abs(c) ** 2,
-        "X": abs(a) ** 2 + abs(b) ** 2,
-        "Y": abs(a) ** 2 + abs(d) ** 2,
-    }
-    f_ae = {
-        "Z": 0.5 + re(a, c) + re(b, d),
-        "X": 0.5 + re(a, b) + re(c, d),
-        "Y": 0.5 + re(a, d) + re(b, c),
-    }
-    return _uniform_report(f_ab, f_ae, 2)
-
-
 def qid1q_fidelities(s: SoftwareState) -> FidelityReport:
     """Single-qubit QID fidelities; X and Y differ only in one relative sign."""
     if s.num_clone_qubits != 1:
@@ -87,45 +67,26 @@ def qid1q_fidelities(s: SoftwareState) -> FidelityReport:
 @lru_cache(maxsize=None)
 def ng_stabilizer_indices(num_clone_qubits: int) -> dict:
     """Program indices (>= 1) whose Pauli string leaves each basis invariant."""
-    out = {}
-    for basis in mubs_for(num_clone_qubits).bases:
-        mask = basis.invariant_mask
-        out[basis.label] = tuple(int(j) for j in np.flatnonzero(mask) if j > 0)
-    return out
+    return {
+        b.label: tuple(np.flatnonzero(b.invariant_mask)[1:].tolist())
+        for b in mubs_for(num_clone_qubits).bases
+    }
 
 
 @lru_cache(maxsize=None)
 def ng_eve_pairs(num_clone_qubits: int) -> dict:
     """Unordered index pairs (i, j) with i xor j in the basis stabilizer set."""
-    d2 = 4**num_clone_qubits
+    pairs = list(itertools.combinations(range(4**num_clone_qubits), 2))
     return {
-        label: tuple(
-            (i, j)
-            for i in range(d2)
-            for j in range(i + 1, d2)
-            if (i ^ j) in idx
-        )
+        label: tuple((i, j) for i, j in pairs if (i ^ j) in idx)
         for label, idx in ng_stabilizer_indices(num_clone_qubits).items()
     }
 
 
 def _require_real(s: SoftwareState) -> np.ndarray:
     if not s.is_real:
-        raise ValueError("two-qubit closed forms support real programs only")
+        raise ValueError("two-qubit QID closed forms support real programs only")
     return s.amplitudes.real
-
-
-def ng2q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Two-qubit NG fidelities for a real 16-amplitude program."""
-    if s.num_clone_qubits != 2:
-        raise ValueError("expected a two-qubit program")
-    a = _require_real(s)
-    f_ab, f_ae = {}, {}
-    for label, idx in ng_stabilizer_indices(2).items():
-        f_ab[label] = float(a[0] ** 2 + sum(a[j] ** 2 for j in idx))
-        cross = sum(a[i] * a[j] for i, j in ng_eve_pairs(2)[label])
-        f_ae[label] = float(0.25 + 0.5 * cross)
-    return _uniform_report(f_ab, f_ae, 4)
 
 
 # QID two-qubit coefficient tables: (i, j, sign) triples, fidelity =
@@ -213,8 +174,29 @@ def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
+def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's NG fidelities, each (basis, program), of program columns
+    (4^N, P), shared by every state of a basis.  Over the indices s of the Pauli
+    strings that fix the basis (its invariant mask; s = 0 is I):
+    F_AB = sum_s |a_s|^2,  F_AE = (1 + sum_{s > 0} sum_i Re(conj(a_{i^s}) a_i)) / 2^N.
+    """
+    if any(4**b.num_qubits != len(columns) for b in bases):
+        raise ValueError("program and basis register sizes differ")
+    stabilizes = np.array([b.invariant_mask for b in bases], dtype=float)
+    xor = np.arange(len(columns)) ^ np.arange(len(columns))[:, None]  # [s, i] = i^s
+    overlap = np.einsum("sip,ip->sp", columns[xor].conj(), columns).real
+    f_ae = (1 + stabilizes[:, 1:] @ overlap[1:]) / math.isqrt(len(columns))
+    return stabilizes @ np.abs(columns) ** 2, f_ae
+
+
 def ng_fidelities(s: SoftwareState) -> FidelityReport:
-    return ng1q_fidelities(s) if s.num_clone_qubits == 1 else ng2q_fidelities(s)
+    """NG fidelities of a program over the MUB set of its register."""
+    bases = mubs_for(s.num_clone_qubits).bases
+    f_ab, f_ae = (
+        dict(zip([b.label for b in bases], f[:, 0].tolist()))
+        for f in ng_closed_form(s.amplitudes[:, None], bases)
+    )
+    return _uniform_report(f_ab, f_ae, len(bases[0].states))
 
 
 def qid_fidelities(s: SoftwareState) -> FidelityReport:
@@ -222,12 +204,8 @@ def qid_fidelities(s: SoftwareState) -> FidelityReport:
 
 
 def ng_nq_bob_fidelity(program: SoftwareState, basis: MubBasis) -> float:
-    """Bob's NG fidelity for one basis: |a_0|^2 plus the stabilizer weights."""
-    n = basis.num_qubits
-    if program.num_clone_qubits != n:
-        raise ValueError("program and basis register sizes differ")
-    weights = np.abs(program.amplitudes) ** 2
-    return float(np.sum(weights[basis.invariant_mask]))
+    """Bob's NG fidelity for one basis: the Bob half of ``ng_closed_form``."""
+    return float(ng_closed_form(program.amplitudes[:, None], [basis])[0][0, 0])
 
 
 def uqcm_program_ng(num_clone_qubits: int) -> SoftwareState:

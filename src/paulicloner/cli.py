@@ -278,11 +278,12 @@ def _transfer_check(rng, count: int) -> float:
 
 
 def _bob_fidelity_check(rng, count: int) -> float:
-    """The generalized Bob fidelity against the two-qubit NG closed form."""
+    """The generalized Bob fidelity against the engine's, on every two-qubit state."""
     programs = [_random_program(rng, 2) for _ in range(count)]
-    got = [[analytic.ng_nq_bob_fidelity(s, b) for b in mubs_for(2).bases] for s in programs]
-    reports = [analytic.ng2q_fidelities(s) for s in programs]
-    return _max_abs(got, [[r.f_ab[b.label] for b in mubs_for(2).bases] for r in reports])
+    bases = mubs_for(2).bases
+    got = [[analytic.ng_nq_bob_fidelity(s, b) for b in bases] for s in programs]
+    engine_bob = _engine_columns(ClonerKind.NG, 2, programs)[:, 0]
+    return _max_abs(engine_bob, np.repeat(got, len(bases[0].states), axis=1))
 
 
 def _unitarity_check(rng, count: int) -> float:

@@ -438,6 +438,9 @@ def clone_fidelities(
     return FidelityReport.from_per_state(per_ab, per_ae)
 
 
+B92_INPUTS = {"0": np.array([1.0, 0.0]), "+": np.array([1.0, 1.0]) / math.sqrt(2)}
+
+
 def b92_per_state_fidelities(circuit: Circuit) -> dict:
     """Clone fidelities of a 2-qubit circuit for the inputs |0> and |+>.
 
@@ -446,10 +449,8 @@ def b92_per_state_fidelities(circuit: Circuit) -> dict:
     """
     if circuit.num_qubits != 2:
         raise ValueError("B92 cloning circuits act on exactly 2 qubits")
-    s = 1 / math.sqrt(2)
-    inputs = {"0": np.array([1.0, 0.0]), "+": np.array([s, s])}
     out = {}
-    for label, amps in inputs.items():
+    for label, amps in B92_INPUTS.items():
         st = inject_state(basis_state(2, 0), (0,), amps)
         final = simcore.apply_circuit(st, circuit)
         ref = StateVector(1, amps)

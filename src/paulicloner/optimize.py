@@ -44,8 +44,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import uqcm_program_ng
+from .analytic import ng_closed_form, uqcm_program_ng
 from .cloner import (
+    B92_INPUTS,
     ClonerKind,
     FidelityReport,
     SoftwareState,
@@ -60,8 +61,7 @@ from .simcore import Circuit, GateOp, apply_ops, rotation_block, rotation_blocks
 
 logger = logging.getLogger("paulicloner")
 
-_B92_INPUTS = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)], dtype=complex)
-_B92_LABELS = ("0", "+")  # the inputs' labels in b92_per_state_fidelities
+_B92_INPUTS = np.array(list(B92_INPUTS.values()), dtype=complex)
 
 # Each trained ansatz as (layers, qubits, CNOT pairs, input states): a layer
 # applies RX, RY, RZ to every qubit in qubit order, then CNOT on each
@@ -547,8 +547,11 @@ def pccm_reference_eve(f_ab_avg: float, channel: PauliChannel | None) -> float:
     Bob average equals ``f_ab_avg``."""
     p = _xyz_probs(channel)
     q_z, q_x = p["X"] + p["Y"], p["Y"] + p["Z"]
-    t = (2 * f_ab_avg - q_z - q_x) / (2 - 2 * q_z - 2 * q_x)
-    if not -1e-12 <= t - 0.5 <= 0.5 + 1e-12:
+    span = 2 - 2 * q_z - 2 * q_x
+    if abs(span) <= 1e-12 and abs(f_ab_avg - 0.5) <= 1e-12:
+        return 0.5  # p_X + 2 p_Y + p_Z = 1 puts every such cloner at Bob = Eve = 1/2
+    t = (2 * f_ab_avg - q_z - q_x) / span if abs(span) > 1e-12 else math.nan
+    if not -1e-12 <= t - 0.5 <= 0.5 + 1e-12:  # a NaN t fails too
         raise ValueError(f"no Bob-favoring phase-covariant cloner reaches {f_ab_avg}")
     t = min(max(t, 0.5), 1.0)
     eve = 0.5 + math.sqrt(t * (1.0 - t))
@@ -572,9 +575,10 @@ def uqcm_reference_curve(channel: PauliChannel | None):
     b = math.cos(math.pi / 4) * np.sin(rho)
     c = np.sin(theta) * np.cos(rho)
     d = math.sin(math.pi / 4) * np.sin(rho)
+    # universal cloners: the Z basis stands for all three
     return tuple(
         sum(noisy_fidelity_1q(f, bl, p["X"], p["Y"], p["Z"]) for bl in "ZXY") / 3
-        for f in (a**2 + c**2, 0.5 + a * c + b * d)
+        for (f,) in ng_closed_form(np.array([a, b, c, d]), [mubs_for(1)["Z"]])
     )
 
 
@@ -721,8 +725,8 @@ def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
         if ansatz == "b92":
             per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
             report = FidelityReport.from_per_state(
-                {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ab[0])},
-                {lbl: (f,) for lbl, f in zip(_B92_LABELS, per_ae[0])},
+                {lbl: (f,) for lbl, f in zip(B92_INPUTS, per_ab[0])},
+                {lbl: (f,) for lbl, f in zip(B92_INPUTS, per_ae[0])},
             )
         else:
             report = report_from_forms(unit_forms[u], program_prep_state(p))
@@ -809,6 +813,8 @@ def frontier_sweep(
         raise ValueError("f targets must lie in [0, 1]")
     if task == "pairs" and channel is not None:
         raise ValueError("the reduced-pairs task is noiseless")
+    if task == "b92" and channel is not None:
+        raise ValueError("the b92 task is noiseless")
     f_values = sorted(f_values)
     cfg = default_task_config(task) if cfg is None else cfg
     n, solver, _ = _TASK_SPECS[task]

@@ -15,7 +15,6 @@ from oracle import central_difference
 
 from paulicloner import optimize as opt
 from paulicloner.analytic import (
-    ng1q_fidelities,
     ng_fidelities,
     qid1q_fidelities,
     qid_closed_form,
@@ -56,7 +55,7 @@ def test_c01_symmetric_universal_single_qubit():
     start = time.monotonic()
     program = table1_angles("uqcm").to_program()
     simulated = clone_fidelities(ClonerKind.NG, 1, program)
-    closed = ng1q_fidelities(program)
+    closed = ng_fidelities(program)
     for lbl in "ZXY":
         assert simulated.f_ab[lbl] == pytest.approx(5 / 6, abs=1e-10)
         assert simulated.f_ae[lbl] == pytest.approx(5 / 6, abs=1e-10)
@@ -105,7 +104,7 @@ def test_c03_symmetric_phase_covariant():
             assert report.f_ae[lbl] == pytest.approx(expect, abs=1e-10)
     ng_prog = table1_angles("pccm").to_program()
     for report in (
-        ng1q_fidelities(ng_prog),
+        ng_fidelities(ng_prog),
         clone_fidelities(ClonerKind.NG, 1, ng_prog),
     ):
         for lbl in "XZ":  # the NG machine covers the Z/X plane

@@ -5,9 +5,9 @@ import pytest
 
 from paulicloner.analytic import (
     ImbalanceEta,
-    ng1q_fidelities,
-    ng2q_fidelities,
+    ng_closed_form,
     ng_eve_pairs,
+    ng_fidelities,
     ng_nq_bob_fidelity,
     ng_stabilizer_indices,
     qid1q_fidelities,
@@ -39,12 +39,12 @@ def random_program(rng, n, complex_amps=False):
 
 class TestNg1q:
     def test_e0(self):
-        report = ng1q_fidelities(SoftwareState.computational(1))
+        report = ng_fidelities(SoftwareState.computational(1))
         assert all(report.f_ab[b] == 1.0 for b in "ZXY")
         assert all(report.f_ae[b] == 0.5 for b in "ZXY")
 
     def test_symmetric_universal(self):
-        report = ng1q_fidelities(table1_angles("uqcm").to_program())
+        report = ng_fidelities(table1_angles("uqcm").to_program())
         for b in "ZXY":
             assert report.f_ab[b] == pytest.approx(5 / 6, abs=1e-12)
             assert report.f_ae[b] == pytest.approx(5 / 6, abs=1e-12)
@@ -53,7 +53,7 @@ class TestNg1q:
         rng = np.random.default_rng(0)
         for _ in range(100):
             s = random_program(rng, 1, complex_amps=rng.random() < 0.5)
-            got = ng1q_fidelities(s)
+            got = ng_fidelities(s)
             ref = clone_fidelities(ClonerKind.NG, 1, s)
             for b in "ZXY":
                 assert got.f_ab[b] == pytest.approx(ref.f_ab[b], abs=1e-10)
@@ -87,7 +87,7 @@ class TestQid1q:
 
 class TestNg2q:
     def test_e0(self):
-        report = ng2q_fidelities(SoftwareState.computational(2))
+        report = ng_fidelities(SoftwareState.computational(2))
         for lbl in report.basis_labels:
             assert report.f_ab[lbl] == 1.0
             assert report.f_ae[lbl] == pytest.approx(0.25)
@@ -96,7 +96,7 @@ class TestNg2q:
         prog = uqcm_program_ng(2)
         assert prog.amplitudes[0] == pytest.approx(math.sqrt(5 / 8))
         assert prog.amplitudes[1] == pytest.approx(math.sqrt(1 / 40))
-        report = ng2q_fidelities(prog)
+        report = ng_fidelities(prog)
         for lbl in report.basis_labels:
             assert report.f_ab[lbl] == pytest.approx(0.7, abs=1e-12)
             assert report.f_ae[lbl] == pytest.approx(0.7, abs=1e-12)
@@ -105,16 +105,21 @@ class TestNg2q:
         rng = np.random.default_rng(2)
         for _ in range(60):
             s = random_program(rng, 2)
-            got = ng2q_fidelities(s)
+            got = ng_fidelities(s)
             ref = clone_fidelities(ClonerKind.NG, 2, s)
             for lbl in ref.basis_labels:
                 assert got.f_ab[lbl] == pytest.approx(ref.f_ab[lbl], abs=1e-10)
                 assert got.f_ae[lbl] == pytest.approx(ref.f_ae[lbl], abs=1e-10)
 
-    def test_rejects_complex_programs(self):
+    def test_matches_simulation_on_complex_programs(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            ng2q_fidelities(random_program(rng, 2, complex_amps=True))
+        for _ in range(20):
+            s = random_program(rng, 2, complex_amps=True)
+            got = ng_fidelities(s)
+            ref = clone_fidelities(ClonerKind.NG, 2, s)
+            for lbl in ref.basis_labels:
+                assert got.f_ab[lbl] == pytest.approx(ref.f_ab[lbl], abs=1e-10)
+                assert got.f_ae[lbl] == pytest.approx(ref.f_ae[lbl], abs=1e-10)
 
     def test_bob_index_sets(self):
         idx = ng_stabilizer_indices(2)
@@ -137,7 +142,40 @@ class TestNg2q:
         assert len(seen) == 16 * 15 // 2
 
 
+class TestNgClosedForm:
+    """The one stabilizer rule against the engine, per state, on complex programs."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_state_of_every_basis(self, n):
+        rng = np.random.default_rng(10 + n)
+        programs = [random_program(rng, n, complex_amps=True) for _ in range(100)]
+        bases = mubs_for(n).bases
+        f_ab, f_ae = ng_closed_form(np.stack([s.amplitudes for s in programs], 1), bases)
+        for k, s in enumerate(programs):
+            ref = clone_fidelities(ClonerKind.NG, n, s)
+            report = ng_fidelities(s)
+            for i, basis in enumerate(bases):
+                for got, closed, want in (
+                    (f_ab[i, k], report.per_state_ab, ref.per_state_ab),
+                    (f_ae[i, k], report.per_state_ae, ref.per_state_ae),
+                ):
+                    assert len(want[basis.label]) == 2**n
+                    np.testing.assert_allclose(want[basis.label], got, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        want[basis.label], closed[basis.label], rtol=0, atol=1e-12
+                    )
+
+    def test_register_size_mismatch(self):
+        with pytest.raises(ValueError, match="register sizes differ"):
+            ng_closed_form(np.ones((16, 1)), mubs_for(1).bases)
+
+
 class TestQid2q:
+    def test_rejects_complex_programs(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="real programs only"):
+            qid2q_fidelities(random_program(rng, 2, complex_amps=True))
+
     def test_e0(self):
         report = qid2q_fidelities(SoftwareState.computational(2))
         assert report.f_ab["M0"] == 1.0
@@ -188,7 +226,7 @@ class TestGeneralizedBobFidelity:
         mubs = mubs_for(2)
         for _ in range(20):
             s = random_program(rng, 2)
-            report = ng2q_fidelities(s)
+            report = ng_fidelities(s)
             for basis in mubs.bases:
                 assert ng_nq_bob_fidelity(s, basis) == pytest.approx(
                     report.f_ab[basis.label], abs=1e-12
@@ -232,7 +270,7 @@ class TestUqcmProgram:
         prog = uqcm_program_ng(1)
         assert prog.amplitudes[0] == pytest.approx(math.sqrt(3 / 4))
         assert prog.amplitudes[1] == pytest.approx(math.sqrt(1 / 12))
-        report = ng1q_fidelities(prog)
+        report = ng_fidelities(prog)
         assert report.f_ab_avg == pytest.approx(5 / 6, abs=1e-12)
 
     def test_fidelity_formula(self):
@@ -252,7 +290,7 @@ class TestTable1Angles:
 
     def test_universal_family_is_universal_for_both(self):
         for theta in (0.1, 0.3, 0.5, 0.8):
-            report = ng1q_fidelities(table1_angles("uqcm", theta=theta).to_program())
+            report = ng_fidelities(table1_angles("uqcm", theta=theta).to_program())
             assert np.ptp(list(report.f_ab.values())) < 1e-12
             assert np.ptp(list(report.f_ae.values())) < 1e-12
 
@@ -260,7 +298,7 @@ class TestTable1Angles:
         assert table1_angles("imbalanced", eta=1.0) == table1_angles("pccm")
 
     def test_pccm_covers_z_and_x(self):
-        report = ng1q_fidelities(table1_angles("pccm").to_program())
+        report = ng_fidelities(table1_angles("pccm").to_program())
         expect = (1 + math.cos(math.pi / 4)) / 2
         assert report.f_ab["Z"] == pytest.approx(expect, abs=1e-12)
         assert report.f_ab["X"] == pytest.approx(expect, abs=1e-12)
@@ -363,12 +401,12 @@ class TestRealOptimality:
                 )
 
             def real_objective(params):
-                return -score(ng1q_fidelities(ng_angles_to_program(NgAngles(*params))))
+                return -score(ng_fidelities(ng_angles_to_program(NgAngles(*params))))
 
             def complex_objective(params):
                 base = ng_angles_to_program(NgAngles(*params[:3])).amplitudes
                 phases = np.exp(1j * np.concatenate([[0.0], params[3:]]))
-                return -score(ng1q_fidelities(SoftwareState(base * phases)))
+                return -score(ng_fidelities(SoftwareState(base * phases)))
 
             def real_loss_and_grad(params):
                 values = np.array([real_objective(p) for p in params])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import paulicloner
-from paulicloner import analytic, cli, optimize, simcore
+from paulicloner import analytic, cli, mub, optimize, simcore
 from paulicloner.cloner import ClonerKind, FidelityReport, SoftwareState, clone_fidelities
 from paulicloner.mub import mubs_for
 from paulicloner.noise import parse_channel_spec
@@ -238,35 +238,40 @@ class TestValidateBatches:
         assert lines[-1] == "14/14 checks passed"
 
     def test_complex_program_term_of_ng_1q(self, capsys, monkeypatch):
-        original = analytic.ng1q_fidelities
+        original = analytic.ng_fidelities
         complex_seen = []
 
         def dropped_conjugate(s):
             # Eve's Z term as Re(a c) instead of Re(a c*): equal on real programs
             rep = original(s)
+            if s.num_clone_qubits != 1:
+                return rep
             complex_seen.append(not s.is_real)
             a, b, c, d = s.amplitudes
             f_z = 0.5 + float(np.real(a * c) + np.real(b * np.conj(d)))
             per_ae = dict(rep.per_state_ae, Z=(f_z, f_z))
             return FidelityReport.from_per_state(rep.per_state_ab, per_ae)
 
-        monkeypatch.setattr(analytic, "ng1q_fidelities", dropped_conjugate)
+        monkeypatch.setattr(analytic, "ng_fidelities", dropped_conjugate)
         code, out, _ = run_cli(capsys, "validate", "--trials", "10", "--seed", "3")
         assert any(complex_seen) and not all(complex_seen)
         assert code == 1
         assert failed_checks(out) == ["analytic-vs-sim-ng-1q"]
 
     def test_ng_2q_stabilizer_set(self, capsys, monkeypatch):
-        analytic.ng_eve_pairs(2)  # cached before the patch: only Bob's sets change
-        original = analytic.ng_stabilizer_indices
+        # the rule reads each basis's invariant mask; the patched property
+        # overrides the masks cached on the basis objects, and the index sets
+        # are cached whole before the patch, so none keeps the planted defect
+        analytic.ng_eve_pairs(2)
+        cached = mub.MubBasis.invariant_mask
 
-        def one_index_short(n):
-            sets = dict(original(n))
-            if n == 2:
-                sets["M1"] = sets["M1"][:-1]
-            return sets
+        def m1_one_stabilizer_short(basis):
+            mask = cached.__get__(basis).copy()
+            if basis.num_qubits == 2 and basis.label == "M1":
+                mask[np.flatnonzero(mask)[-1]] = False
+            return mask
 
-        monkeypatch.setattr(analytic, "ng_stabilizer_indices", one_index_short)
+        monkeypatch.setattr(mub.MubBasis, "invariant_mask", property(m1_one_stabilizer_short))
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert "analytic-vs-sim-ng-2q" in failed_checks(out)
@@ -435,6 +440,30 @@ class TestSweepCommand:
             for lbl in bases.split(","):
                 assert abs(payload["f_ab"][lbl] - float(row[f"F_AB_{lbl}"])) < 1e-9
                 assert abs(payload["f_ae"][lbl] - float(row[f"F_AE_{lbl}"])) < 1e-9
+
+    @pytest.mark.parametrize("noise", ["Y=0.5", "X=1", "Z=1", "X=0.5,Z=0.5", "X=0.25,Y=0.25,Z=0.25"])
+    def test_bb84_where_every_phase_covariant_cloner_sits_at_one_half(self, capsys, noise):
+        # p_X + 2 p_Y + p_Z = 1: the pccm reference exists at f = 1/2 only
+        argv = ["sweep", "--task", "bb84", "--noise", noise, "--f", "0.45:0.6:0.05"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = [r for r in csv.DictReader(out.splitlines()[1:]) if r["series"] == "pccm"]
+        assert [(r["f_target"], r["F_AB_avg"], r["F_AE_avg"]) for r in rows] == [
+            ("0.5", "0.5", "0.5")
+        ]
+        for target, count in (("0.5", 1), ("0.6", 0)):
+            argv = ["optimize", "--task", "bb84", "--noise", noise, "--f-target", target]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            rows = [r for r in json.loads(out)["rows"] if r["series"] == "pccm"]
+            assert [(r["f_ab_avg"], r["f_ae_avg"]) for r in rows] == [(0.5, 0.5)] * count
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--f", "0.8:0.8:0.1"], ["optimize", "--f-target", "0.8"]]
+    )
+    def test_b92_rejects_a_channel(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--task", "b92", "--noise", "X=0.3")
+        assert (code, out, err) == (2, "", "error: the b92 task is noiseless\n")
 
     def test_too_many_targets_exit_2_at_once(self, capsys):
         # counted, not enumerated: 10^12 targets fail before any list is built

@@ -10,6 +10,7 @@ from oracle import central_difference, reference_fidelities
 from paulicloner.analytic import table1_angles
 from paulicloner import optimize
 from paulicloner.cloner import (
+    B92_INPUTS,
     ClonerKind,
     SoftwareState,
     b92_per_state_fidelities,
@@ -105,6 +106,12 @@ class TestAnsatz:
             psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             layer = apply_ops(psi, n, [GateOp("CNOT", pair) for pair in cnots])
             np.testing.assert_array_equal(psi[ENTANGLERS[kind]], layer)
+
+    def test_b92_inputs_are_the_oracles(self):
+        # Alice's |0> and |+> on Bob's qubit, in the oracle's order; Eve's in |0>
+        want = [np.kron(v, [1.0, 0.0]) for v in B92_INPUTS.values()]
+        np.testing.assert_array_equal(ANSATZ_LAYOUTS["b92"][3], want)
+        assert list(B92_INPUTS) == ["0", "+"]
 
     def test_b92_fast_fidelities_match_circuit(self):
         from paulicloner.cloner import b92_per_state_fidelities
@@ -622,6 +629,22 @@ class TestSweep:
             for got, f in ((xs[i], a**2 + c**2), (ys[i], 0.5 + a * c + b * d)):
                 want = np.mean([noisy_fidelity_1q(f, bl, 0.25, 0.0, 0.1) for bl in "ZXY"])
                 assert got == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("xyz", [(0.0, 0.5, 0.0), (1.0, 0.0, 0.0), (0.25, 0.25, 0.25)])
+    def test_pccm_reference_where_the_family_sits_at_one_half(self, xyz):
+        # p_X + 2 p_Y + p_Z = 1: by simulation every phase-covariant cloner
+        # has noisy Bob and Eve averages 1/2, so f = 1/2 is the only target
+        ch = PauliChannel.from_xyz(*xyz)
+        bases = [mubs_for(1)[lbl] for lbl in "ZX"]
+        for theta in (0.0, 0.3, math.pi / 8, 0.7):
+            program = table1_angles("pccm", theta=theta).to_program()
+            rep = clone_fidelities(ClonerKind.NG, 1, program, ch, bases)
+            assert rep.f_ab_avg == pytest.approx(0.5, abs=1e-12)
+            assert rep.f_ae_avg == pytest.approx(0.5, abs=1e-12)
+        assert optimize.pccm_reference_eve(0.5, ch) == 0.5
+        for f in (0.45, 0.5 + 1e-9, 0.6):
+            with pytest.raises(ValueError, match="no Bob-favoring"):
+                optimize.pccm_reference_eve(f, ch)
 
     def test_sixstate_beats_universal_reference(self):
         # biased noise (p_X=0.25, p_Z=0.1): the optimized cloner must beat

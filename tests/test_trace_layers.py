@@ -1,26 +1,37 @@
-"""The benchmark's layer tracer binds package functions by name; a renamed or
-removed binding, or a changed call shape, must fail here rather than in the
-benchmark's traced run."""
+"""The benchmark's layer tracer and its output checks bind package functions
+by name; a renamed or removed binding, or a changed call shape, must fail here
+rather than in the benchmark's run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paulicloner import cloner, optimize
+from paulicloner import cli, cloner, optimize
 from paulicloner.optimize import OptimizerConfig, frontier_sweep
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def trace_layers():
-    spec = importlib.util.spec_from_file_location("trace_layers", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("trace_layers")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_install_patches_every_binding_and_uninstall_restores_it(trace_layers):
@@ -61,3 +72,12 @@ def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     assert metrics["optimize.gradient.calls"][0] == 1
     assert metrics["cloner.build_cloner.calls"][0] == 2
     assert metrics["cloner.build_cloner.distinct"][0] == 2
+
+
+@pytest.mark.parametrize("name", ["validate", "sweep-twenty", "sweep-b92"])
+def test_each_workload_passes_its_own_output_check(workloads, capsys, name):
+    # the workload's argv, cut down: the checks replay every row whatever its size
+    workload = workloads.WORKLOADS[name]
+    small = ["--trials", "5"] if name == "validate" else ["--steps", "2", "--restarts", "1"]
+    code = cli.main(workload.cli_args(0) + small)
+    assert workload.check(code, capsys.readouterr().out).problems == []
