@@ -137,8 +137,8 @@ _QID2Q_AE_M34 = (
 )
 
 
-def _pair_sum(a: np.ndarray, table) -> float:
-    return float(0.25 + 0.5 * sum(s * a[i] * a[j] for i, j, s in table))
+def _pair_sum(a: list[float], table) -> float:
+    return 0.25 + 0.5 * sum(s * a[i] * a[j] for i, j, s in table)
 
 
 def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
@@ -150,9 +150,9 @@ def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
     """
     if s.num_clone_qubits != 2:
         raise ValueError("expected a two-qubit program")
-    a = _require_real(s)
-    ab_m0 = float(a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2)
-    ae_m0 = float(a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2)
+    a = _require_real(s).tolist()  # Python floats: same values, less per-term overhead
+    ab_m0 = a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2
+    ae_m0 = a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
     ab_02, ab_13 = _pair_sum(a, _QID2Q_AB_M1_02), _pair_sum(a, _QID2Q_AB_M1_13)
     ae_02, ae_13 = _pair_sum(a, _QID2Q_AE_M1_02), _pair_sum(a, _QID2Q_AE_M1_13)
     ab_m2, ae_m2 = _pair_sum(a, _QID2Q_AB_M2), _pair_sum(a, _QID2Q_AE_M2)

@@ -312,7 +312,8 @@ def action_table(num_qubits: int) -> np.ndarray:
     """0/1 grid over (error rows x bases): 0 = basis invariant, 1 = permuted.
 
     Rows follow SINGLE_QUBIT_ERROR_ROWS / TWO_QUBIT_ERROR_ROWS; columns are
-    X, Y, Z for one qubit and M0 .. M4 for two.
+    X, Y, Z for one qubit and M0 .. M4 for two.  Entries read each basis's
+    ``invariant_mask``; a row whose errors disagree raises RuntimeError.
     """
     if num_qubits == 1:
         rows, bases = SINGLE_QUBIT_ERROR_ROWS, [
@@ -325,11 +326,10 @@ def action_table(num_qubits: int) -> np.ndarray:
     table = np.zeros((len(rows), len(bases)), dtype=int)
     for r, triplet in enumerate(rows):
         for c, basis in enumerate(bases):
-            bits = {int(not pauli_action(p, basis).is_invariant) for p in triplet}
+            bits = {int(not basis.invariant_mask[pauli_to_index(p)]) for p in triplet}
             if len(bits) != 1:
-                raise RuntimeError(
-                    f"errors {triplet} disagree on basis {basis.label}"
-                )
+                errors = ", ".join(map(str, triplet))
+                raise RuntimeError(f"errors {errors} disagree on basis {basis.label}")
             table[r, c] = bits.pop()
     return table
 

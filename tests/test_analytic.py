@@ -25,7 +25,7 @@ from paulicloner.cloner import (
     clone_fidelities,
     ng_angles_to_program,
 )
-from paulicloner import mub
+from paulicloner import analytic, mub
 from paulicloner.mub import MubBasis, mubs_for
 from paulicloner.simcore import StateVector
 
@@ -211,6 +211,36 @@ class TestQid2q:
                 np.testing.assert_allclose(
                     got.per_state_ae[lbl], ref.per_state_ae[lbl], atol=1e-10
                 )
+
+    def test_equals_the_numpy_scalar_evaluation_bit_for_bit(self):
+        # reference: the same sums on numpy scalars instead of Python floats
+        def reference(s):
+            a = s.amplitudes.real
+
+            def pair_sum(table):
+                return float(0.25 + 0.5 * sum(sg * a[i] * a[j] for i, j, sg in table))
+
+            m0 = [
+                float(a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2),
+                float(a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2),
+            ]
+            tables = (
+                analytic._QID2Q_AB_M1_02, analytic._QID2Q_AB_M1_13,
+                analytic._QID2Q_AE_M1_02, analytic._QID2Q_AE_M1_13,
+                analytic._QID2Q_AB_M2, analytic._QID2Q_AE_M2,
+                analytic._QID2Q_AB_M34, analytic._QID2Q_AE_M34,
+            )
+            return m0 + [pair_sum(t) for t in tables]
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            s = random_program(rng, 2)
+            r = qid2q_fidelities(s)
+            ab, ae = r.per_state_ab, r.per_state_ae
+            got = [ab["M0"][0], ae["M0"][0], *ab["M1"][:2], *ae["M1"][:2]]
+            got += [ab["M2"][0], ae["M2"][0], ab["M3"][0], ae["M3"][0]]
+            assert got == reference(s)
+            assert all(type(f) is float for v in (*ab.values(), *ae.values()) for f in v)
 
     def test_m3_m4_always_coincide(self):
         rng = np.random.default_rng(5)

@@ -226,6 +226,36 @@ def failed_checks(out: str) -> list[str]:
     return [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
 
 
+class TestRandomCircuits:
+    """The bulk draws behind circuit-unitarity cover what the check claims."""
+
+    def test_draws_cover_every_size_gate_and_control(self):
+        draws = cli._random_circuits(np.random.default_rng(0), 200)
+        assert len(draws) == 200
+        circuits = [c for c, _ in draws]
+        assert {c.num_qubits for c in circuits} == {2, 3, 4}
+        ops = [(c.num_qubits, op) for c in circuits for op in c.ops]
+        assert {op.name for _, op in ops} == set(simcore.GATE_NAMES)
+        assert {op.control_value for _, op in ops if op.name == "CRY"} == {0, 1}
+        # qubits come in either order, and the top qubit of a register is reached
+        assert {op.qubits for n, op in ops if op.name == "CNOT" and n == 2} == {(0, 1), (1, 0)}
+        assert {op.qubits[0] for n, op in ops if n == 4 and len(op.qubits) == 1} == {0, 1, 2, 3}
+        for n, op in ops:
+            assert simcore.GATE_ARITY[op.name] <= n
+            assert len(set(op.qubits)) == len(op.qubits)
+            assert all(0 <= q < n for q in op.qubits)
+            assert (op.angle is not None) == (op.name in simcore.ROTATION_GATES)
+        for c, v in draws:
+            assert v.shape == (2**c.num_qubits,)
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+    def test_equal_seeds_give_equal_circuits(self):
+        a = cli._random_circuits(np.random.default_rng(0), 200)
+        b = cli._random_circuits(np.random.default_rng(0), 200)
+        assert [c for c, _ in a] == [c for c, _ in b]
+        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(a, b))
+
+
 class TestValidateBatches:
     """Each batched check still fails on a defect planted in what it checks."""
 
@@ -290,7 +320,8 @@ class TestValidateBatches:
         original = cli.fidelity_columns
 
         def nan_in_last_column(kind, n, *args):
-            cols = original(kind, n, *args)
+            # copies: a one-column call returns read-only diagonal views
+            cols = tuple(f.copy() for f in original(kind, n, *args))
             if n == 1:
                 for f in cols:
                     f[:, -1] = math.nan
@@ -321,6 +352,47 @@ class TestValidateBatches:
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["circuit-unitarity"]
+
+    def test_cry_with_control_zero_off_by_1e9(self, capsys, monkeypatch):
+        original = simcore.GateOp.matrix
+
+        def scaled_cry0(op):
+            m = original(op)
+            return m * (1 + 1e-9) if op.name == "CRY" and op.control_value == 0 else m
+
+        monkeypatch.setattr(simcore.GateOp, "matrix", scaled_cry0)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["circuit-unitarity"]
+
+    def test_s_inverse_as_a_single_s(self, capsys, monkeypatch):
+        original = simcore.GateOp.inverse
+
+        def one_s(op):
+            return (op,) if op.name == "S" else original(op)
+
+        monkeypatch.setattr(simcore.GateOp, "inverse", one_s)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["circuit-unitarity"]
+
+    def test_disagreeing_table_row_fails_action_table(self, capsys, monkeypatch):
+        # IX now fixes M0 while XX and XI still permute it: the first row disagrees
+        cached = mub.MubBasis.invariant_mask
+
+        def ix_fixes_m0(basis):
+            mask = cached.__get__(basis).copy()
+            if basis.num_qubits == 2 and basis.label == "M0":
+                mask[mub.pauli_to_index(mub.PauliString("IX"))] = True
+            return mask
+
+        monkeypatch.setattr(mub.MubBasis, "invariant_mask", property(ix_fixes_m0))
+        code, out, err = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == VALIDATE_CHECKS
+        assert "action-table" in failed_checks(out)
+        assert "[FAIL] action-table                 max deviation nan" in out
 
     @pytest.mark.parametrize("position", [0, 4])
     def test_nan_anywhere_in_a_batch(self, capsys, monkeypatch, position):

@@ -177,6 +177,23 @@ class TestActionTable:
         with pytest.raises(ValueError):
             action_table(3)
 
+    def test_reads_each_basis_mask(self, monkeypatch):
+        # the table is read from invariant_mask; a row that disagrees raises
+        cached = MubBasis.invariant_mask
+
+        def ix_fixes_m0(basis):
+            mask = cached.__get__(basis).copy()
+            if basis.num_qubits == 2 and basis.label == "M0":
+                mask[pauli_to_index(PauliString("IX"))] = True
+            return mask
+
+        monkeypatch.setattr(MubBasis, "invariant_mask", property(ix_fixes_m0))
+        np.testing.assert_array_equal(
+            action_table(1), np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
+        )
+        with pytest.raises(RuntimeError, match="^errors XX, IX, XI disagree on basis M0$"):
+            action_table(2)
+
 
 class TestCommutingClasses:
     def test_single_qubit(self):
