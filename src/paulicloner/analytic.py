@@ -1,14 +1,18 @@
 """Closed-form clone fidelities and named program states.
 
 Every fidelity of the NG and QID circuits is a quadratic form in the program
-amplitudes.  For the NG family one stabilizer rule gives them all, at any
-register size and for complex programs (``ng_closed_form``): Bob's fidelity
-in a basis is the program weight on the indices j whose (z|x)-encoded Pauli
-string fixes that basis, and Eve's collects the real parts of the cross
-terms conj(a_i xor s) a_i over the same stabilizers s.  The QID coefficient
-tables do not have such a uniform rule and are stored explicitly; the
-single-qubit QID evaluator accepts complex programs, the two-qubit one real
-programs only.
+amplitudes.  Like the engine (``cloner.fidelity_columns``), the closed forms
+take programs as columns (4^N, P) and evaluate them all in one call, each
+program's values independent of the others.  For the NG family one
+stabilizer rule gives them all, at any register size and for complex
+programs (``ng_closed_form``): Bob's fidelity in a basis is the program
+weight on the indices j whose (z|x)-encoded Pauli string fixes that basis,
+and Eve's collects the real parts of the cross terms conj(a_i xor s) a_i
+over the same stabilizers s.  The QID coefficient tables do not have such a
+uniform rule and are stored explicitly (``qid_fidelity_columns``); the
+single-qubit QID forms accept complex programs, the two-qubit ones real
+programs only.  ``ng_fidelities``, ``qid_fidelities`` and their per-size
+variants wrap one program's columns in a ``FidelityReport``.
 """
 
 from __future__ import annotations
@@ -39,31 +43,6 @@ class ImbalanceEta:
         return cls((1 - 2 * p_z - 2 * p_y) / (1 - 2 * p_x - 2 * p_y))
 
 
-def _uniform_report(f_ab: dict, f_ae: dict, states_per_basis: int) -> FidelityReport:
-    per_ab = {k: (v,) * states_per_basis for k, v in f_ab.items()}
-    per_ae = {k: (v,) * states_per_basis for k, v in f_ae.items()}
-    return FidelityReport.from_per_state(per_ab, per_ae)
-
-
-def qid1q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Single-qubit QID fidelities; X and Y differ only in one relative sign."""
-    if s.num_clone_qubits != 1:
-        raise ValueError("expected a single-qubit program")
-    a, b, c, d = s.amplitudes
-    re = lambda u, v: float(np.real(u * np.conj(v)))
-    f_ab = {
-        "Z": abs(a) ** 2 + abs(d) ** 2,
-        "X": re(a, d) + re(b, c) + 0.5,
-        "Y": re(a, d) - re(b, c) + 0.5,
-    }
-    f_ae = {
-        "Z": abs(a) ** 2 + abs(b) ** 2,
-        "X": re(a, b) + re(c, d) + 0.5,
-        "Y": re(a, b) - re(c, d) + 0.5,
-    }
-    return _uniform_report(f_ab, f_ae, 2)
-
-
 @lru_cache(maxsize=None)
 def ng_stabilizer_indices(num_clone_qubits: int) -> dict:
     """Program indices (>= 1) whose Pauli string leaves each basis invariant."""
@@ -81,12 +60,6 @@ def ng_eve_pairs(num_clone_qubits: int) -> dict:
         label: tuple((i, j) for i, j in pairs if (i ^ j) in idx)
         for label, idx in ng_stabilizer_indices(num_clone_qubits).items()
     }
-
-
-def _require_real(s: SoftwareState) -> np.ndarray:
-    if not s.is_real:
-        raise ValueError("two-qubit QID closed forms support real programs only")
-    return s.amplitudes.real
 
 
 # QID two-qubit coefficient tables: (i, j, sign) triples, fidelity =
@@ -137,41 +110,63 @@ _QID2Q_AE_M34 = (
 )
 
 
-def _pair_sum(a: list[float], table) -> float:
-    return 0.25 + 0.5 * sum(s * a[i] * a[j] for i, j, s in table)
+def _pair_sum(a: np.ndarray, table) -> np.ndarray:
+    """1/4 + 1/2 sum sign a_i a_j over rows a_i, the terms added in table order."""
+    return 0.25 + 0.5 * sum(sign * a[i] * a[j] for i, j, sign in table)
 
 
-def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Two-qubit QID fidelities for a real program.
+def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's QID fidelities, each (state, program), of program
+    columns (4^N, P) for N = 1 or 2, in the engine's order: the states of
+    ``mubs_for(N)`` basis by basis.
 
-    The M1 fidelities are not uniform: states 0 and 2 share one value,
-    states 1 and 3 another.  M3 and M4 always coincide, which is why this
-    circuit cannot trade fidelity between those two bases.
+    At N = 1 the X and Y fidelities differ only in one relative sign.  At
+    N = 2 the programs must be real; the M1 fidelities are not uniform
+    (states 0 and 2 share one value, states 1 and 3 another), and M3 and M4
+    always coincide, which is why this circuit cannot trade fidelity between
+    those two bases.
     """
-    if s.num_clone_qubits != 2:
-        raise ValueError("expected a two-qubit program")
-    a = _require_real(s).tolist()  # Python floats: same values, less per-term overhead
+    columns = np.asarray(columns)
+    if len(columns) == 4:
+        a, b, c, d = columns
+        re = lambda u, v: (u * v.conj()).real
+        f_ab = [abs(a) ** 2 + abs(d) ** 2, re(a, d) + re(b, c) + 0.5, re(a, d) - re(b, c) + 0.5]
+        f_ae = [abs(a) ** 2 + abs(b) ** 2, re(a, b) + re(c, d) + 0.5, re(a, b) - re(c, d) + 0.5]
+        return np.repeat(f_ab, 2, axis=0), np.repeat(f_ae, 2, axis=0)
+    if len(columns) != 16:
+        raise ValueError("QID closed forms exist for 1- and 2-qubit programs")
+    if not np.all(np.abs(columns.imag) < 1e-12):
+        raise ValueError("two-qubit QID closed forms support real programs only")
+    a = columns.real
     ab_m0 = a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2
     ae_m0 = a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
+    # the tables are read at call time
     ab_02, ab_13 = _pair_sum(a, _QID2Q_AB_M1_02), _pair_sum(a, _QID2Q_AB_M1_13)
     ae_02, ae_13 = _pair_sum(a, _QID2Q_AE_M1_02), _pair_sum(a, _QID2Q_AE_M1_13)
     ab_m2, ae_m2 = _pair_sum(a, _QID2Q_AB_M2), _pair_sum(a, _QID2Q_AE_M2)
     ab_m34, ae_m34 = _pair_sum(a, _QID2Q_AB_M34), _pair_sum(a, _QID2Q_AE_M34)
-    per_ab = {
-        "M0": (ab_m0,) * 4,
-        "M1": (ab_02, ab_13, ab_02, ab_13),
-        "M2": (ab_m2,) * 4,
-        "M3": (ab_m34,) * 4,
-        "M4": (ab_m34,) * 4,
-    }
-    per_ae = {
-        "M0": (ae_m0,) * 4,
-        "M1": (ae_02, ae_13, ae_02, ae_13),
-        "M2": (ae_m2,) * 4,
-        "M3": (ae_m34,) * 4,
-        "M4": (ae_m34,) * 4,
-    }
-    return FidelityReport.from_per_state(per_ab, per_ae)
+    f_ab = [ab_m0] * 4 + [ab_02, ab_13, ab_02, ab_13] + [ab_m2] * 4 + [ab_m34] * 8
+    f_ae = [ae_m0] * 4 + [ae_02, ae_13, ae_02, ae_13] + [ae_m2] * 4 + [ae_m34] * 8
+    return np.array(f_ab), np.array(f_ae)
+
+
+def qid1q_fidelities(s: SoftwareState) -> FidelityReport:
+    """Single-qubit QID fidelities of one program: ``qid_fidelity_columns``."""
+    if s.num_clone_qubits != 1:
+        raise ValueError("expected a single-qubit program")
+    return qid_fidelities(s)
+
+
+def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
+    """Two-qubit QID fidelities of one real program: ``qid_fidelity_columns``."""
+    if s.num_clone_qubits != 2:
+        raise ValueError("expected a two-qubit program")
+    return qid_fidelities(s)
+
+
+def _masked_sum(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """sum_s masks[b, s] values[p, s] as (b, p), added in the order of s."""
+    return sum(m[:, None] * v for v, m in zip(values.T, masks.T))
 
 
 def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
@@ -179,28 +174,32 @@ def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     (4^N, P), shared by every state of a basis.  Over the indices s of the Pauli
     strings that fix the basis (its invariant mask; s = 0 is I):
     F_AB = sum_s |a_s|^2,  F_AE = (1 + sum_{s > 0} sum_i Re(conj(a_{i^s}) a_i)) / 2^N.
+    Every sum runs over one program at a time, so a program's values do not
+    depend on the other columns.
     """
     if any(4**b.num_qubits != len(columns) for b in bases):
         raise ValueError("program and basis register sizes differ")
     stabilizes = np.array([b.invariant_mask for b in bases], dtype=float)
-    xor = np.arange(len(columns)) ^ np.arange(len(columns))[:, None]  # [s, i] = i^s
-    overlap = np.einsum("sip,ip->sp", columns[xor].conj(), columns).real
-    f_ae = (1 + stabilizes[:, 1:] @ overlap[1:]) / math.isqrt(len(columns))
-    return stabilizes @ np.abs(columns) ** 2, f_ae
+    a = np.asarray(columns).T  # (P, 4^N)
+    xor = np.arange(a.shape[1]) ^ np.arange(a.shape[1])[:, None]  # [s, i] = i^s
+    # (P, s), each sum along one contiguous row
+    overlap = np.ascontiguousarray((a[:, xor].conj() * a[:, None]).real).sum(axis=2)
+    f_ae = (1 + _masked_sum(overlap[:, 1:], stabilizes[:, 1:])) / math.isqrt(a.shape[1])
+    return _masked_sum(np.abs(a) ** 2, stabilizes), f_ae
 
 
 def ng_fidelities(s: SoftwareState) -> FidelityReport:
     """NG fidelities of a program over the MUB set of its register."""
     bases = mubs_for(s.num_clone_qubits).bases
-    f_ab, f_ae = (
-        dict(zip([b.label for b in bases], f[:, 0].tolist()))
-        for f in ng_closed_form(s.amplitudes[:, None], bases)
-    )
-    return _uniform_report(f_ab, f_ae, len(bases[0].states))
+    per_basis = ng_closed_form(s.amplitudes[:, None], bases)
+    per_state = (np.repeat(f, len(bases[0].states), axis=0) for f in per_basis)
+    return FidelityReport.from_state_columns(bases, *per_state)
 
 
 def qid_fidelities(s: SoftwareState) -> FidelityReport:
-    return qid1q_fidelities(s) if s.num_clone_qubits == 1 else qid2q_fidelities(s)
+    """QID fidelities of a program (1 or 2 qubits; 2 real only)."""
+    columns = qid_fidelity_columns(s.amplitudes[:, None])
+    return FidelityReport.from_state_columns(mubs_for(s.num_clone_qubits).bases, *columns)
 
 
 def ng_nq_bob_fidelity(program: SoftwareState, basis: MubBasis) -> float:

@@ -23,7 +23,7 @@ from .cloner import (
     ClonerKind,
     SoftwareState,
     NgAngles,
-    bob_pauli_transfer_matrix,
+    bob_pauli_transfer_matrices,
     clone_fidelities,
     fidelity_columns,
     ng_angles_to_program,
@@ -173,11 +173,12 @@ class Check:
         return self.deviation <= self.tolerance
 
 
-def _random_program(rng, n: int, complex_amps: bool = False) -> SoftwareState:
+def _random_program(rng, n: int, complex_amps: bool = False) -> np.ndarray:
+    """A random unit program vector of 4^n amplitudes."""
     v = rng.standard_normal(4**n)
     if complex_amps:
         v = v + 1j * rng.standard_normal(4**n)
-    return SoftwareState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def _max_abs(a, b) -> float:
@@ -224,68 +225,81 @@ def _pairs_partition() -> bool:
     return len(pairs) == 120 and len(indices) == 15 and once
 
 
-def _engine_columns(kind: ClonerKind, n: int, programs) -> np.ndarray:
-    """Engine fidelities, axes (program, receiver, MUB state), from one call."""
+def _engine_columns(kind: ClonerKind, n: int, columns: np.ndarray, channel=None) -> np.ndarray:
+    """Engine fidelities, axes (receiver, MUB state, program), of program
+    columns (4^n, P) from one ``fidelity_columns`` call."""
     rows = np.array([st.amplitudes for b in mubs_for(n).bases for st in b.states])
-    columns = np.stack([s.amplitudes for s in programs], axis=1)
-    return np.moveaxis(fidelity_columns(kind, n, columns, rows), -1, 0)
+    return np.array(fidelity_columns(kind, n, columns, rows, channel))
 
 
-def _closed_form_check(rng, count: int, kind: ClonerKind, n: int, formula) -> float:
-    """Random programs' per-state fidelities: closed form against engine."""
-    programs = [
-        _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
-        for _ in range(count)
-    ]
+def _closed_form_columns(kind: ClonerKind, n: int, columns: np.ndarray) -> np.ndarray:
+    """Closed-form fidelities, axes (receiver, MUB state, program), from one call."""
+    if kind == ClonerKind.QID:
+        return np.array(analytic.qid_fidelity_columns(columns))
     bases = mubs_for(n).bases
-    want = [
-        [[f for b in bases for f in d[b.label]] for d in (r.per_state_ab, r.per_state_ae)]
-        for r in map(formula, programs)
-    ]
-    return _max_abs(_engine_columns(kind, n, programs), want)
+    return np.repeat(analytic.ng_closed_form(columns, bases), len(bases[0].states), axis=1)
+
+
+def _closed_form_check(rng, count: int, kind: ClonerKind, n: int) -> float:
+    """Random programs' per-state fidelities: closed form against engine."""
+    columns = np.array(
+        [
+            _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
+            for _ in range(count)
+        ],
+        dtype=complex,
+    ).T
+    want = _closed_form_columns(kind, n, columns)
+    return _max_abs(_engine_columns(kind, n, columns), want)
 
 
 def _noisy_transform_check(rng, count: int) -> float:
     """Noise transform of clean fidelities against the engine under each drawn channel."""
-    draws = []
+    kinds, programs, probs = [], [], []
     for _ in range(count):
-        kind = ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID
-        s = _random_program(rng, 1)
-        p_x, p_y, p_z, _ = rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0)
-        draws.append((kind, s, (p_x, p_y, p_z)))
+        kinds.append(ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID)
+        programs.append(_random_program(rng, 1))
+        probs.append((rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0))[:3])
+    columns = np.array(programs, dtype=complex).T
     bases = mubs_for(1).bases
-    rows = np.array([st.amplitudes for b in bases for st in b.states])
-    clean = {}
-    for kind in dict.fromkeys(k for k, _, _ in draws):
-        f = _engine_columns(kind, 1, [s for k, s, _ in draws if k == kind])
-        clean[kind] = iter(f.reshape(len(f), 2, len(bases), -1).mean(axis=3))
-    got, want = [], []
-    for kind, s, probs in draws:
-        channel = PauliChannel.from_xyz(*probs)
-        noisy = fidelity_columns(kind, 1, s.amplitudes[:, None], rows, channel)
-        want.append(np.reshape(noisy, (2, len(bases), -1)).mean(axis=2))
-        for f in next(clean[kind]):
-            try:
-                got += [noisy_fidelity_1q(x, b.label, *probs) for x, b in zip(f, bases)]
-            except ValueError:  # an engine value outside [0, 1], NaN too, fails the check
-                got += [math.nan] * len(bases)
-    return _max_abs(got, np.ravel(want))
+    # per-basis means, axes (receiver, basis, draw): clean from one engine call
+    # per kind, noisy from one call per draw under that draw's own channel
+    clean = np.empty((2, len(bases), count))
+    for kind in dict.fromkeys(kinds):
+        sel = [k == kind for k in kinds]
+        f = _engine_columns(kind, 1, columns[:, sel])
+        clean[..., sel] = f.reshape(2, len(bases), -1, f.shape[-1]).mean(axis=2)
+    noisy = [
+        _engine_columns(kind, 1, columns[:, [i]], PauliChannel.from_xyz(*p))
+        for i, (kind, p) in enumerate(zip(kinds, probs))
+    ]
+    want = np.concatenate(noisy, axis=-1).reshape(2, len(bases), -1, count).mean(axis=2)
+    got = np.empty_like(clean)
+    for k, b in enumerate(bases):
+        try:
+            got[:, k] = noisy_fidelity_1q(clean[:, k], b.label, *np.transpose(probs))
+        except ValueError:  # an engine value outside [0, 1], NaN too, fails the check
+            got[:, k] = math.nan
+    return _max_abs(got, want)
 
 
 def _transfer_check(rng, count: int) -> float:
     """Off-diagonal size of Bob's Pauli transfer matrix for random programs."""
     progs = [_random_program(rng, 1 if rng.random() < 0.5 else 2) for _ in range(count)]
-    mats = [bob_pauli_transfer_matrix(ClonerKind.NG, p.num_clone_qubits, p) for p in progs]
-    return float(np.max([_max_abs(r, np.diag(np.diag(r))) for r in mats]))
+    devs = []
+    for n in (1, 2):
+        columns = np.array([p for p in progs if len(p) == 4**n], dtype=complex).T
+        if columns.size:
+            mats = bob_pauli_transfer_matrices(ClonerKind.NG, n, columns)
+            devs.append(_max_abs(mats, mats * np.eye(4**n)))
+    return float(np.max(devs))
 
 
 def _bob_fidelity_check(rng, count: int) -> float:
     """The generalized Bob fidelity against the engine's, on every two-qubit state."""
-    programs = [_random_program(rng, 2) for _ in range(count)]
-    bases = mubs_for(2).bases
-    got = [[analytic.ng_nq_bob_fidelity(s, b) for b in bases] for s in programs]
-    engine_bob = _engine_columns(ClonerKind.NG, 2, programs)[:, 0]
-    return _max_abs(engine_bob, np.repeat(got, len(bases[0].states), axis=1))
+    columns = np.array([_random_program(rng, 2) for _ in range(count)], dtype=complex).T
+    got = _closed_form_columns(ClonerKind.NG, 2, columns)[0]
+    return _max_abs(_engine_columns(ClonerKind.NG, 2, columns)[0], got)
 
 
 def _random_circuits(rng, count: int) -> list[tuple[simcore.Circuit, np.ndarray]]:
@@ -330,6 +344,10 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
 
     One stream feeds the randomized checks in the order listed (closed-form programs
     per family, noise draws, transfer and Bob programs, circuits); each draws first.
+    Each check stacks its programs as columns (4^n, P), as bare vectors, and
+    compares one closed-form call per family with one engine call per family and
+    register size; only the noise oracle calls the engine once per draw, under
+    that draw's channel.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -358,16 +376,10 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     group_law = all(_classes_form_groups(n) for n in (1, 2, 3))
     checks.append(Check("commuting-classes-group-law", 0.0 if group_law else 1.0, 0.0))
 
-    # built per call, not at import: the closed forms are looked up when checked
-    families = [
-        ("ng-1q", ClonerKind.NG, 1, analytic.ng_fidelities),
-        ("qid-1q", ClonerKind.QID, 1, analytic.qid_fidelities),
-        ("ng-2q", ClonerKind.NG, 2, analytic.ng_fidelities),
-        ("qid-2q", ClonerKind.QID, 2, analytic.qid_fidelities),
-    ]
-    for name, kind, n, formula in families:
-        dev = _closed_form_check(rng, trials, kind, n, formula)
-        checks.append(Check(f"analytic-vs-sim-{name}", dev, 1e-10))
+    for n in (1, 2):
+        for kind in (ClonerKind.NG, ClonerKind.QID):
+            dev = _closed_form_check(rng, trials, kind, n)
+            checks.append(Check(f"analytic-vs-sim-{kind.value}-{n}q", dev, 1e-10))
     dev = _noisy_transform_check(rng, max(trials, 200))
     checks.append(Check("noisy-transform-oracle", dev, 1e-10))
     dev = _transfer_check(rng, 100)

@@ -78,10 +78,6 @@ class SoftwareState:
     def num_clone_qubits(self) -> int:
         return round(math.log(self.amplitudes.size, 4))
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.amplitudes.imag)) < 1e-12)
-
     @classmethod
     def computational(cls, num_clone_qubits: int, index: int = 0) -> "SoftwareState":
         amps = np.zeros(4**num_clone_qubits)
@@ -241,6 +237,15 @@ class FidelityReport:
         f_ae = {lbl: float(sum(v) / len(v)) for lbl, v in per_ae.items()}
         return cls(f_ab, f_ae, per_ab, per_ae)
 
+    @classmethod
+    def from_state_columns(cls, bases, f_ab, f_ae) -> "FidelityReport":
+        """The report of one program's fidelities (S, 1) over the states of
+        ``bases``, basis by basis."""
+        cuts = np.cumsum([len(b.states) for b in bases])[:-1]
+        per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ab[:, 0], cuts))}
+        per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ae[:, 0], cuts))}
+        return cls.from_per_state(per_ab, per_ae)
+
     @property
     def basis_labels(self) -> tuple[str, ...]:
         return tuple(self.f_ab)
@@ -382,14 +387,18 @@ def fidelity_matrices(
 def fidelity_columns(
     kind: ClonerKind, num_clone_qubits: int, programs, states, channel=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's and Eve's fidelities (S, P), the diagonals of ``fidelity_matrices``;
-    from 4^N program columns on, c^dag M c off the identity's forms costs less."""
+    """Bob's and Eve's fidelities (S, P), the diagonals of ``fidelity_matrices``,
+    as fresh arrays; from 4^N program columns on, c^dag M c off the identity's
+    forms costs less."""
     d2 = 4**num_clone_qubits
     if programs.shape[1] < d2:
         mats = fidelity_matrices(kind, num_clone_qubits, programs, states, channel)
-        return tuple(np.diagonal(m, axis1=1, axis2=2).real for m in mats)
-    forms = fidelity_matrices(kind, num_clone_qubits, np.eye(d2), states, channel)
-    return tuple(np.einsum("ip,sip->sp", programs.conj(), m @ programs).real for m in forms)
+        values = (np.diagonal(m, axis1=1, axis2=2) for m in mats)
+    else:
+        forms = fidelity_matrices(kind, num_clone_qubits, np.eye(d2), states, channel)
+        values = (np.einsum("ip,sip->sp", programs.conj(), m @ programs) for m in forms)
+    # fresh writable arrays at every batch size, never views into the matrices
+    return tuple(v.real.copy() for v in values)
 
 
 def clone_output_reduced(
@@ -432,10 +441,7 @@ def clone_fidelities(
     states = state_rows(num_clone_qubits, [st for b in bases for st in b.states])
     column = program.amplitudes[:, None]
     f_ab, f_ae = fidelity_columns(kind, num_clone_qubits, column, states, channel)
-    cuts = np.cumsum([len(b.states) for b in bases])[:-1]
-    per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ab[:, 0], cuts))}
-    per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ae[:, 0], cuts))}
-    return FidelityReport.from_per_state(per_ab, per_ae)
+    return FidelityReport.from_state_columns(bases, f_ab, f_ae)
 
 
 B92_INPUTS = {"0": np.array([1.0, 0.0]), "+": np.array([1.0, 1.0]) / math.sqrt(2)}
@@ -474,14 +480,21 @@ def bob_pauli_transfer_matrix(
     R[i, j] = Tr[P_i L(P_j)] / 2^N over the (z|x)-ordered Pauli strings.  A
     Pauli channel shows up as a diagonal matrix.
     """
+    columns = program.amplitudes[:, None]
+    return bob_pauli_transfer_matrices(kind, num_clone_qubits, columns)[0]
+
+
+def bob_pauli_transfer_matrices(
+    kind: ClonerKind, num_clone_qubits: int, programs: np.ndarray
+) -> np.ndarray:
+    """``bob_pauli_transfer_matrix`` of program columns (4^N, P), from one
+    engine contraction: axes (program, i, j)."""
     dim = 2**num_clone_qubits
-    out, _ = cloner_outputs(
-        kind, num_clone_qubits, program.amplitudes[:, None], np.eye(dim)
-    )
-    # s[a, e, k]: Bob amplitude a and environment e for basis input k
-    s = out.reshape(dim, -1, dim)
-    # cross[k, l] = Tr_env |psi_k><psi_l|
-    cross = np.einsum("aek,bel->klab", s, s.conj())
+    out, _ = cloner_outputs(kind, num_clone_qubits, programs, np.eye(dim))
+    # s[a, e, p, k]: Bob amplitude a and environment e for program p, basis input k
+    s = out[..., 0, :].reshape(dim, -1, programs.shape[1], dim)
+    # cross[p, k, l] = Tr_env |psi_k><psi_l|
+    cross = np.einsum("aepk,bepl->pklab", s, s.conj())
     paulis = pauli_matrices(num_clone_qubits)
-    images = np.einsum("jkl,klab->jab", paulis, cross)
-    return np.einsum("iab,jba->ij", paulis, images) / dim
+    images = np.einsum("jkl,pklab->pjab", paulis, cross)
+    return np.einsum("iab,pjba->pij", paulis, images) / dim

@@ -119,21 +119,20 @@ def apply_channel(rho: DensityMatrix, channel: PauliChannel) -> DensityMatrix:
     return DensityMatrix(rho.num_qubits, out)
 
 
-def noisy_fidelity_1q(
-    fidelity: float | np.ndarray, basis: str, p_x: float, p_y: float, p_z: float
-) -> float | np.ndarray:
+def noisy_fidelity_1q(fidelity, basis: str, p_x, p_y, p_z) -> float | np.ndarray:
     """Noisy per-basis fidelity from the noiseless one, single qubit.
 
     Each basis is immune to its own error type; the other two error rates
-    shrink the fidelity affinely towards 1/2.  ``fidelity`` may be a float
-    or an array of them; the result has the same shape.
+    shrink the fidelity affinely towards 1/2.  ``fidelity`` and the three
+    probabilities may be floats or arrays of them, which broadcast together
+    into the shape of the result.
     """
     if not np.all((fidelity >= 0.0) & (fidelity <= 1.0)):
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     for p in (p_x, p_y, p_z):
-        if not 0 <= p <= 1:
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError(f"probability {p} outside [0, 1]")
-    if not p_x + p_y + p_z <= 1 + _PROB_TOL:
+    if not np.all(p_x + p_y + p_z <= 1 + _PROB_TOL):
         raise ValueError("error probabilities sum to more than 1")
     harmful = {
         "X": p_y + p_z,

@@ -462,6 +462,9 @@ def _span_program(m_ab, m_ae, f, v_lo, v_hi) -> np.ndarray:
         # rephased so that <v_lo|v_hi> >= 0: the circle then passes through v_hi
         v_hi = v_hi * (abs(overlap) / overlap)
     rest = v_hi - abs(overlap) * v_lo
+    # a second pass: for nearly parallel ends the first leaves rest off
+    # orthogonal by about eps / |rest|, and psi off unit norm
+    rest = rest - np.vdot(v_lo, rest) * v_lo
     if np.linalg.norm(rest) <= 1e-10:
         return v_lo
     q = np.stack([v_lo, rest / np.linalg.norm(rest)], axis=1)

@@ -135,7 +135,10 @@ class GateOp:
         fixed = GATES[self.name][1]
         if fixed is not None:
             return fixed
-        rotation = axis_rotations(self.angle)["XYZ".index(self.name[-1])]
+        # exp(-i a P / 2) about this gate's own axis alone, as axis_rotations builds it
+        half = 0.5 * self.angle
+        axis = _MINUS_I_PAULIS["XYZ".index(self.name[-1])]
+        rotation = math.cos(half) * _I2 + math.sin(half) * axis
         if self.name != "CRY":
             return rotation
         # CRY: block-diagonal in the control qubit

@@ -13,6 +13,8 @@ from paulicloner.analytic import (
     qid1q_fidelities,
     qid2q_fidelities,
     qid_closed_form,
+    qid_fidelities,
+    qid_fidelity_columns,
     qid_uqcm_program_2q,
     table1_angles,
     uqcm_fidelity,
@@ -23,6 +25,7 @@ from paulicloner.cloner import (
     NgAngles,
     SoftwareState,
     clone_fidelities,
+    fidelity_columns,
     ng_angles_to_program,
 )
 from paulicloner import analytic, mub
@@ -170,6 +173,54 @@ class TestNgClosedForm:
             ng_closed_form(np.ones((16, 1)), mubs_for(1).bases)
 
 
+class TestColumnForms:
+    """One closed-form call on program columns gives every program's report."""
+
+    @pytest.mark.parametrize(
+        "kind, n, complex_amps",
+        [
+            (ClonerKind.NG, 1, False),
+            (ClonerKind.NG, 1, True),
+            (ClonerKind.NG, 2, False),
+            (ClonerKind.NG, 2, True),
+            (ClonerKind.QID, 1, False),
+            (ClonerKind.QID, 1, True),
+            (ClonerKind.QID, 2, False),
+        ],
+    )
+    def test_columns_equal_the_per_program_reports_bit_for_bit(self, kind, n, complex_amps):
+        rng = np.random.default_rng(60 + 4 * n + 2 * complex_amps + (kind == ClonerKind.QID))
+        programs = [random_program(rng, n, complex_amps) for _ in range(200)]
+        columns = np.stack([s.amplitudes for s in programs], axis=1)
+        bases = mubs_for(n).bases
+        if kind == ClonerKind.NG:
+            per_basis = ng_closed_form(columns, bases)
+            f_ab, f_ae = (np.repeat(f, len(bases[0].states), axis=0) for f in per_basis)
+            report = ng_fidelities
+        else:
+            f_ab, f_ae = qid_fidelity_columns(columns)
+            report = qid_fidelities
+        for k, s in enumerate(programs):
+            r = report(s)
+            assert f_ab[:, k].tolist() == [f for b in bases for f in r.per_state_ab[b.label]]
+            assert f_ae[:, k].tolist() == [f for b in bases for f in r.per_state_ae[b.label]]
+            if kind == ClonerKind.NG:
+                assert [ng_nq_bob_fidelity(s, b) for b in bases] == per_basis[0][:, k].tolist()
+        # in the engine's state order
+        rows = np.array([st.amplitudes for b in bases for st in b.states])
+        engine = fidelity_columns(kind, n, columns, rows)
+        np.testing.assert_allclose((f_ab, f_ae), engine, rtol=0, atol=1e-12)
+
+    def test_qid_entry_checks(self):
+        rng = np.random.default_rng(70)
+        columns = np.stack([random_program(rng, 2).amplitudes for _ in range(3)], axis=1)
+        columns[5, 1] += 1e-9j
+        with pytest.raises(ValueError, match="real programs only"):
+            qid_fidelity_columns(columns)
+        with pytest.raises(ValueError, match="1- and 2-qubit"):
+            qid_fidelity_columns(np.ones((64, 1)))
+
+
 class TestQid2q:
     def test_rejects_complex_programs(self):
         rng = np.random.default_rng(3)
@@ -213,7 +264,9 @@ class TestQid2q:
                 )
 
     def test_equals_the_numpy_scalar_evaluation_bit_for_bit(self):
-        # reference: the same sums on numpy scalars instead of Python floats
+        # reference: the same sums one program at a time on numpy scalars, each
+        # square a product (a scalar x ** 2 goes through libm pow, which rounds
+        # differently for about 1 in 1000 inputs)
         def reference(s):
             a = s.amplitudes.real
 
@@ -221,8 +274,8 @@ class TestQid2q:
                 return float(0.25 + 0.5 * sum(sg * a[i] * a[j] for i, j, sg in table))
 
             m0 = [
-                float(a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2),
-                float(a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2),
+                float(a[0] * a[0] + a[5] * a[5] + a[10] * a[10] + a[15] * a[15]),
+                float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]),
             ]
             tables = (
                 analytic._QID2Q_AB_M1_02, analytic._QID2Q_AB_M1_13,

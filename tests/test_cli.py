@@ -12,7 +12,7 @@ import pytest
 
 import paulicloner
 from paulicloner import analytic, cli, mub, optimize, simcore
-from paulicloner.cloner import ClonerKind, FidelityReport, SoftwareState, clone_fidelities
+from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
 from paulicloner.mub import mubs_for
 from paulicloner.noise import parse_channel_spec
 
@@ -268,21 +268,22 @@ class TestValidateBatches:
         assert lines[-1] == "14/14 checks passed"
 
     def test_complex_program_term_of_ng_1q(self, capsys, monkeypatch):
-        original = analytic.ng_fidelities
+        original = analytic.ng_closed_form
         complex_seen = []
 
-        def dropped_conjugate(s):
+        def dropped_conjugate(columns, bases):
             # Eve's Z term as Re(a c) instead of Re(a c*): equal on real programs
-            rep = original(s)
-            if s.num_clone_qubits != 1:
-                return rep
-            complex_seen.append(not s.is_real)
-            a, b, c, d = s.amplitudes
-            f_z = 0.5 + float(np.real(a * c) + np.real(b * np.conj(d)))
-            per_ae = dict(rep.per_state_ae, Z=(f_z, f_z))
-            return FidelityReport.from_per_state(rep.per_state_ab, per_ae)
+            f_ab, f_ae = original(columns, bases)
+            if len(columns) != 4:
+                return f_ab, f_ae
+            complex_seen.extend(np.max(np.abs(columns.imag), axis=0) >= 1e-12)
+            a, b, c, d = columns
+            f_ae = np.array(f_ae)
+            z = [basis.label for basis in bases].index("Z")
+            f_ae[z] = 0.5 + (np.real(a * c) + np.real(b * np.conj(d)))
+            return f_ab, f_ae
 
-        monkeypatch.setattr(analytic, "ng_fidelities", dropped_conjugate)
+        monkeypatch.setattr(analytic, "ng_closed_form", dropped_conjugate)
         code, out, _ = run_cli(capsys, "validate", "--trials", "10", "--seed", "3")
         assert any(complex_seen) and not all(complex_seen)
         assert code == 1
@@ -320,8 +321,7 @@ class TestValidateBatches:
         original = cli.fidelity_columns
 
         def nan_in_last_column(kind, n, *args):
-            # copies: a one-column call returns read-only diagonal views
-            cols = tuple(f.copy() for f in original(kind, n, *args))
+            cols = original(kind, n, *args)  # fresh arrays at every batch size
             if n == 1:
                 for f in cols:
                     f[:, -1] = math.nan
@@ -333,10 +333,13 @@ class TestValidateBatches:
         assert "noisy-transform-oracle" in failed_checks(out)
 
     def test_generalized_bob_fidelity(self, capsys, monkeypatch):
-        original = analytic.ng_nq_bob_fidelity
-        monkeypatch.setattr(
-            analytic, "ng_nq_bob_fidelity", lambda s, basis: original(s, basis) + 1e-11
-        )
+        original = analytic.ng_closed_form
+
+        def bob_off_by_1e11(columns, bases):
+            f_ab, f_ae = original(columns, bases)
+            return f_ab + 1e-11, f_ae
+
+        monkeypatch.setattr(analytic, "ng_closed_form", bob_off_by_1e11)
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["generalized-bob-fidelity"]
@@ -397,18 +400,17 @@ class TestValidateBatches:
     @pytest.mark.parametrize("position", [0, 4])
     def test_nan_anywhere_in_a_batch(self, capsys, monkeypatch, position):
         # np.max keeps a NaN wherever it sits; Python's max may drop it
-        original = analytic.ng_fidelities
-        calls = []
+        original = analytic.ng_closed_form
 
-        def nan_at_position(s):
-            calls.append(s)
-            rep = original(s)
-            if len(calls) - 1 != position:
-                return rep
-            per_ab = {lbl: (math.nan,) * len(v) for lbl, v in rep.per_state_ab.items()}
-            return FidelityReport.from_per_state(per_ab, rep.per_state_ae)
+        def nan_at_position(columns, bases):
+            # Bob's fidelities of one ng-1q program, the first or the last, are NaN
+            f_ab, f_ae = original(columns, bases)
+            if len(columns) == 4:
+                f_ab = np.array(f_ab)
+                f_ab[:, position] = math.nan
+            return f_ab, f_ae
 
-        monkeypatch.setattr(analytic, "ng_fidelities", nan_at_position)
+        monkeypatch.setattr(analytic, "ng_closed_form", nan_at_position)
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["analytic-vs-sim-ng-1q"]

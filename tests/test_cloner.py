@@ -27,6 +27,7 @@ from paulicloner.cloner import (
     SoftwareState,
     b92_fidelities,
     b92_per_state_fidelities,
+    bob_pauli_transfer_matrices,
     bob_pauli_transfer_matrix,
     build_cloner,
     build_ng,
@@ -402,6 +403,31 @@ class TestCompiledEngine:
             rtol=0,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_transfer_matrices_of_columns_match_reference(self, kind, n):
+        rng = np.random.default_rng(25 + n)
+        programs = [random_program(rng, n, complex_amps=True) for _ in range(4)]
+        mats = bob_pauli_transfer_matrices(
+            kind, n, np.stack([p.amplitudes for p in programs], axis=1)
+        )
+        assert mats.shape == (4, 4**n, 4**n)
+        for m, prog in zip(mats, programs):
+            want = reference_transfer_matrix(kind, n, prog)
+            np.testing.assert_allclose(m, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,n", [(ClonerKind.NG, 1), (ClonerKind.QID, 2)])
+    def test_columns_are_fresh_arrays_at_every_batch_size(self, kind, n):
+        # one column takes the diagonal route, 4^N columns the forms route
+        rng = np.random.default_rng(30 + n)
+        rows = np.array([random_input(rng, n).amplitudes for _ in range(3)])
+        for count in (1, 4**n):
+            columns = np.stack(
+                [random_program(rng, n).amplitudes for _ in range(count)], axis=1
+            )
+            for f in fidelity_columns(kind, n, columns, rows):
+                assert f.shape == (3, count) and f.dtype == np.float64
+                assert f.flags.writeable and f.flags.c_contiguous and f.flags.owndata
 
     @pytest.mark.parametrize("kind,n", ENGINE_CASES)
     def test_compiled_unitary_is_unitary_and_read_only(self, kind, n):

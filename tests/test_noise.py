@@ -88,6 +88,22 @@ class TestNoisyFidelity:
             with pytest.raises(ValueError):
                 noisy_fidelity_1q(bad, "X", 0.1, 0.2, 0.05)
 
+    def test_arrays_of_probabilities(self):
+        # one call over many channels equals a scalar call per channel, bit for bit
+        rng = np.random.default_rng(7)
+        probs = rng.dirichlet(np.ones(4), size=50)[:, :3] * rng.uniform(0.2, 1.0, (50, 1))
+        fids = rng.uniform(0.0, 1.0, (50, 2))
+        for basis in "XYZ":
+            got = noisy_fidelity_1q(fids, basis, *probs.T[:, :, None])
+            want = [[noisy_fidelity_1q(f, basis, *p) for f in row] for row, p in zip(fids, probs)]
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="outside"):
+            noisy_fidelity_1q(0.5, "Z", np.array([0.1, -0.1]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            noisy_fidelity_1q(0.5, "Z", 0.0, np.array([0.1, np.nan]), 0.0)
+        with pytest.raises(ValueError, match="sum"):
+            noisy_fidelity_1q(0.5, "Z", np.array([0.1, 0.6]), np.array([0.1, 0.6]), 0.0)
+
     @pytest.mark.parametrize(
         "args",
         [(np.nan, 0.1, 0.0, 0.0), (0.5, np.nan, 0.0, 0.0), (0.5, 0.1, 0.0, np.nan)],

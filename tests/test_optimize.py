@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import central_difference, reference_fidelities
 
@@ -465,6 +465,9 @@ class TestFrontierProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(channels, st.sampled_from(list(ClonerKind)), st.sampled_from(["ZX", "ZXY"]))
+    # nearly parallel bracketing eigenvectors: one Gram-Schmidt pass left the
+    # program's norm off by 2.6e-8 and F_AE above lambda_max(M_ae)
+    @example(weights=(0.0, 0.5, 0.5, 5.960464477539063e-08), kind=ClonerKind.NG, labels="ZX")
     def test_frontier_is_non_increasing_and_concave(self, weights, kind, labels):
         p = np.array(weights) / sum(weights)
         m_ab, m_ae = _mean_forms(kind, labels, PauliChannel.from_xyz(*p[:3]))
