@@ -173,12 +173,12 @@ class Check:
         return self.deviation <= self.tolerance
 
 
-def _random_program(rng, n: int, complex_amps: bool = False) -> np.ndarray:
-    """A random unit program vector of 4^n amplitudes."""
-    v = rng.standard_normal(4**n)
-    if complex_amps:
-        v = v + 1j * rng.standard_normal(4**n)
-    return v / np.linalg.norm(v)
+def _random_programs(rng, count: int, n: int, complex_share: float = 0.0) -> np.ndarray:
+    """Unit program columns (4^n, count) in three array calls: Gaussian
+    amplitudes, complex Gaussian in a column with probability ``complex_share``."""
+    re, im = rng.standard_normal((2, 4**n, count))
+    v = re + 1j * im * (rng.random(count) < complex_share)
+    return v / np.linalg.norm(v, axis=0)
 
 
 def _max_abs(a, b) -> float:
@@ -242,42 +242,35 @@ def _closed_form_columns(kind: ClonerKind, n: int, columns: np.ndarray) -> np.nd
 
 def _closed_form_check(rng, count: int, kind: ClonerKind, n: int) -> float:
     """Random programs' per-state fidelities: closed form against engine."""
-    columns = np.array(
-        [
-            _random_program(rng, n, complex_amps=(n == 1 and rng.random() < 0.3))
-            for _ in range(count)
-        ],
-        dtype=complex,
-    ).T
+    columns = _random_programs(rng, count, n, 0.3 if n == 1 else 0.0)
     want = _closed_form_columns(kind, n, columns)
     return _max_abs(_engine_columns(kind, n, columns), want)
 
 
+_CERTAIN_ERRORS = tuple(PauliChannel.from_xyz(*row) for row in np.eye(3))  # X, Y, Z
+
+
 def _noisy_transform_check(rng, count: int) -> float:
-    """Noise transform of clean fidelities against the engine under each drawn channel."""
-    kinds, programs, probs = [], [], []
-    for _ in range(count):
-        kinds.append(ClonerKind.NG if rng.random() < 0.5 else ClonerKind.QID)
-        programs.append(_random_program(rng, 1))
-        probs.append((rng.dirichlet(np.ones(4)) * rng.uniform(0.2, 1.0))[:3])
-    columns = np.array(programs, dtype=complex).T
+    """Noise transform of clean fidelities against the engine under each drawn
+    channel.  A fidelity is linear in the channel, p_I F_I + p_X F_X + p_Y F_Y +
+    p_Z F_Z with F_P the value under a certain error P and F_I the clean one, so
+    four engine calls per kind, each on all of its programs, serve every draw."""
+    is_ng = rng.random(count) < 0.5
+    columns = _random_programs(rng, count, 1)
+    probs = (rng.dirichlet(np.ones(4), count) * rng.uniform(0.2, 1.0, (count, 1)))[:, :3]
+    weights = np.column_stack([1.0 - probs.sum(axis=1), probs])
     bases = mubs_for(1).bases
-    # per-basis means, axes (receiver, basis, draw): clean from one engine call
-    # per kind, noisy from one call per draw under that draw's own channel
-    clean = np.empty((2, len(bases), count))
-    for kind in dict.fromkeys(kinds):
-        sel = [k == kind for k in kinds]
-        f = _engine_columns(kind, 1, columns[:, sel])
-        clean[..., sel] = f.reshape(2, len(bases), -1, f.shape[-1]).mean(axis=2)
-    noisy = [
-        _engine_columns(kind, 1, columns[:, [i]], PauliChannel.from_xyz(*p))
-        for i, (kind, p) in enumerate(zip(kinds, probs))
-    ]
-    want = np.concatenate(noisy, axis=-1).reshape(2, len(bases), -1, count).mean(axis=2)
-    got = np.empty_like(clean)
+    # per-basis means, axes (error I X Y Z, receiver, basis, draw)
+    f = np.empty((4, 2, len(bases), count))
+    for kind, sel in ((ClonerKind.NG, is_ng), (ClonerKind.QID, ~is_ng)):
+        for e, channel in enumerate((None, *_CERTAIN_ERRORS)):
+            v = _engine_columns(kind, 1, columns[:, sel], channel)
+            f[e][..., sel] = v.reshape(2, len(bases), -1, v.shape[-1]).mean(axis=2)
+    want = np.einsum("erbd,de->rbd", f, weights)
+    got = np.empty_like(want)
     for k, b in enumerate(bases):
         try:
-            got[:, k] = noisy_fidelity_1q(clean[:, k], b.label, *np.transpose(probs))
+            got[:, k] = noisy_fidelity_1q(f[0, :, k], b.label, *probs.T)
         except ValueError:  # an engine value outside [0, 1], NaN too, fails the check
             got[:, k] = math.nan
     return _max_abs(got, want)
@@ -285,11 +278,11 @@ def _noisy_transform_check(rng, count: int) -> float:
 
 def _transfer_check(rng, count: int) -> float:
     """Off-diagonal size of Bob's Pauli transfer matrix for random programs."""
-    progs = [_random_program(rng, 1 if rng.random() < 0.5 else 2) for _ in range(count)]
+    sizes = rng.integers(1, 3, size=count)
     devs = []
     for n in (1, 2):
-        columns = np.array([p for p in progs if len(p) == 4**n], dtype=complex).T
-        if columns.size:
+        if np.any(sizes == n):
+            columns = _random_programs(rng, np.count_nonzero(sizes == n), n)
             mats = bob_pauli_transfer_matrices(ClonerKind.NG, n, columns)
             devs.append(_max_abs(mats, mats * np.eye(4**n)))
     return float(np.max(devs))
@@ -297,7 +290,7 @@ def _transfer_check(rng, count: int) -> float:
 
 def _bob_fidelity_check(rng, count: int) -> float:
     """The generalized Bob fidelity against the engine's, on every two-qubit state."""
-    columns = np.array([_random_program(rng, 2) for _ in range(count)], dtype=complex).T
+    columns = _random_programs(rng, count, 2)
     got = _closed_form_columns(ClonerKind.NG, 2, columns)[0]
     return _max_abs(_engine_columns(ClonerKind.NG, 2, columns)[0], got)
 
@@ -339,18 +332,21 @@ def _unitarity_check(rng, count: int) -> float:
     return float(np.max(devs))
 
 
+MAX_TRIALS = 100_000  # memory grows by about 8 KiB a trial
+
+
 def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     """All closed-form-versus-simulation oracles and structure checks.
 
     One stream feeds the randomized checks in the order listed (closed-form programs
-    per family, noise draws, transfer and Bob programs, circuits); each draws first.
-    Each check stacks its programs as columns (4^n, P), as bare vectors, and
-    compares one closed-form call per family with one engine call per family and
-    register size; only the noise oracle calls the engine once per draw, under
-    that draw's channel.
+    per family, noise draws, transfer and Bob programs, circuits); each draws all
+    its randomness first, in array calls.  Each check stacks its programs as
+    columns (4^n, P), as bare vectors, and compares one closed-form call per family
+    with one engine call per family and register size; the noise oracle makes four
+    per kind, one clean and one per certain Pauli error, at any number of draws.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     for n in (1, 2):
@@ -597,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelities)
 
     p = sub.add_parser("validate", help="run all oracle and structure checks")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200, help=f"at most {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 

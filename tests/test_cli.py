@@ -13,7 +13,7 @@ import pytest
 import paulicloner
 from paulicloner import analytic, cli, mub, optimize, simcore
 from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
-from paulicloner.mub import mubs_for
+from paulicloner.mub import PauliString, mubs_for
 from paulicloner.noise import parse_channel_spec
 
 
@@ -181,6 +181,27 @@ class TestValidateCommand:
         assert "checks passed" not in out
         assert "trials" in err
 
+    def test_too_many_trials_is_a_usage_error_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the trials guard")
+
+        monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+        trials = str(cli.MAX_TRIALS + 1)
+        code, out, err = run_cli(capsys, "validate", "--trials", trials)
+        assert code == 2 and out == ""
+        assert f"trials must be from 1 to {cli.MAX_TRIALS}" in err
+
+    def test_trials_cap_is_inclusive(self, capsys, monkeypatch):
+        # a lowered cap keeps the run small: the cap itself runs, one more does not
+        monkeypatch.setattr(cli, "MAX_TRIALS", 5)
+        assert run_cli(capsys, "validate", "--trials", "5", "--seed", "3")[0] == 0
+        assert run_cli(capsys, "validate", "--trials", "6", "--seed", "3")[0] == 2
+
+    def test_help_states_the_trials_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["validate", "--help"])
+        assert f"at most {cli.MAX_TRIALS}" in capsys.readouterr().out
+
     def test_corrupted_table_fails_with_named_check(self, capsys, monkeypatch):
         # flip one sign in a coefficient table: the qid-2q oracle must trip
         bad = tuple(
@@ -254,6 +275,34 @@ class TestRandomCircuits:
         b = cli._random_circuits(np.random.default_rng(0), 200)
         assert [c for c, _ in a] == [c for c, _ in b]
         assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(a, b))
+
+
+class TestRandomPrograms:
+    """The bulk program draws behind the randomized checks."""
+
+    @pytest.mark.parametrize("n,complex_share", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 1.0)])
+    def test_unit_columns(self, n, complex_share):
+        columns = cli._random_programs(np.random.default_rng(0), 50, n, complex_share)
+        assert columns.shape == (4**n, 50)
+        np.testing.assert_allclose(np.linalg.norm(columns, axis=0), 1.0, rtol=0, atol=1e-12)
+        if complex_share == 0.0:
+            assert not np.any(columns.imag)
+
+    def test_closed_form_draw_has_real_and_complex_columns(self):
+        columns = cli._random_programs(np.random.default_rng(0), 200, 1, 0.3)
+        is_complex = np.any(columns.imag != 0, axis=0)
+        assert 0 < np.count_nonzero(is_complex) < 200
+
+    def test_equal_seeds_give_equal_columns(self):
+        a = cli._random_programs(np.random.default_rng(4), 30, 2, 0.3)
+        b = cli._random_programs(np.random.default_rng(4), 30, 2, 0.3)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_check_passes_in_order(self, seed):
+        checks = cli.run_validation(200, seed)
+        assert [c.name for c in checks] == VALIDATE_CHECKS
+        assert all(c.passed for c in checks)
 
 
 class TestValidateBatches:
@@ -331,6 +380,22 @@ class TestValidateBatches:
         code, out, err = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1 and err == ""
         assert "noisy-transform-oracle" in failed_checks(out)
+
+    def test_y_error_of_one_kind_fails_the_noise_transform(self, capsys, monkeypatch):
+        # the oracle mixes per-error engine values; a defect in one of them shows
+        original = cli.fidelity_columns
+
+        def qid_y_error_off_by_1e9(kind, n, programs, states, channel=None):
+            cols = original(kind, n, programs, states, channel)
+            certain_y = channel is not None and channel.probs.get(PauliString("Y")) == 1.0
+            if kind == ClonerKind.QID and certain_y:
+                return tuple(f + 1e-9 for f in cols)
+            return cols
+
+        monkeypatch.setattr(cli, "fidelity_columns", qid_y_error_off_by_1e9)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["noisy-transform-oracle"]
 
     def test_generalized_bob_fidelity(self, capsys, monkeypatch):
         original = analytic.ng_closed_form

@@ -465,6 +465,28 @@ class TestCompiledEngine:
                 batch = np.stack([cols[0][:, p], cols[1][:, p]], axis=1)
                 np.testing.assert_allclose(single, batch, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", [ClonerKind.NG, ClonerKind.QID])
+    @pytest.mark.parametrize("mixed", ["with-identity", "no-identity"])
+    @pytest.mark.parametrize("num_programs", [1, 5])
+    def test_channel_is_the_weighted_mix_of_certain_errors(self, kind, mixed, num_programs):
+        # validate's noise oracle mixes the four per-error calls by the weights
+        rng = np.random.default_rng(60 + num_programs)
+        programs = [random_program(rng, 1, complex_amps=True) for _ in range(num_programs)]
+        columns = np.stack([p.amplitudes for p in programs], axis=1)
+        rows = state_rows(1, [random_input(rng, 1) for _ in range(4)])
+        if mixed == "with-identity":
+            p_xyz = rng.dirichlet(np.ones(4))[:3]
+        else:
+            p_xyz = np.array([0.5, 0.3, 0.2])
+        weights = [1.0 - p_xyz.sum(), *p_xyz]
+        assert (weights[0] > 0) == (mixed == "with-identity")
+        certain = [None] + [PauliChannel.from_xyz(*row) for row in np.eye(3)]
+        parts = [fidelity_columns(kind, 1, columns, rows, c) for c in certain]
+        got = fidelity_columns(kind, 1, columns, rows, PauliChannel.from_xyz(*p_xyz))
+        for r in range(2):
+            mix = sum(w * part[r] for w, part in zip(weights, parts))
+            np.testing.assert_allclose(got[r], mix, rtol=0, atol=1e-14)
+
     def test_non_unitary_compile_raises_and_caches_nothing(self, monkeypatch, capsys):
         cloner_unitary.cache_clear()
         real_apply_ops = simcore.apply_ops
