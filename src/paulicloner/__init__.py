@@ -54,9 +54,8 @@ from .analytic import (
     ImbalanceEta,
     ng_fidelities,
     ng_nq_bob_fidelity,
-    qid1q_fidelities,
-    qid2q_fidelities,
     qid_closed_form,
+    qid_fidelities,
     qid_uqcm_program_2q,
     table1_angles,
     uqcm_fidelity,

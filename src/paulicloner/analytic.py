@@ -11,16 +11,14 @@ and Eve's collects the real parts of the cross terms conj(a_i xor s) a_i
 over the same stabilizers s.  The QID coefficient tables do not have such a
 uniform rule and are stored explicitly (``qid_fidelity_columns``); the
 single-qubit QID forms accept complex programs, the two-qubit ones real
-programs only.  ``ng_fidelities``, ``qid_fidelities`` and their per-size
-variants wrap one program's columns in a ``FidelityReport``.
+programs only.  ``ng_fidelities`` and ``qid_fidelities`` wrap one program's
+columns in a ``FidelityReport``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,26 +38,9 @@ class ImbalanceEta:
 
     @classmethod
     def from_channel(cls, p_x: float, p_y: float, p_z: float) -> "ImbalanceEta":
+        if 1 - 2 * p_x - 2 * p_y == 0:
+            raise ValueError("eta is undefined at 1 - 2 p_x - 2 p_y = 0")
         return cls((1 - 2 * p_z - 2 * p_y) / (1 - 2 * p_x - 2 * p_y))
-
-
-@lru_cache(maxsize=None)
-def ng_stabilizer_indices(num_clone_qubits: int) -> dict:
-    """Program indices (>= 1) whose Pauli string leaves each basis invariant."""
-    return {
-        b.label: tuple(np.flatnonzero(b.invariant_mask)[1:].tolist())
-        for b in mubs_for(num_clone_qubits).bases
-    }
-
-
-@lru_cache(maxsize=None)
-def ng_eve_pairs(num_clone_qubits: int) -> dict:
-    """Unordered index pairs (i, j) with i xor j in the basis stabilizer set."""
-    pairs = list(itertools.combinations(range(4**num_clone_qubits), 2))
-    return {
-        label: tuple((i, j) for i, j in pairs if (i ^ j) in idx)
-        for label, idx in ng_stabilizer_indices(num_clone_qubits).items()
-    }
 
 
 # QID two-qubit coefficient tables: (i, j, sign) triples, fidelity =
@@ -150,20 +131,6 @@ def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f_ab), np.array(f_ae)
 
 
-def qid1q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Single-qubit QID fidelities of one program: ``qid_fidelity_columns``."""
-    if s.num_clone_qubits != 1:
-        raise ValueError("expected a single-qubit program")
-    return qid_fidelities(s)
-
-
-def qid2q_fidelities(s: SoftwareState) -> FidelityReport:
-    """Two-qubit QID fidelities of one real program: ``qid_fidelity_columns``."""
-    if s.num_clone_qubits != 2:
-        raise ValueError("expected a two-qubit program")
-    return qid_fidelities(s)
-
-
 def _masked_sum(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """sum_s masks[b, s] values[p, s] as (b, p), added in the order of s."""
     return sum(m[:, None] * v for v, m in zip(values.T, masks.T))
@@ -190,16 +157,16 @@ def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
 
 def ng_fidelities(s: SoftwareState) -> FidelityReport:
     """NG fidelities of a program over the MUB set of its register."""
-    bases = mubs_for(s.num_clone_qubits).bases
-    per_basis = ng_closed_form(s.amplitudes[:, None], bases)
-    per_state = (np.repeat(f, len(bases[0].states), axis=0) for f in per_basis)
-    return FidelityReport.from_state_columns(bases, *per_state)
+    mubs = mubs_for(s.num_clone_qubits)
+    per_basis = ng_closed_form(s.amplitudes[:, None], mubs.bases)
+    per_state = (np.repeat(f[:, 0], len(mubs.bases[0].states)) for f in per_basis)
+    return FidelityReport.from_columns(mubs.labels, *per_state)
 
 
 def qid_fidelities(s: SoftwareState) -> FidelityReport:
     """QID fidelities of a program (1 or 2 qubits; 2 real only)."""
-    columns = qid_fidelity_columns(s.amplitudes[:, None])
-    return FidelityReport.from_state_columns(mubs_for(s.num_clone_qubits).bases, *columns)
+    f_ab, f_ae = (f[:, 0] for f in qid_fidelity_columns(s.amplitudes[:, None]))
+    return FidelityReport.from_columns(mubs_for(s.num_clone_qubits).labels, f_ab, f_ae)
 
 
 def ng_nq_bob_fidelity(program: SoftwareState, basis: MubBasis) -> float:
@@ -314,6 +281,8 @@ def qid_closed_form(kind: str, **params) -> NgAngles:
         p_x, p_y = float(params["p_x"]), float(params["p_y"])
         if not (0 <= p_x <= 1 and 0 <= p_y <= 1 and p_x + p_y <= 1):
             raise ValueError("invalid error probabilities")
+        if 1.0 - p_x - p_y == 0:
+            raise ValueError("xy-imbalanced cloners are undefined at 1 - p_x - p_y = 0")
         ratio = math.atan((p_x - p_y) / (1.0 - p_x - p_y))
         if kind == "xy-imbalanced-sym":
             return NgAngles(math.pi / 4, math.pi / 4, 2.0 * ratio)

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,6 +61,10 @@ def resolve_preset(name: str, kind: ClonerKind, n: int) -> SoftwareState:
             raise ValueError("preset imbalanced(eta) exists for the 1-qubit NG cloner")
         eta = float(name[len("imbalanced(") : -1])
         return analytic.table1_angles("imbalanced", eta=eta).to_program()
+    if name == "qid-uqcm-sym":
+        if kind != ClonerKind.QID:
+            raise ValueError("preset qid-uqcm-sym is a QID program")
+        name = "uqcm-sym"
     if name == "uqcm-sym":
         if kind == ClonerKind.QID:
             if n == 1:
@@ -80,12 +83,6 @@ def resolve_preset(name: str, kind: ClonerKind, n: int) -> SoftwareState:
         if kind == ClonerKind.QID:
             return analytic.qid_closed_form("cnot").to_program()
         return SoftwareState(np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2))
-    if name == "qid-uqcm-sym":
-        if kind != ClonerKind.QID:
-            raise ValueError("preset qid-uqcm-sym is a QID program")
-        if n == 1:
-            return analytic.qid_closed_form("uqcm").to_program()
-        return analytic.qid_uqcm_program_2q()
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -216,13 +213,11 @@ def _classes_form_groups(n: int) -> bool:
 
 
 def _pairs_partition() -> bool:
-    """Every unordered pair contributes to exactly one Eve fidelity, every
-    index j > 0 to exactly one Bob fidelity."""
-    pairs = Counter(pr for prs in analytic.ng_eve_pairs(2).values() for pr in prs)
-    stabilizers = analytic.ng_stabilizer_indices(2)
-    indices = Counter(j for idx in stabilizers.values() for j in idx)
-    once = set(pairs.values()) | set(indices.values()) == {1}
-    return len(pairs) == 120 and len(indices) == 15 and once
+    """Every index j > 0 is fixed by exactly one two-qubit basis, and each basis
+    fixes three: so every j > 0 enters exactly one Bob fidelity, and every
+    unordered pair (i, j), as i ^ j != 0, exactly one Eve fidelity."""
+    masks = np.array([b.invariant_mask for b in mubs_for(2).bases])[:, 1:]
+    return bool(np.all(masks.sum(axis=0) == 1) and np.all(masks.sum(axis=1) == 3))
 
 
 def _engine_columns(kind: ClonerKind, n: int, columns: np.ndarray, channel=None) -> np.ndarray:

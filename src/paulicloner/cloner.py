@@ -232,19 +232,14 @@ class FidelityReport:
     per_state_ae: dict
 
     @classmethod
-    def from_per_state(cls, per_ab: dict, per_ae: dict) -> "FidelityReport":
+    def from_columns(cls, labels, f_ab, f_ae) -> "FidelityReport":
+        """The report of per-state fidelities (S,), split evenly over the
+        basis ``labels`` in order."""
+        cut = lambda f: zip(labels, np.split(np.asarray(f), len(labels)))
+        per_ab, per_ae = ({lbl: tuple(v.tolist()) for lbl, v in cut(f)} for f in (f_ab, f_ae))
         f_ab = {lbl: float(sum(v) / len(v)) for lbl, v in per_ab.items()}
         f_ae = {lbl: float(sum(v) / len(v)) for lbl, v in per_ae.items()}
         return cls(f_ab, f_ae, per_ab, per_ae)
-
-    @classmethod
-    def from_state_columns(cls, bases, f_ab, f_ae) -> "FidelityReport":
-        """The report of one program's fidelities (S, 1) over the states of
-        ``bases``, basis by basis."""
-        cuts = np.cumsum([len(b.states) for b in bases])[:-1]
-        per_ab = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ab[:, 0], cuts))}
-        per_ae = {b.label: tuple(v.tolist()) for b, v in zip(bases, np.split(f_ae[:, 0], cuts))}
-        return cls.from_per_state(per_ab, per_ae)
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
@@ -441,7 +436,7 @@ def clone_fidelities(
     states = state_rows(num_clone_qubits, [st for b in bases for st in b.states])
     column = program.amplitudes[:, None]
     f_ab, f_ae = fidelity_columns(kind, num_clone_qubits, column, states, channel)
-    return FidelityReport.from_state_columns(bases, f_ab, f_ae)
+    return FidelityReport.from_columns([b.label for b in bases], f_ab[:, 0], f_ae[:, 0])
 
 
 B92_INPUTS = {"0": np.array([1.0, 0.0]), "+": np.array([1.0, 1.0]) / math.sqrt(2)}

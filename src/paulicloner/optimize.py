@@ -320,43 +320,26 @@ def fidelity_quadratic_forms(
     num_clone_qubits: int,
     bases,
     channel: PauliChannel | None = None,
-) -> dict:
-    """Hermitian matrices M[label][state] with F = psi^dag M psi, per receiver.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian matrices (M_ab, M_ae) with F = psi^dag M[s] psi, per receiver.
 
-    Returns {"ab": {label: array(num_states, d^2, d^2)}, "ae": {...}}.
+    Each is ``fidelity_matrices``' stack (S, 4^N, 4^N) on the identity's
+    columns, its S states those of ``bases`` in order, basis by basis.
     """
     n = num_clone_qubits
-    bases = resolve_bases(n, bases)
-    states = state_rows(n, [st for b in bases for st in b.states])
-    mats_ab, mats_ae = fidelity_matrices(kind, n, np.eye(4**n), states, channel)
-    cuts = np.cumsum([len(b.states) for b in bases])[:-1]
-    return {
-        "ab": {b.label: m for b, m in zip(bases, np.split(mats_ab, cuts))},
-        "ae": {b.label: m for b, m in zip(bases, np.split(mats_ae, cuts))},
-    }
-
-
-def forms_mean_matrices(forms: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Average the per-state matrices into one matrix per receiver."""
-    ab = np.mean([m for mats in forms["ab"].values() for m in mats], axis=0)
-    ae = np.mean([m for mats in forms["ae"].values() for m in mats], axis=0)
-    return ab, ae
+    states = state_rows(n, [st for b in resolve_bases(n, bases) for st in b.states])
+    return fidelity_matrices(kind, n, np.eye(4**n), states, channel)
 
 
 def quadratic_fidelity(m: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(psi.conj() @ m @ psi))
 
 
-def report_from_forms(forms: dict, psi: np.ndarray) -> FidelityReport:
-    per_ab = {
-        lbl: tuple(quadratic_fidelity(m, psi) for m in mats)
-        for lbl, mats in forms["ab"].items()
-    }
-    per_ae = {
-        lbl: tuple(quadratic_fidelity(m, psi) for m in mats)
-        for lbl, mats in forms["ae"].items()
-    }
-    return FidelityReport.from_per_state(per_ab, per_ae)
+def _forms_report(labels, forms, psi: np.ndarray) -> FidelityReport:
+    """The report of program ``psi`` on the forms of the bases ``labels``,
+    read state by state."""
+    values = (np.array([quadratic_fidelity(m, psi) for m in mats]) for mats in forms)
+    return FidelityReport.from_columns(labels, *values)
 
 
 def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
@@ -375,10 +358,10 @@ def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
     return ansatz_pass("program-prep", params, adjoint)
 
 
-def make_program_loss(forms: dict, f_target: float):
-    """Loss of the program-prep ansatz on fixed forms, and its adjoint
-    gradient: one parameter set, a batch of one."""
-    m_ab, m_ae = forms_mean_matrices(forms)
+def make_program_loss(forms: tuple, f_target: float):
+    """Loss of the program-prep ansatz on the mean of fixed forms (M_ab, M_ae),
+    and its adjoint gradient: one parameter set, a batch of one."""
+    m_ab, m_ae = (m.mean(axis=0) for m in forms)
     forms_stack, targets = np.stack([m_ab, m_ae])[None], np.array([f_target])
 
     def objective(params: np.ndarray) -> float:
@@ -525,13 +508,13 @@ def exact_frontier_point(m_ab: np.ndarray, m_ae: np.ndarray, f: float) -> np.nda
 def grid_frontier_b92(family: ClonerKind, f_values) -> list[tuple[float, float]]:
     """(f, best F_AE at F_AB = f) for the b92 inputs |0> and |+>, exactly.
 
-    The 4x4 forms average each receiver's fidelity over state 0 of the Z and
-    X bases, and ``exact_frontier_point`` solves each target.  The name is
-    that of the angle-grid search this replaced; the ``grid-ng`` and
-    ``grid-qid`` rows and the benchmark's layer tracer still use it.
+    The 4x4 forms average each receiver's fidelity over ``B92_INPUTS``, and
+    ``exact_frontier_point`` solves each target.  The name is that of the
+    angle-grid search this replaced; the ``grid-ng`` and ``grid-qid`` rows
+    and the benchmark's layer tracer still use it.
     """
-    forms = fidelity_quadratic_forms(family, 1, [mubs_for(1)[lbl] for lbl in "ZX"])
-    m_ab, m_ae = ((m["Z"][0] + m["X"][0]) / 2 for m in (forms["ab"], forms["ae"]))
+    forms = fidelity_matrices(family, 1, np.eye(4), _B92_INPUTS)
+    m_ab, m_ae = (m.mean(axis=0) for m in forms)
     out = []
     for f in f_values:
         psi = exact_frontier_point(m_ab, m_ae, f)
@@ -683,15 +666,16 @@ def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
     return replace(cfg, seed=int(child.generate_state(1)[0]))
 
 
-def _exact_rows(forms, f_values, series, label) -> list[SweepRow]:
-    """The exact frontier at each Bob-fidelity target; ``params`` holds the
-    program amplitudes, as ``fidelities --amplitudes`` takes them."""
-    m_ab, m_ae = forms_mean_matrices(forms)
+def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
+    """The exact frontier at each Bob-fidelity target on the forms of the bases
+    ``labels``; ``params`` holds the program amplitudes, as ``fidelities
+    --amplitudes`` takes them."""
+    m_ab, m_ae = (m.mean(axis=0) for m in forms)
     reachable = np.linalg.eigvalsh(m_ab)[[0, -1]]
     rows = []
     for f in f_values:
         psi = exact_frontier_point(m_ab, m_ae, f)
-        report = report_from_forms(forms, psi)
+        report = _forms_report(labels, forms, psi)
         miss = abs(report.f_ab_avg - f)
         if miss > 1e-9:
             msg = "%s %s f=%.3f: outside the reachable Bob interval [%.4f, %.4f]"
@@ -716,23 +700,20 @@ def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
     if ansatz == "b92":
         loss_and_grad = functools.partial(b92_loss_and_grad, targets)
     else:
-        stacks = [np.stack(forms_mean_matrices(unit_forms[u])) for u, _ in jobs]
-        stacks = np.repeat(stacks, cfg.restarts, axis=0)
+        means = [np.stack([m.mean(axis=0) for m in forms]) for forms in unit_forms]
+        stacks = np.repeat([means[u] for u, _ in jobs], cfg.restarts, axis=0)
         loss_and_grad = functools.partial(program_prep_loss_and_grad, stacks, targets)
     params, trace = adam_optimize(loss_and_grad, starts, cfg)
     winners = trace.min(axis=0).reshape(len(jobs), cfg.restarts).argmin(axis=1)
     best = params.reshape(len(jobs), cfg.restarts, size)[np.arange(len(jobs)), winners]
     rows = []
     for (u, f_target), p in zip(jobs, best):
-        _, _, series, label = units[u]
+        _, labels, series, label = units[u]
         if ansatz == "b92":
             per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
-            report = FidelityReport.from_per_state(
-                {lbl: (f,) for lbl, f in zip(B92_INPUTS, per_ab[0])},
-                {lbl: (f,) for lbl, f in zip(B92_INPUTS, per_ae[0])},
-            )
+            report = FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
         else:
-            report = report_from_forms(unit_forms[u], program_prep_state(p))
+            report = _forms_report(labels, unit_forms[u], program_prep_state(p))
         miss = abs(report.f_ab_avg - f_target)
         if miss > 0.02:
             msg = "%s %s f=%.3f: converged Bob average %.4f misses the target"
@@ -831,8 +812,8 @@ def frontier_sweep(
         for kind, labels, _, _ in units
     ]
     if solver == "exact":
-        for forms, (_, _, series, label) in zip(unit_forms, units):
-            rows += _exact_rows(forms, f_values, series, label)
+        for forms, (_, labels, series, label) in zip(unit_forms, units):
+            rows += _exact_rows(forms, labels, f_values, series, label)
     else:
         rows += _adam_rows(solver, units, unit_forms, f_values, cfg)
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))

@@ -16,7 +16,6 @@ from oracle import central_difference
 from paulicloner import optimize as opt
 from paulicloner.analytic import (
     ng_fidelities,
-    qid1q_fidelities,
     qid_closed_form,
     qid_fidelities,
     table1_angles,
@@ -96,7 +95,7 @@ def test_c03_symmetric_phase_covariant():
     expect = (1 + math.cos(math.pi / 4)) / 2
     qid_prog = qid_closed_form("pccm", phi=math.pi / 4).to_program()
     for report in (
-        qid1q_fidelities(qid_prog),
+        qid_fidelities(qid_prog),
         clone_fidelities(ClonerKind.QID, 1, qid_prog),
     ):
         for lbl in "XY":

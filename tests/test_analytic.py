@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,8 @@ import pytest
 from paulicloner.analytic import (
     ImbalanceEta,
     ng_closed_form,
-    ng_eve_pairs,
     ng_fidelities,
     ng_nq_bob_fidelity,
-    ng_stabilizer_indices,
-    qid1q_fidelities,
-    qid2q_fidelities,
     qid_closed_form,
     qid_fidelities,
     qid_fidelity_columns,
@@ -65,13 +62,13 @@ class TestNg1q:
 
 class TestQid1q:
     def test_e0(self):
-        report = qid1q_fidelities(SoftwareState.computational(1))
+        report = qid_fidelities(SoftwareState.computational(1))
         assert report.f_ab["Z"] == report.f_ae["Z"] == 1.0
         assert report.f_ab["X"] == report.f_ae["Y"] == 0.5
 
     def test_pccm_values(self):
         prog = ng_angles_to_program(NgAngles(math.pi / 4, math.pi / 4, 0.0))
-        report = qid1q_fidelities(prog)
+        report = qid_fidelities(prog)
         expect = (1 + math.sqrt(2) / 2) / 2
         for b in "XY":
             assert report.f_ab[b] == pytest.approx(expect, abs=1e-12)
@@ -81,7 +78,7 @@ class TestQid1q:
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = random_program(rng, 1, complex_amps=rng.random() < 0.5)
-            got = qid1q_fidelities(s)
+            got = qid_fidelities(s)
             ref = clone_fidelities(ClonerKind.QID, 1, s)
             for b in "ZXY":
                 assert got.f_ab[b] == pytest.approx(ref.f_ab[b], abs=1e-10)
@@ -125,7 +122,10 @@ class TestNg2q:
                 assert got.f_ae[lbl] == pytest.approx(ref.f_ae[lbl], abs=1e-10)
 
     def test_bob_index_sets(self):
-        idx = ng_stabilizer_indices(2)
+        idx = {
+            b.label: tuple(np.flatnonzero(b.invariant_mask)[1:].tolist())
+            for b in mubs_for(2).bases
+        }
         assert idx == {
             "M0": (4, 8, 12),
             "M1": (1, 2, 3),
@@ -135,13 +135,16 @@ class TestNg2q:
         }
 
     def test_pair_partition(self):
-        # every unordered pair lands in exactly one Eve expression
+        # every unordered pair (i, j) lands in exactly one Eve expression: that
+        # of the basis whose invariant mask holds i ^ j
         seen = {}
-        for lbl, pairs in ng_eve_pairs(2).items():
+        for b in mubs_for(2).bases:
+            pairs = itertools.combinations(range(16), 2)
+            pairs = [(i, j) for i, j in pairs if b.invariant_mask[i ^ j]]
             assert len(pairs) == 24
             for pr in pairs:
-                assert pr not in seen, (pr, lbl, seen.get(pr))
-                seen[pr] = lbl
+                assert pr not in seen, (pr, b.label, seen.get(pr))
+                seen[pr] = b.label
         assert len(seen) == 16 * 15 // 2
 
 
@@ -225,16 +228,16 @@ class TestQid2q:
     def test_rejects_complex_programs(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="real programs only"):
-            qid2q_fidelities(random_program(rng, 2, complex_amps=True))
+            qid_fidelities(random_program(rng, 2, complex_amps=True))
 
     def test_e0(self):
-        report = qid2q_fidelities(SoftwareState.computational(2))
+        report = qid_fidelities(SoftwareState.computational(2))
         assert report.f_ab["M0"] == 1.0
         assert report.f_ae["M0"] == 1.0
         np.testing.assert_allclose(report.per_state_ab["M1"], [0.25] * 4)
 
     def test_universal_program_is_uniform(self):
-        report = qid2q_fidelities(qid_uqcm_program_2q())
+        report = qid_fidelities(qid_uqcm_program_2q())
         for lbl in report.basis_labels:
             assert report.f_ab[lbl] == pytest.approx(0.7, abs=1e-12)
             assert report.f_ae[lbl] == pytest.approx(0.7, abs=1e-12)
@@ -246,14 +249,14 @@ class TestQid2q:
         amps[0] = 2.0
         for j in (4, 5, 8, 10, 12, 15):
             amps[j] = 1.0
-        report = qid2q_fidelities(SoftwareState(amps / math.sqrt(10)))
+        report = qid_fidelities(SoftwareState(amps / math.sqrt(10)))
         assert max(report.f_ae.values()) - min(report.f_ae.values()) > 0.1
 
     def test_m1_split_matches_simulation_per_state(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             s = random_program(rng, 2)
-            got = qid2q_fidelities(s)
+            got = qid_fidelities(s)
             ref = clone_fidelities(ClonerKind.QID, 2, s)
             for lbl in ref.basis_labels:
                 np.testing.assert_allclose(
@@ -288,7 +291,7 @@ class TestQid2q:
         rng = np.random.default_rng(11)
         for _ in range(200):
             s = random_program(rng, 2)
-            r = qid2q_fidelities(s)
+            r = qid_fidelities(s)
             ab, ae = r.per_state_ab, r.per_state_ae
             got = [ab["M0"][0], ae["M0"][0], *ab["M1"][:2], *ae["M1"][:2]]
             got += [ab["M2"][0], ae["M2"][0], ab["M3"][0], ae["M3"][0]]
@@ -298,7 +301,7 @@ class TestQid2q:
     def test_m3_m4_always_coincide(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            report = qid2q_fidelities(random_program(rng, 2))
+            report = qid_fidelities(random_program(rng, 2))
             assert report.f_ab["M3"] == report.f_ab["M4"]
             assert report.f_ae["M3"] == report.f_ae["M4"]
 
@@ -403,15 +406,19 @@ class TestTable1Angles:
         eta = ImbalanceEta.from_channel(0.25, 0.0, 0.0)
         assert eta.eta == pytest.approx(2.0)
 
+    def test_eta_from_channel_rejects_a_zero_x_weight(self):
+        with pytest.raises(ValueError, match="1 - 2 p_x - 2 p_y = 0"):
+            ImbalanceEta.from_channel(0.25, 0.25, 0.0)
+
 
 class TestQidClosedForm:
     def test_cnot_cloner(self):
-        report = qid1q_fidelities(qid_closed_form("cnot").to_program())
+        report = qid_fidelities(qid_closed_form("cnot").to_program())
         assert report.f_ab["Z"] == report.f_ae["Z"] == 1.0
 
     def test_z_asymmetric(self):
         phi = 0.4
-        report = qid1q_fidelities(qid_closed_form("z-asym", phi=phi).to_program())
+        report = qid_fidelities(qid_closed_form("z-asym", phi=phi).to_program())
         assert report.f_ab["Z"] == pytest.approx(math.sin(phi) ** 2, abs=1e-12)
         assert report.f_ae["Z"] == pytest.approx(math.cos(phi) ** 2, abs=1e-12)
 
@@ -419,7 +426,7 @@ class TestQidClosedForm:
         # phi = 0 must favor Eve, consistent with the imbalanced-cloner
         # limit; the fidelity pair is ((1+sin)/2, (1+cos)/2)
         phi = 0.3
-        report = qid1q_fidelities(qid_closed_form("pccm", phi=phi).to_program())
+        report = qid_fidelities(qid_closed_form("pccm", phi=phi).to_program())
         assert report.f_ab["X"] == pytest.approx((1 + math.sin(phi)) / 2, abs=1e-12)
         assert report.f_ae["X"] == pytest.approx((1 + math.cos(phi)) / 2, abs=1e-12)
         assert report.f_ab["X"] == pytest.approx(report.f_ab["Y"], abs=1e-12)
@@ -428,13 +435,13 @@ class TestQidClosedForm:
         for rho in (0.7, 0.9, 1.1):
             for branch in (+1, -1):
                 angles = qid_closed_form("uqcm-asym", rho=rho, branch=branch)
-                report = qid1q_fidelities(angles.to_program())
+                report = qid_fidelities(angles.to_program())
                 assert np.ptp(list(report.f_ab.values())) < 1e-10
                 assert np.ptp(list(report.f_ae.values())) < 1e-10
-        bob_heavy = qid1q_fidelities(
+        bob_heavy = qid_fidelities(
             qid_closed_form("uqcm-asym", rho=0.75, branch=+1).to_program()
         )
-        eve_heavy = qid1q_fidelities(
+        eve_heavy = qid_fidelities(
             qid_closed_form("uqcm-asym", rho=0.75, branch=-1).to_program()
         )
         assert bob_heavy.f_ab_avg > bob_heavy.f_ae_avg
@@ -452,16 +459,21 @@ class TestQidClosedForm:
     def test_imbalanced_asymmetry_extremes(self):
         # phi = 0 hands everything to Eve, phi = pi/2 to Bob
         p_x, p_y = 0.25, 0.0
-        rep0 = qid1q_fidelities(
+        rep0 = qid_fidelities(
             qid_closed_form("xy-imbalanced", p_x=p_x, p_y=p_y, phi=0.0).to_program()
         )
         assert rep0.f_ab["X"] == pytest.approx(0.5, abs=1e-12)
-        rep1 = qid1q_fidelities(
+        rep1 = qid_fidelities(
             qid_closed_form(
                 "xy-imbalanced", p_x=p_x, p_y=p_y, phi=math.pi / 2
             ).to_program()
         )
         assert rep1.f_ae["X"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["xy-imbalanced", "xy-imbalanced-sym"])
+    def test_imbalanced_rejects_certain_xy_errors(self, kind):
+        with pytest.raises(ValueError, match="1 - p_x - p_y = 0"):
+            qid_closed_form(kind, p_x=0.6, p_y=0.4, phi=0.3)
 
 
 class TestRealOptimality:

@@ -69,6 +69,19 @@ class TestFidelitiesCommand:
         payload = json.loads(out)
         np.testing.assert_allclose(list(payload["f_ab"].values()), 0.7, atol=1e-10)
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_qid_uqcm_preset_is_the_qid_uqcm_sym_program(self, capsys, n):
+        outs = [
+            run_cli(capsys, "fidelities", "--kind", "qid", "--n", n, "--preset", p)
+            for p in ("qid-uqcm-sym", "uqcm-sym")
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        code, _, err = run_cli(
+            capsys, "fidelities", "--kind", "ng", "--n", n, "--preset", "qid-uqcm-sym"
+        )
+        assert code == 2
+        assert err == "error: preset qid-uqcm-sym is a QID program\n"
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "fid.csv"
         code, _, _ = run_cli(
@@ -243,6 +256,19 @@ VALIDATE_CHECKS = [
 ]
 
 
+def _plant_m1_stabilizer_defect(monkeypatch):
+    """Take the last stabilizer out of the two-qubit M1 basis's invariant mask."""
+    cached = mub.MubBasis.invariant_mask
+
+    def m1_one_stabilizer_short(basis):
+        mask = cached.__get__(basis).copy()
+        if basis.num_qubits == 2 and basis.label == "M1":
+            mask[np.flatnonzero(mask)[-1]] = False
+        return mask
+
+    monkeypatch.setattr(mub.MubBasis, "invariant_mask", property(m1_one_stabilizer_short))
+
+
 def failed_checks(out: str) -> list[str]:
     return [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
 
@@ -340,21 +366,20 @@ class TestValidateBatches:
 
     def test_ng_2q_stabilizer_set(self, capsys, monkeypatch):
         # the rule reads each basis's invariant mask; the patched property
-        # overrides the masks cached on the basis objects, and the index sets
-        # are cached whole before the patch, so none keeps the planted defect
-        analytic.ng_eve_pairs(2)
-        cached = mub.MubBasis.invariant_mask
-
-        def m1_one_stabilizer_short(basis):
-            mask = cached.__get__(basis).copy()
-            if basis.num_qubits == 2 and basis.label == "M1":
-                mask[np.flatnonzero(mask)[-1]] = False
-            return mask
-
-        monkeypatch.setattr(mub.MubBasis, "invariant_mask", property(m1_one_stabilizer_short))
+        # overrides the masks cached on the basis objects
+        _plant_m1_stabilizer_defect(monkeypatch)
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert "analytic-vs-sim-ng-2q" in failed_checks(out)
+
+    def test_pair_partition_reads_the_masks(self, capsys, monkeypatch):
+        # M1 one stabilizer short leaves an index and its pairs to no basis;
+        # a clean run first fills whatever the check might cache
+        assert run_cli(capsys, "validate", "--trials", "5", "--seed", "3")[0] == 0
+        _plant_m1_stabilizer_defect(monkeypatch)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
+        assert code == 1
+        assert "eve-pair-partition" in failed_checks(out)
 
     def test_noise_transform(self, capsys, monkeypatch):
         original = cli.noisy_fidelity_1q
