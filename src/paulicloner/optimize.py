@@ -22,11 +22,13 @@ one trajectory of a single batch that Adam steps in lockstep.
 The two layered rotation ansaetze (program-prep and b92) are each written
 once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
 parameter counts and batched passes derive from it.  They get each step's
-losses and exact gradients, for the whole batch, from one adjoint sweep: a
-forward pass that keeps the states entering each rotation block, then one
-backward pass of the loss's adjoint vectors through the inverse circuit
-(``layered_pass``).  The parameter-shift derivatives of the program-prep
-ansatz remain as the reference the adjoint gradient is tested against.
+losses and exact gradients, for the whole batch, from one adjoint sweep
+(``layered_pass``).  Each layer is one matrix per trajectory, the Kronecker
+product of its rotation blocks with the entangler folded into its rows: the
+forward pass and the backward pass of the loss's adjoint vectors make one
+product per layer, and the angle gradients are read from the rotation
+generators.  The parameter-shift derivatives of the program-prep ansatz
+remain as the reference the adjoint gradient is tested against.
 
 Every sweep row is read from what produced it: program rows from the
 quadratic forms, b92 rows (per input too) from the adjoint forward pass.
@@ -57,7 +59,7 @@ from .cloner import (
 )
 from .mub import mubs_for
 from .noise import PauliChannel, noisy_fidelity_1q
-from .simcore import Circuit, GateOp, apply_ops, rotation_block, rotation_blocks
+from .simcore import Circuit, GateOp, apply_ops, rotation_block
 
 logger = logging.getLogger("paulicloner")
 
@@ -161,61 +163,86 @@ ENTANGLERS = {
 }
 
 
+def _layer_matrices(u: np.ndarray, entangler: np.ndarray) -> np.ndarray:
+    """Each layer as one matrix: the Kronecker product of its n rotation
+    blocks ``u`` (B, L, n, 2, 2), qubit 0 most significant, with its rows
+    gathered by ``entangler``; shape (B, L, 2^n, 2^n)."""
+    b, num_layers, n = u.shape[:3]
+    # batch axes last, so that each product runs over all B * L blocks in
+    # its inner loop
+    blocks = np.moveaxis(u, (0, 1), (-2, -1))
+    w = blocks[0]
+    for q in range(1, n):
+        w = np.multiply(w[:, None, :, None], blocks[q][None, :, None, :], order="C")
+        w = w.reshape(2 ** (q + 1), 2 ** (q + 1), b, num_layers)
+    w = w[entangler]  # rebinding frees the ungathered copy before the next one
+    # contiguous, so that each layer's product goes to BLAS
+    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _qubit_halves(n: int) -> np.ndarray:
+    """(n, 2, 2^(n-1)) indices: row [q, a] lists the basis states with qubit q
+    at a, in the same order of the other qubits for a = 0 and 1."""
+    index = np.arange(2**n).reshape((2,) * n)
+    halves = np.stack([np.moveaxis(index, q, 0).reshape(2, -1) for q in range(n)])
+    halves.flags.writeable = False  # shared by every call
+    return halves
+
+
 def layered_pass(
     parameters: np.ndarray, inputs: np.ndarray, entangler: np.ndarray, adjoint=None
 ):
     """Run a batch of layered rotation ansaetze forward, and backward when
     ``adjoint`` is given.
 
-    Each of the L layers applies RZ RY RX to every qubit, in qubit order,
-    then the index permutation ``entangler`` (``psi = psi[..., entangler]``).
-    ``parameters`` has shape (B, L, n, 3), one set per trajectory; each
-    starts from the (K, 2^n) ``inputs``, and one einsum per block serves
-    the whole batch of (B, K, 2^n) states.
+    Each of the L layers applies RZ RY RX to every qubit, then the index
+    permutation ``entangler`` (``psi = psi[..., entangler]``).  ``parameters``
+    has shape (B, L, n, 3), one set per trajectory; each starts from the
+    (K, 2^n) ``inputs``.  A layer is one (2^n, 2^n) matrix per trajectory,
+    the Kronecker product of its blocks with the entangler folded into its
+    rows, so each pass makes one batched product per layer.
 
-    Without ``adjoint`` this returns the final states, building neither the
-    blocks' derivatives nor the states that enter them.  Otherwise
-    ``adjoint(final)`` must return ``(values, lam)``: the B real losses and
-    ``lam`` their derivatives in the conjugate final states.  The result is
-    ``(values, gradients)``, a flat gradient row per trajectory.  Each entry
-    is ``2 Re <lam_after| dU |pre>`` for the block's derivative ``dU``, with
-    ``lam`` run back through the inverse layers.
+    Without ``adjoint`` this returns the final (B, K, 2^n) states.
+    Otherwise ``adjoint(final)`` must return ``(values, lam)``: the B real
+    losses and ``lam`` their derivatives in the conjugate final states.  The
+    result is ``(values, gradients)``, a flat gradient row per trajectory.
+
+    ``lam`` runs back through the layers, one product each, and the
+    gradients are read from the generators: each angle's derivative of a
+    block U = RZ(c) RY(b) RX(a) is -i/2 H U, with H = Z for c, RZ Y RZ^dag
+    for b and U X U^dag = cos b (cos c X + sin c Y) - sin b Z for a.  So the
+    gradient is Im sum(H * R), with R_ab = sum conj(lam_a) psi_b the 2x2
+    cross-matrix, on the block's qubit, between the adjoint vector and the
+    rotated state before the entangler: one contraction for every block.
     """
     b, num_layers, n, _ = parameters.shape
-    k = len(inputs)
-    # block (layer, q) acts on axis 3 of the states reshaped to shapes[q]
-    shapes = [(b, k, 2**q, 2, 2 ** (n - 1 - q)) for q in range(n)]
-    angles = np.moveaxis(parameters, 0, 2)  # (L, n, B, 3)
-    if adjoint is None:
-        u, pre = rotation_block(angles), None
-    else:
-        u, du = rotation_blocks(angles)
-        pre = np.empty((num_layers, n, b) + inputs.shape, dtype=complex)
+    w = _layer_matrices(rotation_block(parameters), entangler)
+    wt = w.swapaxes(-1, -2)
     psi = np.broadcast_to(inputs, (b,) + inputs.shape)
-    for layer in range(num_layers):
-        for q in range(n):
-            if pre is not None:
-                pre[layer, q] = psi
-            t = psi.reshape(shapes[q])
-            psi = np.einsum("zab,zkibj->zkiaj", u[layer, q], t).reshape(b, k, -1)
-        psi = psi[..., entangler]
     if adjoint is None:
+        for layer in range(num_layers):
+            psi = psi @ wt[:, layer]
         return psi
+    # the state and mu = conj(lam) after each layer
+    post = np.empty((2, num_layers, b) + inputs.shape, dtype=complex)
+    for layer in range(num_layers):
+        psi = post[0, layer] = psi @ wt[:, layer]
     values, lam = adjoint(psi)
-    # mu = conj(lam) runs back through the transposed blocks, which spares
-    # a conjugation per block
     mu = lam.conj()
-    inverse = np.argsort(entangler)
-    overlaps = np.empty((num_layers, n, b, 2, 2), dtype=complex)
     for layer in reversed(range(num_layers)):
-        mu = mu[..., inverse]
-        for q in reversed(range(n)):
-            t = mu.reshape(shapes[q])
-            pre_q = pre[layer, q].reshape(shapes[q])
-            overlaps[layer, q] = np.einsum("zkiaj,zkibj->zab", t, pre_q)
-            mu = np.einsum("zba,zkibj->zkiaj", u[layer, q], t).reshape(b, k, -1)
-    grad = 2.0 * np.einsum("lqzgab,lqzab->zlqg", du, overlaps).real
-    return values, grad.reshape(b, -1)
+        post[1, layer] = mu
+        mu = mu @ w[:, layer]
+    # both back through the entangler, split by each qubit's value
+    phi, mu = post[..., np.argsort(entangler)[_qubit_halves(n)]]
+    (r00, r01), (r10, r11) = np.einsum("lzkqat,lzkqbt->abzlq", mu, phi)
+    # g_P = Im sum(P * R) for P = X, Y, Z
+    g_x, g_y, g_z = (r01 + r10).imag, (r10 - r01).real, (r00 - r11).imag
+    angles = np.moveaxis(parameters[..., 1:], -1, 0)
+    (cos_b, cos_c), (sin_b, sin_c) = np.cos(angles), np.sin(angles)
+    d_a = cos_b * (cos_c * g_x + sin_c * g_y) - sin_b * g_z
+    d_b = cos_c * g_y - sin_c * g_x
+    return values, np.stack([d_a, d_b, g_z], axis=-1).reshape(b, -1)
 
 
 def ansatz_pass(kind: str, parameters: np.ndarray, adjoint=None):
@@ -351,7 +378,7 @@ def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
     ``params[z]``; dF = M psi for each form.
     """
     def adjoint(final: np.ndarray):
-        m_psi = np.einsum("zrab,zkb->zrka", forms_stacks, final)
+        m_psi = final[:, None] @ forms_stacks.swapaxes(-1, -2)
         f_ab, f_ae = np.einsum("zka,zrka->rz", final.conj(), m_psi).real
         return loss_and_adjoint(f_ab, f_ae, m_psi[:, 0], m_psi[:, 1], f_targets)
 
@@ -819,13 +846,3 @@ def frontier_sweep(
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 
-
-def pareto_filter(points) -> list[tuple[float, float]]:
-    """Keep (x, y) points not dominated by any other point."""
-    pts = sorted(points, key=lambda p: (-p[0], -p[1]))
-    out, best_y = [], -math.inf
-    for x, y in pts:
-        if y > best_y:
-            out.append((x, y))
-            best_y = y
-    return out[::-1]

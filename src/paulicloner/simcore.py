@@ -60,48 +60,23 @@ _I2 = np.eye(2)
 _MINUS_I_PAULIS = -1j * np.array([PAULIS[p] for p in "XYZ"])
 
 
-def axis_rotations(angles) -> np.ndarray:
-    """Rotations exp(-i a_k P_k / 2) about P = X, Y, Z for an (..., 3) array.
-
-    Entry ``[..., k, :, :]`` rotates by ``angles[..., k]`` about axis k, so
-    one call builds every factor of a batch of RZ(c) RY(b) RX(a) blocks.  A
-    scalar angle broadcasts to all three axes.
-    """
-    half = 0.5 * np.asarray(angles, dtype=float)[..., None, None]
-    return np.cos(half) * _I2 + np.sin(half) * _MINUS_I_PAULIS
-
-
-# row g of the stacked products has factor g (RX, RY, RZ) replaced by its
-# derivative
-_DERIVATIVE_SLOTS = np.eye(3, dtype=bool)[..., None, None]
-
-
-def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast product of stacked 2x2 matrices, as two elementwise passes
-    (einsum and matmul are slower on 2x2 stacks)."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-
-
-def _zyx_product(f: np.ndarray) -> np.ndarray:
-    """f[..., 2, :, :] f[..., 1, :, :] f[..., 0, :, :] for stacked factors."""
-    return _matmul_2x2(_matmul_2x2(f[..., 2, :, :], f[..., 1, :, :]), f[..., 0, :, :])
-
-
 def rotation_block(angles) -> np.ndarray:
-    """RZ(c) RY(b) RX(a) for (..., 3) angles, shape (..., 2, 2)."""
-    return _zyx_product(axis_rotations(angles))
+    """RZ(c) RY(b) RX(a) for (..., 3) angles (a, b, c), shape (..., 2, 2).
 
-
-def rotation_blocks(angles) -> tuple[np.ndarray, np.ndarray]:
-    """RZ(c) RY(b) RX(a) and its three angle derivatives for (..., 3) angles.
-
-    Returns ``u`` of shape (..., 2, 2) and ``du`` of shape (..., 3, 2, 2),
-    where ``du[..., g]`` is the derivative in angle g (a, b, c).
+    In closed form the block is [[alpha, -beta*], [beta, alpha*]] with
+    alpha = exp(-i c/2) (cos(b/2) cos(a/2) + i sin(b/2) sin(a/2)) and
+    beta = exp(i c/2) (sin(b/2) cos(a/2) - i cos(b/2) sin(a/2)).  It is
+    put together from real products and sums alone, so a batch gives each
+    block bit for bit as alone (vectorized complex products may round
+    differently from scalar ones).
     """
-    f = axis_rotations(angles)
-    d = 0.5 * _matmul_2x2(_MINUS_I_PAULIS, f)  # d/da exp(-i a P/2) = -i P/2 exp(..)
-    t = np.where(_DERIVATIVE_SLOTS, d[..., None, :, :, :], f[..., None, :, :, :])
-    return _zyx_product(f), _zyx_product(t)
+    half = 0.5 * np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
+    p, q, r, s = cb * ca, sb * sa, sb * ca, cb * sa
+    a_re, a_im = cc * p + sc * q, cc * q - sc * p
+    b_re, b_im = cc * r + sc * s, sc * r - cc * s
+    parts = np.stack([a_re, a_im, -b_re, b_im, b_re, b_im, a_re, -a_im], axis=-1)
+    return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -135,7 +110,7 @@ class GateOp:
         fixed = GATES[self.name][1]
         if fixed is not None:
             return fixed
-        # exp(-i a P / 2) about this gate's own axis alone, as axis_rotations builds it
+        # exp(-i a P / 2) about this gate's own axis alone
         half = 0.5 * self.angle
         axis = _MINUS_I_PAULIS["XYZ".index(self.name[-1])]
         rotation = math.cos(half) * _I2 + math.sin(half) * axis

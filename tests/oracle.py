@@ -6,8 +6,10 @@ hardware circuit runs gate by gate, and the receivers' reduced states are
 mixed with the branch weights.  ``reference_unitary`` compiles the hardware
 column by column, one simulator run per basis column.
 ``central_difference`` is the derivative reference for the adjoint
-gradients.
+gradients, and ``pareto_filter`` the non-dominated subset of frontier points.
 """
+
+import math
 
 import numpy as np
 
@@ -85,3 +87,14 @@ def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarra
         fm = fn(shifted)
         grad[k] = (fp - fm) / (2 * h)
     return grad
+
+
+def pareto_filter(points) -> list[tuple[float, float]]:
+    """Keep (x, y) points not dominated by any other point."""
+    pts = sorted(points, key=lambda p: (-p[0], -p[1]))
+    out, best_y = [], -math.inf
+    for x, y in pts:
+        if y > best_y:
+            out.append((x, y))
+            best_y = y
+    return out[::-1]

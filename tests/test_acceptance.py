@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from oracle import central_difference
+from oracle import central_difference, pareto_filter
 
 from paulicloner import optimize as opt
 from paulicloner.analytic import (
@@ -256,7 +256,7 @@ def test_c09_two_qubit_noisy_frontier():
         assert a.f_ae_avg >= b.f_ae_avg - 1e-3, (a.f_target, a.f_ae_avg, b.f_ae_avg)
     # and the NG frontier must dominate the universal-cloner point
     uqcm = result.series("uqcm")[0]
-    front = opt.pareto_filter([(r.f_ab_avg, r.f_ae_avg) for r in ng_rows])
+    front = pareto_filter([(r.f_ab_avg, r.f_ae_avg) for r in ng_rows])
     xs, ys = [p[0] for p in front], [p[1] for p in front]
     assert min(xs) <= uqcm.f_ab_avg <= max(xs)
     ng_at_uqcm = float(np.interp(uqcm.f_ab_avg, xs, ys))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import central_difference, reference_fidelities
+from oracle import central_difference, pareto_filter, reference_fidelities
 
 from paulicloner.analytic import table1_angles
 from paulicloner import optimize
@@ -35,10 +35,10 @@ from paulicloner.optimize import (
     fidelity_quadratic_forms,
     frontier_sweep,
     grid_frontier_b92,
+    layered_pass,
     loss,
     make_b92_loss,
     make_program_loss,
-    pareto_filter,
     program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
@@ -321,6 +321,71 @@ class TestAdjointGradients:
         _, g = ansatz_pass("program-prep", p.reshape(1, 60), capture)
         np.testing.assert_array_equal(seen[0][0, 0], program_prep_state(p))
         np.testing.assert_array_equal(g, np.zeros((1, 60)))
+
+    def test_b92_forward_state_is_the_adjoint_pass_state(self):
+        seen = []
+
+        def capture(final):
+            seen.append(final.copy())
+            return 0.0, np.zeros_like(final)
+
+        p = np.random.default_rng(34).uniform(-math.pi, math.pi, 18)
+        _, g = ansatz_pass("b92", p.reshape(1, 18), capture)
+        np.testing.assert_array_equal(seen[0], ansatz_pass("b92", p))
+        np.testing.assert_array_equal(g, np.zeros((1, 18)))
+
+
+_RING = ((0, 1), (1, 2), (2, 0))
+
+
+def _ring_pass(params, inputs, adjoint=None):
+    """Two layers on three qubits with a CNOT-ring entangler: a layout
+    neither shipped ansatz uses."""
+    return layered_pass(params, inputs, optimize._entangler(3, _RING), adjoint)
+
+
+class TestLayeredPass:
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(33)
+        inputs = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
+        m = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+        forms = m + m.conj().transpose(0, 2, 1)
+        return inputs, forms, rng.uniform(-math.pi, math.pi, (4, 2, 3, 3))
+
+    def test_final_states_match_gate_by_gate(self):
+        inputs, _, params = self._case()
+        final = _ring_pass(params, inputs)
+        for z in range(len(params)):
+            ops = []
+            for layer in range(2):
+                for q in range(3):
+                    rotations = zip(("RX", "RY", "RZ"), params[z, layer, q])
+                    ops += [GateOp(g, (q,), a) for g, a in rotations]
+                ops += [GateOp("CNOT", pair) for pair in _RING]
+            for k in range(3):
+                ref = apply_ops(inputs[k], 3, ops)
+                np.testing.assert_allclose(final[z, k], ref, rtol=0, atol=1e-14)
+
+    def test_gradients_match_differences_and_the_shift_rule(self):
+        inputs, forms, params = self._case()
+
+        def adjoint(final):
+            # loss sum_k psi_k^dag M_k psi_k, whose adjoint vectors are M_k psi_k
+            m_psi = np.einsum("kab,zkb->zka", forms, final)
+            return np.einsum("zka,zka->z", final.conj(), m_psi).real, m_psi
+
+        def loss_of(p):
+            return _ring_pass(p.reshape(1, 2, 3, 3), inputs, adjoint)[0][0]
+
+        values, grads = _ring_pass(params, inputs, adjoint)
+        for p, value, g in zip(params.reshape(4, -1), values, grads):
+            assert abs(value - loss_of(p)) < 1e-13
+            np.testing.assert_allclose(g, central_difference(loss_of, p), rtol=0, atol=1e-6)
+            # the loss is trigonometric in the full angle, hence frequency 1
+            shift = shift_gradient_states(loss_of, p, 1.0)
+            np.testing.assert_allclose(g, shift, rtol=0, atol=1e-12)
 
 
 class TestQuadraticForms:

@@ -6,16 +6,16 @@ import pytest
 from paulicloner.simcore import (
     Circuit,
     DensityMatrix,
+    PAULIS,
     GateOp,
     StateVector,
     apply_circuit,
-    axis_rotations,
     basis_state,
     fidelity_pure,
     inject_state,
     partial_trace,
     reduced_density_matrix,
-    rotation_blocks,
+    rotation_block,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -166,25 +166,27 @@ class TestRotations:
 
     def test_batched_rotations_match_scalar_ones(self):
         angles = np.random.default_rng(41).uniform(-4, 4, (5, 4, 3))
-        batch = axis_rotations(angles)
-        for idx in np.ndindex(5, 4, 3):
-            scalar = axis_rotations(angles[idx])[idx[-1]]
-            np.testing.assert_array_equal(batch[idx], scalar)
+        batch = rotation_block(angles)
+        for idx in np.ndindex(5, 4):
+            np.testing.assert_array_equal(batch[idx], rotation_block(angles[idx]))
 
     def test_blocks_and_derivatives(self):
         angles = np.random.default_rng(42).uniform(-4, 4, (6, 3))
-        u, du = rotation_blocks(angles)
-        for block, derivs, (a, b, c) in zip(u, du, angles):
+        x, y, z = (PAULIS[p] for p in "XYZ")
+        for block, (a, b, c) in zip(rotation_block(angles), angles):
             gates = (("RZ", c), ("RY", b), ("RX", a))
             rz, ry, rx = (GateOp(n, (0,), t).matrix() for n, t in gates)
             np.testing.assert_allclose(block, rz @ ry @ rx, atol=1e-15)
-            for g in range(3):
+            # each angle's derivative is -i/2 H U for its generator H
+            generators = (block @ x @ block.conj().T, rz @ y @ rz.conj().T, z)
+            for g, h in enumerate(generators):
                 # d/dt exp(-i t P / 2) = (U(t + pi) - U(t - pi)) / 4 exactly
                 shift = np.zeros(3)
                 shift[g] = math.pi
-                plus = rotation_blocks(np.array([a, b, c]) + shift)[0]
-                minus = rotation_blocks(np.array([a, b, c]) - shift)[0]
-                np.testing.assert_allclose(derivs[g], (plus - minus) / 4, atol=1e-15)
+                plus = rotation_block(np.array([a, b, c]) + shift)
+                minus = rotation_block(np.array([a, b, c]) - shift)
+                want = (plus - minus) / 4
+                np.testing.assert_allclose(-0.5j * h @ block, want, atol=1e-15)
 
 
 class TestPartialTrace:
