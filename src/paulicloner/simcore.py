@@ -7,8 +7,8 @@ q0 * 2^(n-1) + q1 * 2^(n-2) + ... + q_{n-1}.  Equivalently, reshaping an
 amplitude vector to shape (2,)*n puts qubit q on axis q.  Operators written
 as tensor products A (x) B place A on qubit 0.
 
-Everything here is a pure function of its inputs; the wrapped numpy arrays
-are marked read-only so values can be shared freely across workers.
+Every gate runs through one kernel, ``apply_gates``, and is defined once, by
+``gate_matrices`` and ``gate_inverses``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -50,7 +51,6 @@ GATES = {
 GATE_ARITY = {name: arity for name, (arity, _) in GATES.items()}
 GATE_NAMES = tuple(GATES)
 ROTATION_GATES = tuple(name for name, (_, fixed) in GATES.items() if fixed is None)
-# GateOp.matrix() hands every op the same array, so none may be written
 for _fixed in [*PAULIS.values(), *(m for _, m in GATES.values() if m is not None)]:
     _fixed.flags.writeable = False
 
@@ -58,6 +58,36 @@ for _fixed in [*PAULIS.values(), *(m for _, m in GATES.values() if m is not None
 # -i P for P = X, Y, Z: exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-i P)
 _I2 = np.eye(2)
 _MINUS_I_PAULIS = -1j * np.array([PAULIS[p] for p in "XYZ"])
+
+
+@lru_cache(maxsize=None)
+def _gate_tables(arity: int) -> tuple[np.ndarray, ...]:
+    """By GATE_NAMES index: fixed matrix (else identity), is a rotation, its axis."""
+    fixed = [m if a == arity and m is not None else np.eye(2**arity) for a, m in GATES.values()]
+    rotating = [g in ROTATION_GATES for g in GATE_NAMES]
+    axes = ["XYZ".find(g[-1]) for g in GATE_NAMES]  # read for rotations only
+    return np.array(fixed, dtype=complex), np.array(rotating), np.array(axes)
+
+
+def gate_matrices(gates, angles, control_values) -> np.ndarray:
+    """Matrices (C, 2^k, 2^k) of C gates of arity k from arrays of GATE_NAMES indices,
+    angles and control values; CRY holds RY where its control has its value."""
+    gates = np.asarray(gates)
+    arity = GATE_ARITY[GATE_NAMES[gates[0]]]
+    out, rotating, axes = (table[gates] for table in _gate_tables(arity))
+    turns = np.arange(len(gates))[rotating]
+    if turns.size:
+        half = 0.5 * np.asarray(angles, dtype=float)[turns, None, None]
+        rotations = np.cos(half) * _I2 + np.sin(half) * _MINUS_I_PAULIS[axes[turns]]
+        held = (arity - 1) * np.asarray(control_values)[turns]
+        out.reshape(-1, 2 ** (arity - 1), 2, 2 ** (arity - 1), 2)[turns, held, :, held] = rotations
+    return out
+
+
+def gate_inverses(gates, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses as (repeats, angles) of the same gates: S^-1 = S^3, any other fixed
+    gate undoes itself, a rotation negates its angle."""
+    return np.where(np.asarray(gates) == GATE_NAMES.index("S"), 3, 1), np.negative(angles)
 
 
 def rotation_block(angles) -> np.ndarray:
@@ -107,27 +137,16 @@ class GateOp:
             raise ValueError("control_value must be 0 or 1")
 
     def matrix(self) -> np.ndarray:
-        fixed = GATES[self.name][1]
-        if fixed is not None:
-            return fixed
-        # exp(-i a P / 2) about this gate's own axis alone
-        half = 0.5 * self.angle
-        axis = _MINUS_I_PAULIS["XYZ".index(self.name[-1])]
-        rotation = math.cos(half) * _I2 + math.sin(half) * axis
-        if self.name != "CRY":
-            return rotation
-        # CRY: block-diagonal in the control qubit
-        m = np.eye(4, dtype=complex)
-        block = slice(2, 4) if self.control_value == 1 else slice(0, 2)
-        m[block, block] = rotation
-        return m
+        """This gate's read-only matrix, from gate_matrices."""
+        m = gate_matrices([GATE_NAMES.index(self.name)], [self.angle or 0.0], [self.control_value])
+        m.flags.writeable = False
+        return m[0]
 
     def inverse(self) -> tuple["GateOp", ...]:
-        """Inverse as a sequence of ops from the same gate set: S^-1 = S^3, any
-        other fixed gate undoes itself, a rotation negates its angle."""
-        if GATES[self.name][1] is None:
-            return (GateOp(self.name, self.qubits, -self.angle, self.control_value),)
-        return (self,) * (3 if self.name == "S" else 1)
+        """Inverse as a sequence of ops from the same gate set, by gate_inverses."""
+        repeats, angle = gate_inverses(GATE_NAMES.index(self.name), self.angle or 0.0)
+        angle = float(angle) if self.name in ROTATION_GATES else self.angle
+        return (GateOp(self.name, self.qubits, angle, self.control_value),) * int(repeats)
 
 
 @dataclass(frozen=True)
@@ -213,22 +232,48 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+def _gather_index(top: int, qubits) -> np.ndarray:
+    """The values of the top qubits, transposed for each member to its gate qubits
+    (C, k) in order, then the other top qubits ascending: (C, 2^k, 2^(top - k))."""
+    count, arity = np.shape(qubits)
+    values = np.arange(2**top).reshape((2,) * top)
+    orders = ([*q, *(a for a in range(top) if a not in q)] for q in np.asarray(qubits).tolist())
+    return np.array([values.transpose(order) for order in orders]).reshape(count, 2**arity, -1)
+
+
 @lru_cache(maxsize=None)
-def _gate_axes(qubits: tuple[int, ...], num_qubits: int) -> tuple[tuple, tuple]:
-    """Axis order that brings a gate's qubits to the front, and its inverse."""
-    perm = qubits + tuple(q for q in range(num_qubits) if q not in qubits)
-    return perm, tuple(perm.index(q) for q in range(num_qubits))
+def _gather_table(top: int, arity: int) -> np.ndarray:
+    """_gather_index of every k-tuple of distinct qubits below ``top``, by tuple."""
+    table = np.zeros((top,) * arity + (2**arity, 2 ** (top - arity)), dtype=int)
+    tuples = list(permutations(range(top), arity))
+    table[tuple(np.transpose(tuples))] = _gather_index(top, tuples)
+    return table
+
+
+def apply_gates(states: np.ndarray, matrices: np.ndarray, qubits) -> np.ndarray:
+    """The gate kernel: a new stack of states (C, 2^n), each member given its own
+    gate, matrices (C, 2^k, 2^k) on qubits (C, k), by gather, G @ t and scatter.
+    Qubits below the highest gate qubit ride along as rows of the gather."""
+    qubits = np.asarray(qubits)
+    count, dim = states.shape
+    top, arity = int(qubits.max()) + 1, qubits.shape[1]
+    # up to 4 top qubits: one cached table of 16-entry indices per arity
+    index = _gather_table(top, arity)[tuple(qubits.T)] if top <= 4 else _gather_index(top, qubits)
+    index = index + (np.arange(count) << top)[:, None, None]  # rows of the whole stack
+    rows = states.reshape(count << top, -1)
+    t = matrices @ rows[index].reshape(count, 2**arity, -1)
+    out = np.empty(rows.shape, dtype=t.dtype)
+    out[index] = t.reshape(index.shape + rows.shape[-1:])
+    return out.reshape(count, dim)
 
 
 def apply_ops(amplitudes: np.ndarray, num_qubits: int, ops) -> np.ndarray:
-    """Apply gates to a bare amplitude vector (no validation; hot path)."""
-    psi = amplitudes
+    """Apply ops in order to a bare amplitude vector, unvalidated: one apply_gates
+    call each, with a stack of one."""
+    psi = amplitudes.reshape(1, 2**num_qubits)
     for op in ops:
-        perm, inverse = _gate_axes(tuple(op.qubits), num_qubits)
-        t = psi.reshape((2,) * num_qubits).transpose(perm)
-        t = (op.matrix() @ t.reshape(2 ** len(op.qubits), -1)).reshape(t.shape)
-        psi = t.transpose(inverse).reshape(-1)
-    return psi
+        psi = apply_gates(psi, op.matrix()[None], [op.qubits])
+    return psi.reshape(-1)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

@@ -277,30 +277,35 @@ class TestRandomCircuits:
     """The bulk draws behind circuit-unitarity cover what the check claims."""
 
     def test_draws_cover_every_size_gate_and_control(self):
-        draws = cli._random_circuits(np.random.default_rng(0), 200)
-        assert len(draws) == 200
-        circuits = [c for c, _ in draws]
-        assert {c.num_qubits for c in circuits} == {2, 3, 4}
-        ops = [(c.num_qubits, op) for c in circuits for op in c.ops]
-        assert {op.name for _, op in ops} == set(simcore.GATE_NAMES)
-        assert {op.control_value for _, op in ops if op.name == "CRY"} == {0, 1}
+        sizes, gates, angles, controls, orders, inputs = cli._random_circuits(
+            np.random.default_rng(0), 200
+        )
+        assert sizes.shape == (200,) and gates.shape == angles.shape == (200, 12)
+        n = np.broadcast_to(sizes[:, None], gates.shape)
+        arity = np.array([simcore.GATE_ARITY[g] for g in simcore.GATE_NAMES])[gates]
+        held = arity <= n  # slots that hold a gate
+        names = np.array(simcore.GATE_NAMES)[gates]
+        assert set(sizes.tolist()) == {2, 3, 4}
+        assert set(names[held].tolist()) == set(simcore.GATE_NAMES)
+        assert set(controls[held & (names == "CRY")].tolist()) == {0, 1}
+        assert np.all(controls[names != "CRY"] == 1)
+        assert np.all((-math.pi <= angles) & (angles < math.pi))
         # qubits come in either order, and the top qubit of a register is reached
-        assert {op.qubits for n, op in ops if op.name == "CNOT" and n == 2} == {(0, 1), (1, 0)}
-        assert {op.qubits[0] for n, op in ops if n == 4 and len(op.qubits) == 1} == {0, 1, 2, 3}
-        for n, op in ops:
-            assert simcore.GATE_ARITY[op.name] <= n
-            assert len(set(op.qubits)) == len(op.qubits)
-            assert all(0 <= q < n for q in op.qubits)
-            assert (op.angle is not None) == (op.name in simcore.ROTATION_GATES)
-        for c, v in draws:
-            assert v.shape == (2**c.num_qubits,)
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        cnot_2q = orders[held & (names == "CNOT") & (n == 2)][:, :2]
+        assert set(map(tuple, cnot_2q.tolist())) == {(0, 1), (1, 0)}
+        assert set(orders[held & (arity == 1) & (n == 4)][:, 0].tolist()) == {0, 1, 2, 3}
+        for i, j in zip(*np.nonzero(held)):
+            qubits = orders[i, j, : arity[i, j]].tolist()
+            assert len(set(qubits)) == len(qubits)
+            assert all(0 <= q < sizes[i] for q in qubits)
+        for size, v in zip(sizes, inputs):
+            assert abs(np.linalg.norm(v[: 2**size]) - 1.0) < 1e-12
+            assert not np.any(v[2**size :])
 
     def test_equal_seeds_give_equal_circuits(self):
         a = cli._random_circuits(np.random.default_rng(0), 200)
         b = cli._random_circuits(np.random.default_rng(0), 200)
-        assert [c for c, _ in a] == [c for c, _ in b]
-        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(a, b))
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 class TestRandomPrograms:
@@ -436,35 +441,40 @@ class TestValidateBatches:
 
     def test_gate_matrix_off_by_1e9(self, capsys, monkeypatch):
         # RX runs only in the random circuits, not in the compiled cloners
-        original = simcore.GateOp.matrix
+        original = simcore.gate_matrices
+        rx = simcore.GATE_NAMES.index("RX")
 
-        def scaled_rx(op):
-            return original(op) * (1 + 1e-9) if op.name == "RX" else original(op)
+        def scaled_rx(gates, angles, control_values):
+            scale = np.where(np.asarray(gates) == rx, 1 + 1e-9, 1.0)
+            return original(gates, angles, control_values) * scale[:, None, None]
 
-        monkeypatch.setattr(simcore.GateOp, "matrix", scaled_rx)
+        monkeypatch.setattr(simcore, "gate_matrices", scaled_rx)
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["circuit-unitarity"]
 
     def test_cry_with_control_zero_off_by_1e9(self, capsys, monkeypatch):
-        original = simcore.GateOp.matrix
+        original = simcore.gate_matrices
+        cry = simcore.GATE_NAMES.index("CRY")
 
-        def scaled_cry0(op):
-            m = original(op)
-            return m * (1 + 1e-9) if op.name == "CRY" and op.control_value == 0 else m
+        def scaled_cry0(gates, angles, control_values):
+            off = (np.asarray(gates) == cry) & (np.asarray(control_values) == 0)
+            scale = np.where(off, 1 + 1e-9, 1.0)
+            return original(gates, angles, control_values) * scale[:, None, None]
 
-        monkeypatch.setattr(simcore.GateOp, "matrix", scaled_cry0)
+        monkeypatch.setattr(simcore, "gate_matrices", scaled_cry0)
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["circuit-unitarity"]
 
     def test_s_inverse_as_a_single_s(self, capsys, monkeypatch):
-        original = simcore.GateOp.inverse
+        original = simcore.gate_inverses
 
-        def one_s(op):
-            return (op,) if op.name == "S" else original(op)
+        def one_s(gates, angles):
+            repeats, inverse_angles = original(gates, angles)
+            return np.ones_like(repeats), inverse_angles
 
-        monkeypatch.setattr(simcore.GateOp, "inverse", one_s)
+        monkeypatch.setattr(simcore, "gate_inverses", one_s)
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["circuit-unitarity"]

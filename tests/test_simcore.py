@@ -1,16 +1,23 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from paulicloner.simcore import (
+    GATE_ARITY,
+    GATE_NAMES,
+    ROTATION_GATES,
     Circuit,
     DensityMatrix,
     PAULIS,
     GateOp,
     StateVector,
     apply_circuit,
+    apply_gates,
+    apply_ops,
     basis_state,
+    gate_matrices,
     fidelity_pure,
     inject_state,
     partial_trace,
@@ -121,6 +128,52 @@ class TestApplyCircuit:
             apply_circuit(basis_state(2, 0), Circuit(3, (GateOp("H", (0,)),)))
 
 
+def dense_gate(gate, qubits, n):
+    """The 2^n x 2^n operator of a gate on ``qubits``: G (x) I acting on qubits
+    0..k-1, conjugated by the permutation matrix that puts the gate's i-th
+    qubit, then the other qubits in ascending order, on qubit i."""
+    full = np.kron(gate, np.eye(2 ** (n - len(qubits))))
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    perm = np.zeros((2**n, 2**n))
+    for x in range(2**n):
+        y = sum(((x >> (n - 1 - q)) & 1) << (n - 1 - i) for i, q in enumerate(order))
+        perm[y, x] = 1
+    return perm.T @ full @ perm
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_gate_and_qubit_tuple_against_dense_operators(self, n):
+        rng = np.random.default_rng(50 + n)
+        for arity in range(1, min(n, 3) + 1):
+            ops = [
+                GateOp(name, qubits, rng.uniform(-math.pi, math.pi), control_value)
+                if name in ROTATION_GATES
+                else GateOp(name, qubits)
+                for name in GATE_NAMES
+                if GATE_ARITY[name] == arity
+                for control_value in ((0, 1) if name == "CRY" else (1,))
+                for qubits in permutations(range(n), arity)
+            ]
+            states = rng.standard_normal((len(ops), 2**n)) + 1j * rng.standard_normal(
+                (len(ops), 2**n)
+            )
+            matrices = np.array([op.matrix() for op in ops])
+            gates = [GATE_NAMES.index(op.name) for op in ops]
+            angles = [op.angle or 0.0 for op in ops]
+            controls = [op.control_value for op in ops]
+            np.testing.assert_array_equal(gate_matrices(gates, angles, controls), matrices)
+            # one mixed stack of every gate of this arity on every qubit tuple
+            stack = apply_gates(states, matrices, [op.qubits for op in ops])
+            for op, psi, got in zip(ops, states, stack):
+                want = dense_gate(op.matrix(), op.qubits, n) @ psi
+                alone = apply_gates(psi[None], op.matrix()[None], [op.qubits])[0]
+                np.testing.assert_allclose(alone, want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(got, alone)
+                np.testing.assert_array_equal(apply_ops(psi, n, [op]), alone)
+
+
 class TestRotations:
     def test_gate_matrices_are_the_closed_forms(self):
         for angle in np.random.default_rng(40).uniform(-10, 10, 50):
@@ -162,7 +215,7 @@ class TestRotations:
             got = GateOp(name, qubits).matrix()
             np.testing.assert_array_equal(got, np.array(want, dtype=complex))
             with pytest.raises(ValueError, match="read-only"):
-                got[0, 0] = 0  # shared by every op of this gate
+                got[0, 0] = 0  # matrix() hands out read-only arrays
 
     def test_batched_rotations_match_scalar_ones(self):
         angles = np.random.default_rng(41).uniform(-4, 4, (5, 4, 3))
