@@ -7,12 +7,12 @@ program's values independent of the others.  For the NG family one
 stabilizer rule gives them all, at any register size and for complex
 programs (``ng_closed_form``): Bob's fidelity in a basis is the program
 weight on the indices j whose (z|x)-encoded Pauli string fixes that basis,
-and Eve's collects the real parts of the cross terms conj(a_i xor s) a_i
-over the same stabilizers s.  The QID coefficient tables do not have such a
-uniform rule and are stored explicitly (``qid_fidelity_columns``); the
-single-qubit QID forms accept complex programs, the two-qubit ones real
-programs only.  ``ng_fidelities`` and ``qid_fidelities`` wrap one program's
-columns in a ``FidelityReport``.
+and Eve's collects the XOR autocorrelations sum_i conj(a_i xor s) a_i over
+the same stabilizers s, read off a Walsh-Hadamard transform.  The QID
+coefficient tables do not have such a uniform rule and are stored explicitly
+(``qid_fidelity_columns``); the single-qubit QID forms accept complex
+programs, the two-qubit ones real programs only.  ``ng_fidelities`` and
+``qid_fidelities`` wrap one program's columns in a ``FidelityReport``.
 """
 
 from __future__ import annotations
@@ -132,27 +132,35 @@ def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _masked_sum(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """sum_s masks[b, s] values[p, s] as (b, p), added in the order of s."""
-    return sum(m[:, None] * v for v, m in zip(values.T, masks.T))
+    """sum_s masks[b, s] values[s, p] as (b, p), added in the order of s."""
+    return sum(m[:, None] * v for v, m in zip(values, masks.T))
+
+
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """The +-1 Walsh-Hadamard transform of a C-contiguous x along axis 0, in
+    place by butterflies: elementwise adds in a fixed order, no BLAS."""
+    for h in 2 ** np.arange(int(math.log2(len(x)))):
+        v = x.reshape(-1, 2, h, *x.shape[1:])
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
+    return x
 
 
 def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Eve's NG fidelities, each (basis, program), of program columns
     (4^N, P), shared by every state of a basis.  Over the indices s of the Pauli
     strings that fix the basis (its invariant mask; s = 0 is I):
-    F_AB = sum_s |a_s|^2,  F_AE = (1 + sum_{s > 0} sum_i Re(conj(a_{i^s}) a_i)) / 2^N.
-    Every sum runs over one program at a time, so a program's values do not
-    depend on the other columns.
+    F_AB = sum_s |a_s|^2,  F_AE = (1 + sum_{s > 0} r_s) / 2^N,  with the XOR
+    autocorrelation r_s = sum_i conj(a_{i^s}) a_i = (H |H a|^2)_s / 4^N, H the
+    +-1 Walsh-Hadamard transform.  Every step is elementwise along the program
+    axis, so a program's values do not depend on the other columns.
     """
     if any(4**b.num_qubits != len(columns) for b in bases):
         raise ValueError("program and basis register sizes differ")
     stabilizes = np.array([b.invariant_mask for b in bases], dtype=float)
-    a = np.asarray(columns).T  # (P, 4^N)
-    xor = np.arange(a.shape[1]) ^ np.arange(a.shape[1])[:, None]  # [s, i] = i^s
-    # (P, s), each sum along one contiguous row
-    overlap = np.ascontiguousarray((a[:, xor].conj() * a[:, None]).real).sum(axis=2)
-    f_ae = (1 + _masked_sum(overlap[:, 1:], stabilizes[:, 1:])) / math.isqrt(a.shape[1])
-    return _masked_sum(np.abs(a) ** 2, stabilizes), f_ae
+    spectrum = _walsh_hadamard(np.array(columns, dtype=complex, order="C"))
+    r = _walsh_hadamard(spectrum.real**2 + spectrum.imag**2) / len(columns)
+    f_ae = (1 + _masked_sum(r[1:], stabilizes[:, 1:])) / math.isqrt(len(columns))
+    return _masked_sum(np.abs(columns) ** 2, stabilizes), f_ae
 
 
 def ng_fidelities(s: SoftwareState) -> FidelityReport:

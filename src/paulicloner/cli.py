@@ -347,7 +347,8 @@ def _unitarity_check(rng, count: int) -> float:
 
 
 # run_validation's tracemalloc peak, in a process that has already compiled the
-# cloners, is 8.1 MiB at 1000 trials and 40.3 MiB at 5000: 8.2 KiB a trial
+# cloners, is 1.6 MiB at 1000 trials and 7.4 MiB at 5000 (1.5 KiB a trial), and
+# `validate --trials 5000` peaks at 48 MiB RSS; the cap also bounds run time
 MAX_TRIALS = 100_000
 
 

@@ -65,7 +65,7 @@ class SoftwareState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
         n = round(math.log(amps.size, 4))
         if 4**n != amps.size or n < 1:
             raise ValueError(f"program length {amps.size} is not a power of 4")
@@ -383,17 +383,22 @@ def fidelity_columns(
     kind: ClonerKind, num_clone_qubits: int, programs, states, channel=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Eve's fidelities (S, P), the diagonals of ``fidelity_matrices``,
-    as fresh arrays; from 4^N program columns on, c^dag M c off the identity's
-    forms costs less."""
+    as fresh arrays.  From 4^N program columns on, c^dag M c off the identity's
+    forms costs less; it makes M c a few states at a time, not all (S, 4^N, P)."""
     d2 = 4**num_clone_qubits
     if programs.shape[1] < d2:
         mats = fidelity_matrices(kind, num_clone_qubits, programs, states, channel)
-        values = (np.diagonal(m, axis1=1, axis2=2) for m in mats)
-    else:
-        forms = fidelity_matrices(kind, num_clone_qubits, np.eye(d2), states, channel)
-        values = (np.einsum("ip,sip->sp", programs.conj(), m @ programs) for m in forms)
-    # fresh writable arrays at every batch size, never views into the matrices
-    return tuple(v.real.copy() for v in values)
+        # fresh writable arrays at every batch size, never views into the matrices
+        return tuple(np.diagonal(m, axis1=1, axis2=2).real.copy() for m in mats)
+    forms = fidelity_matrices(kind, num_clone_qubits, np.eye(d2), states, channel)
+    values = tuple(np.empty((len(states), programs.shape[1])) for _ in forms)
+    step = max(1, 2**15 // programs.size)  # states per product: 2^15 entries or one state
+    for f, m in zip(values, forms):
+        for k in range(0, len(m), step):
+            prod = m[k : k + step] @ programs  # Re(c conj(M c)) = Re(conj(c) M c)
+            f[k : k + step] = np.einsum("ip,sip->sp", programs, np.conj(prod, out=prod)).real
+            del prod  # one product at a time
+    return values
 
 
 def clone_output_reduced(

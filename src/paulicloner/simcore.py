@@ -177,7 +177,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if amps.shape != (2**self.num_qubits,):
@@ -206,7 +206,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's stays writable
         dim = 2**self.num_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")

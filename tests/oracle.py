@@ -5,6 +5,7 @@ the (error-applied) input are injected into the 3N-qubit register, the
 hardware circuit runs gate by gate, and the receivers' reduced states are
 mixed with the branch weights.  ``reference_unitary`` compiles the hardware
 column by column, one simulator run per basis column.
+``reference_ng_closed_form`` is the NG closed form by direct XOR gathers.
 ``central_difference`` is the derivative reference for the adjoint
 gradients, and ``pareto_filter`` the non-dominated subset of frontier points.
 """
@@ -75,6 +76,20 @@ def reference_transfer_matrix(kind, n, program):
         for i, pi in enumerate(paulis):
             r[i, j] = np.trace(pi @ image) / 2**n
     return r
+
+
+def reference_ng_closed_form(columns, bases):
+    """Bob's and Eve's NG fidelities, each (basis, program), of program columns
+    (4^N, P) by direct XOR gathers: F_AB = sum_s |a_s|^2 and
+    F_AE = (1 + sum_{s > 0} sum_i Re(conj(a_{i^s}) a_i)) / 2^N over the
+    stabilizer indices s of each basis.  Builds two (P, 4^N, 4^N) arrays."""
+    stabilizes = np.array([b.invariant_mask for b in bases], dtype=float)
+    a = np.asarray(columns).T  # (P, 4^N)
+    xor = np.arange(a.shape[1]) ^ np.arange(a.shape[1])[:, None]  # [s, i] = i^s
+    overlap = (a[:, xor].conj() * a[:, None]).real.sum(axis=2)  # (P, s)
+    masked_sum = lambda values, masks: sum(m[:, None] * v for v, m in zip(values.T, masks.T))
+    f_ae = (1 + masked_sum(overlap[:, 1:], stabilizes[:, 1:])) / math.isqrt(a.shape[1])
+    return masked_sum(np.abs(a) ** 2, stabilizes), f_ae
 
 
 def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarray:

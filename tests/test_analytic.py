@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +26,13 @@ from paulicloner.cloner import (
     clone_fidelities,
     fidelity_columns,
     ng_angles_to_program,
+    state_rows,
 )
 from paulicloner import analytic, mub
 from paulicloner.mub import MubBasis, mubs_for
 from paulicloner.simcore import StateVector
+
+from oracle import reference_ng_closed_form
 
 
 def random_program(rng, n, complex_amps=False):
@@ -174,6 +179,75 @@ class TestNgClosedForm:
     def test_register_size_mismatch(self):
         with pytest.raises(ValueError, match="register sizes differ"):
             ng_closed_form(np.ones((16, 1)), mubs_for(1).bases)
+
+
+def stabilizer_bases(n):
+    """The MUB bases for N = 1, 2.  For N = 3, which has no MUB set here,
+    stand-ins that hold what the NG rule reads: each commuting class plus the
+    identity as an invariant mask."""
+    if n < 3:
+        return mubs_for(n).bases
+    bases = []
+    for cls in mub.commuting_classes(n):
+        mask = np.zeros(4**n, dtype=bool)
+        mask[[0] + [mub.pauli_to_index(p) for p in cls]] = True
+        bases.append(SimpleNamespace(num_qubits=n, invariant_mask=mask))
+    return bases
+
+
+def complex_columns(rng, n, count):
+    v = rng.standard_normal((4**n, count)) + 1j * rng.standard_normal((4**n, count))
+    return v / np.linalg.norm(v, axis=0)
+
+
+class TestNgWalshHadamard:
+    """The transform form of the NG rule against the XOR-gather reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_xor_gather_reference(self, n):
+        # fixed before any run: one float64 eps per entry of the 4^N-term sums
+        tol = 4**n * np.finfo(float).eps
+        rng = np.random.default_rng(80 + n)
+        columns = complex_columns(rng, n, 300)
+        bases = stabilizer_bases(n)
+        got = ng_closed_form(columns, bases)
+        want = reference_ng_closed_form(columns, bases)
+        for g, w in zip(got, want):
+            assert g.shape == (len(bases), 300)
+            np.testing.assert_allclose(g, w, rtol=0, atol=tol)
+
+    def test_leaves_the_columns_alone_in_any_memory_order(self):
+        rng = np.random.default_rng(84)
+        columns = complex_columns(rng, 2, 50)
+        kept = columns.copy()
+        bases = mubs_for(2).bases
+        c_order = ng_closed_form(columns, bases)
+        f_order = ng_closed_form(np.asfortranarray(columns), bases)
+        assert np.array_equal(columns, kept)
+        for c, f in zip(c_order, f_order):
+            assert np.array_equal(c, f)
+
+
+class TestColumnMemory:
+    """Peak traced memory per program column stays flat as the batch grows."""
+
+    @staticmethod
+    def peak_per_column(fn, columns) -> float:
+        tracemalloc.start()
+        try:
+            fn(columns)
+            return tracemalloc.get_traced_memory()[1] / columns.shape[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ng_closed_form_and_engine_columns_within_1_kib(self):
+        columns = complex_columns(np.random.default_rng(90), 2, 2000)
+        bases = mubs_for(2).bases
+        rows = state_rows(2, [st for b in bases for st in b.states])
+        engine = lambda c: fidelity_columns(ClonerKind.NG, 2, c, rows)
+        engine(columns[:, :16])  # compiles the cloner outside the traced call
+        assert self.peak_per_column(lambda c: ng_closed_form(c, bases), columns) <= 1024
+        assert self.peak_per_column(engine, columns) <= 1024
 
 
 class TestColumnForms:

@@ -88,6 +88,15 @@ class TestSoftwareState:
         with pytest.raises(ValueError, match="not normalized"):
             SoftwareState(np.array(amps))
 
+    def test_copies_the_callers_array(self):
+        # a later write by the caller must not reach the validated state
+        amps = np.array([1, 0, 0, 0], dtype=complex)
+        program = SoftwareState(amps)
+        amps[:] = [0, 0, 0, 5]
+        assert program.amplitudes.tolist() == [1, 0, 0, 0]
+        assert np.linalg.norm(program.amplitudes) == 1.0
+        assert amps.flags.writeable and not program.amplitudes.flags.writeable
+
 
 class TestBuildNg:
     def test_single_qubit_gate_list(self):

@@ -399,3 +399,20 @@ class TestValidation:
         state = basis_state(2, 1)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+    def test_state_vector_copies_the_callers_array(self):
+        # a later write by the caller must not reach the validated state
+        amps = np.array([1, 0, 0, 0], dtype=complex)
+        state = StateVector(2, amps)
+        amps[:] = [0, 0, 0, 5]
+        assert state.amplitudes.tolist() == [1, 0, 0, 0]
+        assert np.linalg.norm(state.amplitudes) == 1.0
+
+    def test_density_matrix_leaves_the_callers_array_writable(self):
+        # the matrix is copied: the caller's array stays writable and its own
+        m = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityMatrix(1, m)
+        m[:] = np.diag([0.0, 1.0])
+        assert m.flags.writeable
+        assert rho.matrix.tolist() == [[1, 0], [0, 0]]
+        assert not rho.matrix.flags.writeable
