@@ -10,9 +10,8 @@ weight on the indices j whose (z|x)-encoded Pauli string fixes that basis,
 and Eve's collects the XOR autocorrelations sum_i conj(a_i xor s) a_i over
 the same stabilizers s, read off a Walsh-Hadamard transform.  The QID
 coefficient tables do not have such a uniform rule and are stored explicitly
-(``qid_fidelity_columns``); the single-qubit QID forms accept complex
-programs, the two-qubit ones real programs only.  ``ng_fidelities`` and
-``qid_fidelities`` wrap one program's columns in a ``FidelityReport``.
+(``qid_fidelity_columns``); they too take complex programs.  ``ng_fidelities``
+and ``qid_fidelities`` wrap one program's columns in a ``FidelityReport``.
 """
 
 from __future__ import annotations
@@ -91,36 +90,35 @@ _QID2Q_AE_M34 = (
 )
 
 
+def _re(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re(u conj(v)) elementwise; for real rows the plain product."""
+    return (u * v.conj()).real
+
+
 def _pair_sum(a: np.ndarray, table) -> np.ndarray:
-    """1/4 + 1/2 sum sign a_i a_j over rows a_i, the terms added in table order."""
-    return 0.25 + 0.5 * sum(sign * a[i] * a[j] for i, j, sign in table)
+    """1/4 + 1/2 sum sign Re(a_i conj(a_j)) over rows a_i, added in table order."""
+    return 0.25 + 0.5 * sum(sign * _re(a[i], a[j]) for i, j, sign in table)
 
 
 def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Eve's QID fidelities, each (state, program), of program
-    columns (4^N, P) for N = 1 or 2, in the engine's order: the states of
-    ``mubs_for(N)`` basis by basis.
+    columns (4^N, P) for N = 1 or 2, real or complex, in the engine's order:
+    the states of ``mubs_for(N)`` basis by basis.
 
     At N = 1 the X and Y fidelities differ only in one relative sign.  At
-    N = 2 the programs must be real; the M1 fidelities are not uniform
-    (states 0 and 2 share one value, states 1 and 3 another), and M3 and M4
-    always coincide, which is why this circuit cannot trade fidelity between
-    those two bases.
+    N = 2 the M1 fidelities are not uniform (states 0 and 2 share one value,
+    states 1 and 3 another), and M3 and M4 always coincide, which is why this
+    circuit cannot trade fidelity between those two bases.
     """
-    columns = np.asarray(columns)
-    if len(columns) == 4:
-        a, b, c, d = columns
-        re = lambda u, v: (u * v.conj()).real
-        f_ab = [abs(a) ** 2 + abs(d) ** 2, re(a, d) + re(b, c) + 0.5, re(a, d) - re(b, c) + 0.5]
-        f_ae = [abs(a) ** 2 + abs(b) ** 2, re(a, b) + re(c, d) + 0.5, re(a, b) - re(c, d) + 0.5]
+    a = np.asarray(columns)
+    if len(a) == 4:
+        ad, bc, ab, cd = (_re(a[i], a[j]) for i, j in ((0, 3), (1, 2), (0, 1), (2, 3)))
+        f_ab = [_re(a[0], a[0]) + _re(a[3], a[3]), ad + bc + 0.5, ad - bc + 0.5]
+        f_ae = [_re(a[0], a[0]) + _re(a[1], a[1]), ab + cd + 0.5, ab - cd + 0.5]
         return np.repeat(f_ab, 2, axis=0), np.repeat(f_ae, 2, axis=0)
-    if len(columns) != 16:
+    if len(a) != 16:
         raise ValueError("QID closed forms exist for 1- and 2-qubit programs")
-    if not np.all(np.abs(columns.imag) < 1e-12):
-        raise ValueError("two-qubit QID closed forms support real programs only")
-    a = columns.real
-    ab_m0 = a[0] ** 2 + a[5] ** 2 + a[10] ** 2 + a[15] ** 2
-    ae_m0 = a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
+    ab_m0, ae_m0 = (sum(_re(a[k], a[k]) for k in ks) for ks in ((0, 5, 10, 15), (0, 1, 2, 3)))
     # the tables are read at call time
     ab_02, ab_13 = _pair_sum(a, _QID2Q_AB_M1_02), _pair_sum(a, _QID2Q_AB_M1_13)
     ae_02, ae_13 = _pair_sum(a, _QID2Q_AE_M1_02), _pair_sum(a, _QID2Q_AE_M1_13)
@@ -172,7 +170,7 @@ def ng_fidelities(s: SoftwareState) -> FidelityReport:
 
 
 def qid_fidelities(s: SoftwareState) -> FidelityReport:
-    """QID fidelities of a program (1 or 2 qubits; 2 real only)."""
+    """QID fidelities of a program of 1 or 2 qubits."""
     f_ab, f_ae = (f[:, 0] for f in qid_fidelity_columns(s.amplitudes[:, None]))
     return FidelityReport.from_columns(mubs_for(s.num_clone_qubits).labels, f_ab, f_ae)
 

@@ -147,16 +147,10 @@ class MubSet:
 
 def unbiasedness_deviation(bases, num_qubits: int) -> float:
     """Largest | |<a|b>|^2 - 2^-N | over states a, b of distinct bases."""
-    bases = tuple(bases)
-    target = 2.0**-num_qubits
-    dev = 0.0
-    for i, a in enumerate(bases):
-        for b in bases[i + 1 :]:
-            for sa in a.states:
-                for sb in b.states:
-                    ov = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
-                    dev = max(dev, abs(ov - target))
-    return dev
+    g = np.array([[s.amplitudes for s in b.states] for b in bases])  # (basis, state, amp)
+    overlaps = np.abs(np.einsum("bia,cja->bcij", g.conj(), g)) ** 2
+    distinct = ~np.eye(len(g), dtype=bool)
+    return float(np.max(np.abs(overlaps[distinct] - 2.0**-num_qubits), initial=0.0))
 
 
 def _sv(vec) -> StateVector:
@@ -242,49 +236,42 @@ class PauliAction:
         return self.kind == "invariant"
 
 
+def _pauli_actions(basis: MubBasis, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The actions of the Pauli strings with (z|x) ``indices`` on the basis, as
+    arrays (string, state): P|b_k> = phases[p, k] |b_perm[p, k]>.  Raises
+    ValueError when a string does not map a state onto a basis ray."""
+    n = basis.num_qubits
+    g = np.array([s.amplitudes for s in basis.states])  # rows are states
+    ov = np.einsum("ja,pab,kb->pjk", g.conj(), pauli_matrices(n)[indices], g)
+    mag = np.abs(ov)  # mag[p, j, k] = |<b_j| P_p |b_k>|
+    bad = (np.abs(mag.max(axis=1) - 1.0) > 1e-10) | (np.sum(mag > 1e-10, axis=1) != 1)
+    if np.any(bad):
+        p, k = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{index_to_pauli(int(indices[p]), n)} does not map state {k} of basis "
+            f"{basis.label} onto a basis ray"
+        )
+    perm = mag.argmax(axis=1)
+    return perm, np.take_along_axis(ov, perm[:, None], axis=1)[:, 0]
+
+
 def pauli_action(p: PauliString, basis: MubBasis) -> PauliAction:
     """Classify the action of a Pauli string on the states of a basis."""
     if len(p) != basis.num_qubits:
-        raise ValueError(
-            f"Pauli on {len(p)} qubits vs basis on {basis.num_qubits} qubits"
-        )
-    u = p.matrix()
-    g = np.array([s.amplitudes for s in basis.states])  # rows are states
-    ov = g.conj() @ (u @ g.T)  # ov[j, k] = <b_j| P |b_k>
-    perm, phases = [], []
-    for k in range(g.shape[0]):
-        col = ov[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if abs(abs(col[j]) - 1.0) > 1e-10 or np.sum(np.abs(col) > 1e-10) != 1:
-            raise ValueError(
-                f"{p} does not map state {k} of basis {basis.label} onto a basis ray"
-            )
-        perm.append(j)
-        phases.append(complex(col[j]))
-    kind = "invariant" if perm == list(range(len(perm))) else "permutation"
-    return PauliAction(kind, tuple(perm), tuple(phases))
+        raise ValueError(f"Pauli on {len(p)} qubits vs basis on {basis.num_qubits} qubits")
+    (perm,), (phases,) = _pauli_actions(basis, [pauli_to_index(p)])
+    kind = "invariant" if np.array_equal(perm, np.arange(len(perm))) else "permutation"
+    return PauliAction(kind, tuple(perm.tolist()), tuple(phases.tolist()))
 
 
 def invariant_paulis(basis: MubBasis) -> np.ndarray:
     """Boolean mask over (z|x) indices: which Pauli strings fix every state ray.
 
-    Batched form of ``pauli_action`` over all 4^N strings; raises the same
-    ValueError when a string does not map a state onto a basis ray.
+    ``pauli_action`` over all 4^N strings at once; raises the same ValueError
+    when a string does not map a state onto a basis ray.
     """
-    n = basis.num_qubits
-    g = np.array([s.amplitudes for s in basis.states])  # rows are states
-    ov = np.einsum("ja,pab,kb->pjk", g.conj(), pauli_matrices(n), g)
-    mag = np.abs(ov)  # mag[p, j, k] = |<b_j| P_p |b_k>|
-    bad = (np.abs(mag.max(axis=1) - 1.0) > 1e-10) | (
-        np.sum(mag > 1e-10, axis=1) != 1
-    )
-    if np.any(bad):
-        p, k = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{index_to_pauli(int(p), n)} does not map state {k} of basis "
-            f"{basis.label} onto a basis ray"
-        )
-    return np.all(mag.argmax(axis=1) == np.arange(g.shape[0]), axis=1)
+    perm, _ = _pauli_actions(basis, np.arange(4**basis.num_qubits))
+    return np.all(perm == np.arange(perm.shape[1]), axis=1)
 
 
 # Error triplets in table row order; each triplet together with the identity

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import ng_closed_form, uqcm_program_ng
+from .analytic import uqcm_program_ng
 from .cloner import (
     B92_INPUTS,
     ClonerKind,
@@ -58,7 +58,7 @@ from .cloner import (
     state_rows,
 )
 from .mub import mubs_for
-from .noise import PauliChannel, noisy_fidelity_1q
+from .noise import PauliChannel
 from .simcore import Circuit, GateOp, apply_ops, rotation_block
 
 logger = logging.getLogger("paulicloner")
@@ -552,56 +552,45 @@ def grid_frontier_b92(family: ClonerKind, f_values) -> list[tuple[float, float]]
 
 
 # ---------------------------------------------------------------------------
-# reference curves
+# reference families
 
 
-def pccm_reference_eve(f_ab_avg: float, channel: PauliChannel | None) -> float:
-    """Noisy Eve average of the phase-covariant cloner (Z/X bases) whose noisy
-    Bob average equals ``f_ab_avg``."""
+# Each reference family as data: a description, its bases, the lowest noiseless
+# Bob fidelity t of a basis, and Eve's noiseless fidelity in every basis as a
+# closed form of t.  uqcm is table1_angles("uqcm", theta) read through
+# ng_closed_form, t = 1 / (1 + 2 sin^2 theta) for theta in [0, pi/2].
+REFERENCE_FAMILIES = {
+    "pccm": ("Bob-favoring phase-covariant", "ZX", 0.5, lambda t: 0.5 + math.sqrt(t * (1 - t))),
+    "uqcm": ("asymmetric universal", "ZXY", 1 / 3,
+             lambda t: (2 - t + math.sqrt((1 - t) * (3 * t - 1))) / 2),
+}
+
+
+def reference_eve(family: str, f_ab_avg: float, channel: PauliChannel | None) -> float:
+    """Noisy Eve average of the cloner of a reference family (``pccm`` or
+    ``uqcm``) whose noisy Bob average over the family's bases is ``f_ab_avg``.
+
+    Bob and Eve have one fidelity in every basis of the family, and the channel
+    moves both averages by the affine map F (1 - 2q) + q, with q the mean rate
+    of the errors that harm a basis.
+    """
+    description, labels, lowest, eve_of = REFERENCE_FAMILIES[family]
     p = _xyz_probs(channel)
-    q_z, q_x = p["X"] + p["Y"], p["Y"] + p["Z"]
-    span = 2 - 2 * q_z - 2 * q_x
-    if abs(span) <= 1e-12 and abs(f_ab_avg - 0.5) <= 1e-12:
-        return 0.5  # p_X + 2 p_Y + p_Z = 1 puts every such cloner at Bob = Eve = 1/2
-    t = (2 * f_ab_avg - q_z - q_x) / span if abs(span) > 1e-12 else math.nan
-    if not -1e-12 <= t - 0.5 <= 0.5 + 1e-12:  # a NaN t fails too
-        raise ValueError(f"no Bob-favoring phase-covariant cloner reaches {f_ab_avg}")
-    t = min(max(t, 0.5), 1.0)
-    eve = 0.5 + math.sqrt(t * (1.0 - t))
-    return (
-        noisy_fidelity_1q(eve, "Z", p["X"], p["Y"], p["Z"])
-        + noisy_fidelity_1q(eve, "X", p["X"], p["Y"], p["Z"])
-    ) / 2
-
-
-UQCM_CURVE_POINTS = 4001
-
-
-def uqcm_reference_curve(channel: PauliChannel | None):
-    """(noisy Bob avg, noisy Eve avg) along the asymmetric universal family,
-    at UQCM_CURVE_POINTS angles theta in [0, pi/2]."""
-    p = _xyz_probs(channel)
-    theta = np.linspace(0.0, math.pi / 2, UQCM_CURVE_POINTS)
-    # the program of table1_angles("uqcm", theta=theta), as amplitude arrays
-    rho = np.arctan(math.sqrt(2) * np.sin(theta))
-    a = np.cos(theta) * np.cos(rho)
-    b = math.cos(math.pi / 4) * np.sin(rho)
-    c = np.sin(theta) * np.cos(rho)
-    d = math.sin(math.pi / 4) * np.sin(rho)
-    # universal cloners: the Z basis stands for all three
-    return tuple(
-        sum(noisy_fidelity_1q(f, bl, p["X"], p["Y"], p["Z"]) for bl in "ZXY") / 3
-        for (f,) in ng_closed_form(np.array([a, b, c, d]), [mubs_for(1)["Z"]])
-    )
+    q = sum(sum(p.values()) - p[b] for b in labels) / len(labels)
+    slope = 1 - 2 * q
+    if abs(slope) <= 1e-12 and abs(f_ab_avg - 0.5) <= 1e-12:
+        return 0.5  # q = 1/2 puts every cloner of the family at Bob = Eve = 1/2
+    t = (f_ab_avg - q) / slope if abs(slope) > 1e-12 else math.nan
+    if not -1e-12 <= t - lowest <= 1 - lowest + 1e-12:  # a NaN t fails too
+        raise ValueError(f"no {description} cloner reaches {f_ab_avg}")
+    return eve_of(min(max(t, lowest), 1.0)) * slope + q
 
 
 def _xyz_probs(channel: PauliChannel | None) -> dict:
-    if channel is None:
-        return {"X": 0.0, "Y": 0.0, "Z": 0.0}
-    if channel.num_qubits != 1:
+    if channel is not None and channel.num_qubits != 1:
         raise ValueError("expected a single-qubit channel")
     out = {"X": 0.0, "Y": 0.0, "Z": 0.0}
-    for p, w in channel.probs.items():
+    for p, w in channel.probs.items() if channel is not None else ():
         if not p.is_identity:
             out[p.letters] += w
     return out
@@ -769,24 +758,16 @@ def _reference_rows(task, f_values, channel) -> list[SweepRow]:
 
     They are computed before any Adam run, so bad inputs fail fast.
     """
-    if task == "bb84":
+    if task in ("bb84", "sixstate"):
+        family = "pccm" if task == "bb84" else "uqcm"
         rows = []
         for f in f_values:
             try:
-                eve = pccm_reference_eve(f, channel)
+                eve = reference_eve(family, f, channel)
             except ValueError:
                 continue
-            rows.append(SweepRow(f, "pccm", "", {}, {}, f, eve, None))
+            rows.append(SweepRow(f, family, "", {}, {}, f, eve, None))
         return rows
-    if task == "sixstate":
-        xs, ys = uqcm_reference_curve(channel)
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-        return [
-            SweepRow(f, "uqcm", "", {}, {}, f, float(np.interp(f, xs, ys)), None)
-            for f in f_values
-            if xs[0] - 1e-9 <= f <= xs[-1] + 1e-9
-        ]
     if task == "twenty":
         report = clone_fidelities(ClonerKind.NG, 2, uqcm_program_ng(2), channel=channel)
         return [_report_row(math.nan, "uqcm", "", report)]

@@ -221,7 +221,7 @@ def test_c08_bb84_frontier_beats_phase_covariant():
     wins = 0
     for row in result.series("ng"):
         try:
-            reference = opt.pccm_reference_eve(row.f_ab_avg, channel)
+            reference = opt.reference_eve("pccm", row.f_ab_avg, channel)
         except ValueError:
             continue
         if row.f_ae_avg > reference:

@@ -17,7 +17,7 @@ from paulicloner.cloner import (
     clone_fidelities,
 )
 from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import PauliChannel, channel_with_single_error, noisy_fidelity_1q
+from paulicloner.noise import PauliChannel, channel_with_single_error
 from paulicloner.optimize import (
     TASKS,
     AnsatzSpec,
@@ -675,20 +675,6 @@ class TestSweep:
         assert all(ys[i] >= ys[i + 1] for i in range(len(ys) - 1))
         assert (0.6, 0.9) not in front  # dominated by (0.7, 0.95)
 
-    def test_universal_curve_matches_the_scalar_path(self):
-        # each point: the table1_angles program, its closed forms, and the
-        # scalar noise transform averaged over the three bases
-        ch = PauliChannel.from_xyz(0.25, 0.0, 0.1)
-        xs, ys = optimize.uqcm_reference_curve(ch)
-        assert xs.shape == ys.shape == (optimize.UQCM_CURVE_POINTS,)
-        thetas = np.linspace(0.0, math.pi / 2, optimize.UQCM_CURVE_POINTS)
-        for i in (0, 1, 1234, 2000, optimize.UQCM_CURVE_POINTS - 1):
-            program = table1_angles("uqcm", theta=thetas[i]).to_program()
-            a, b, c, d = program.amplitudes.real
-            for got, f in ((xs[i], a**2 + c**2), (ys[i], 0.5 + a * c + b * d)):
-                want = np.mean([noisy_fidelity_1q(f, bl, 0.25, 0.0, 0.1) for bl in "ZXY"])
-                assert got == pytest.approx(want, abs=1e-15)
-
     @pytest.mark.parametrize("xyz", [(0.0, 0.5, 0.0), (1.0, 0.0, 0.0), (0.25, 0.25, 0.25)])
     def test_pccm_reference_where_the_family_sits_at_one_half(self, xyz):
         # p_X + 2 p_Y + p_Z = 1: by simulation every phase-covariant cloner
@@ -700,10 +686,40 @@ class TestSweep:
             rep = clone_fidelities(ClonerKind.NG, 1, program, ch, bases)
             assert rep.f_ab_avg == pytest.approx(0.5, abs=1e-12)
             assert rep.f_ae_avg == pytest.approx(0.5, abs=1e-12)
-        assert optimize.pccm_reference_eve(0.5, ch) == 0.5
+        assert optimize.reference_eve("pccm", 0.5, ch) == 0.5
         for f in (0.45, 0.5 + 1e-9, 0.6):
             with pytest.raises(ValueError, match="no Bob-favoring"):
-                optimize.pccm_reference_eve(f, ch)
+                optimize.reference_eve("pccm", f, ch)
+
+    # none; biased; 1 - 2q < 0 for both families; q = 1/2 for both; q = 1/2
+    # for pccm only
+    REFERENCE_CHANNELS = [
+        None, (0.25, 0.0, 0.1), (0.5, 0.3, 0.2), (0.25, 0.25, 0.25), (0.0, 0.5, 0.0)
+    ]
+
+    @pytest.mark.parametrize("family, top", [("pccm", math.pi / 4), ("uqcm", math.pi / 2)])
+    @pytest.mark.parametrize("xyz", REFERENCE_CHANNELS)
+    def test_reference_eve_matches_the_engine_along_the_family(self, family, top, xyz):
+        # the engine's noisy averages of table1_angles(family, theta) on the
+        # family's bases: reference_eve maps the Bob average onto the Eve one.
+        # At the family's ends Eve's slope in Bob is infinite, so an input
+        # rounded by 1e-16 moves her by about 1e-8
+        ch = None if xyz is None else PauliChannel.from_xyz(*xyz)
+        bases = [mubs_for(1)[lbl] for lbl in optimize.REFERENCE_FAMILIES[family][1]]
+        thetas = np.concatenate([[0.0, 5e-4], np.linspace(0.0, top, 41)[1:-1], [top - 5e-4, top]])
+        for theta in thetas:
+            program = table1_angles(family, theta=theta).to_program()
+            rep = clone_fidelities(ClonerKind.NG, 1, program, ch, bases)
+            bound = 1e-12 if 1e-3 < theta < top - 1e-3 else 1e-7
+            got = optimize.reference_eve(family, rep.f_ab_avg, ch)
+            assert abs(got - rep.f_ae_avg) <= bound
+
+    def test_universal_reference_outside_the_family(self):
+        # noiseless, the family's Bob fidelity runs from 1/3 to 1
+        assert optimize.reference_eve("uqcm", 1 / 3, None) == pytest.approx(5 / 6, abs=1e-15)
+        for f in (0.3, 1 / 3 - 1e-9):
+            with pytest.raises(ValueError, match="no asymmetric universal cloner"):
+                optimize.reference_eve("uqcm", f, None)
 
     def test_sixstate_beats_universal_reference(self):
         # biased noise (p_X=0.25, p_Z=0.1): the optimized cloner must beat
