@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass, replace
 
@@ -170,11 +171,28 @@ class Check:
         return self.deviation <= self.tolerance
 
 
+def _gaussians(rng: random.Random, shape) -> np.ndarray:
+    """Standard complex Gaussians (real and imaginary parts N(0, 1)), built in
+    place from uniforms u, v as sqrt(-2 log(1 - u)) exp(2 pi i v)."""
+    u, v = simcore._uniforms(rng, (2, *shape))
+    np.sqrt(np.multiply(np.log1p(np.negative(u, out=u), out=u), -2, out=u), out=u)
+    z = np.empty(shape, complex)
+    np.cos(np.multiply(v, 2 * math.pi, out=v), out=z.real)
+    np.sin(v, out=z.imag)
+    return np.multiply(z, u, out=z)
+
+
+def _dirichlet(rng: random.Random, count: int) -> np.ndarray:
+    """(count, 4) Dirichlet(1, 1, 1, 1) rows: -log(1 - u) of uniforms over their sum."""
+    e = -np.log1p(-simcore._uniforms(rng, (count, 4)))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _random_programs(rng, count: int, n: int, complex_share: float = 0.0) -> np.ndarray:
-    """Unit program columns (4^n, count) in three array calls: Gaussian
-    amplitudes, complex Gaussian in a column with probability ``complex_share``."""
-    re, im = rng.standard_normal((2, 4**n, count))
-    v = re + 1j * im * (rng.random(count) < complex_share)
+    """Unit program columns (4^n, count): complex Gaussian amplitudes, real in a
+    column with probability 1 - ``complex_share``."""
+    v = _gaussians(rng, (4**n, count))
+    v.imag *= simcore._uniforms(rng, count) < complex_share
     return v / np.linalg.norm(v, axis=0)
 
 
@@ -253,9 +271,9 @@ def _noisy_transform_check(rng, count: int) -> float:
     channel.  A fidelity is linear in the channel, p_I F_I + p_X F_X + p_Y F_Y +
     p_Z F_Z with F_P the value under a certain error P and F_I the clean one, so
     four engine calls per kind, each on all of its programs, serve every draw."""
-    is_ng = rng.random(count) < 0.5
+    is_ng = simcore._uniforms(rng, count) < 0.5
     columns = _random_programs(rng, count, 1)
-    probs = (rng.dirichlet(np.ones(4), count) * rng.uniform(0.2, 1.0, (count, 1)))[:, :3]
+    probs = _dirichlet(rng, count)[:, :3] * (0.2 + 0.8 * simcore._uniforms(rng, (count, 1)))
     weights = np.column_stack([1.0 - probs.sum(axis=1), probs])
     bases = mubs_for(1).bases
     # per-basis means, axes (error I X Y Z, receiver, basis, draw)
@@ -276,7 +294,7 @@ def _noisy_transform_check(rng, count: int) -> float:
 
 def _transfer_check(rng, count: int) -> float:
     """Off-diagonal size of Bob's Pauli transfer matrix for random programs."""
-    sizes = rng.integers(1, 3, size=count)
+    sizes = 1 + (2 * simcore._uniforms(rng, count)).astype(int)
     devs = []
     for n in (1, 2):
         if np.any(sizes == n):
@@ -294,13 +312,14 @@ def _random_circuits(rng, count: int) -> tuple[np.ndarray, ...]:
     keyed 1 higher), its angle uniform in [-pi, pi), a CRY's control in {0, 1}.
     Returns sizes, the slots' gate indices, angles, controls and qubit orders (a
     gate's qubits first), and the inputs (C, 16), zero past 2^n."""
-    sizes = rng.integers(2, 5, size=count)
-    gates = rng.integers(len(simcore.GATE_NAMES), size=(count, 12))
-    orders = np.argsort(rng.random((count, 12, 4)) + (np.arange(4) >= sizes[:, None, None]))
-    angles = rng.uniform(-math.pi, math.pi, size=gates.shape)
-    controls = rng.integers(2, size=gates.shape) | (gates != simcore.GATE_NAMES.index("CRY"))
-    re, im = rng.standard_normal((2, count, 16))
-    v = np.where(np.arange(16) < 2 ** sizes[:, None], re + 1j * im, 0)
+    sizes = 2 + (3 * simcore._uniforms(rng, count)).astype(int)
+    gates = (len(simcore.GATE_NAMES) * simcore._uniforms(rng, (count, 12))).astype(int)
+    keys = simcore._uniforms(rng, (count, 12, 4))
+    orders = np.argsort(keys + (np.arange(4) >= sizes[:, None, None]))
+    angles = -math.pi + 2 * math.pi * simcore._uniforms(rng, gates.shape)
+    controls = (2 * simcore._uniforms(rng, gates.shape)).astype(int)
+    controls |= gates != simcore.GATE_NAMES.index("CRY")
+    v = np.where(np.arange(16) < 2 ** sizes[:, None], _gaussians(rng, (count, 16)), 0)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return sizes, gates, angles, controls, orders, v
 
@@ -344,23 +363,24 @@ def _unitarity_check(rng, count: int) -> float:
 
 # run_validation's tracemalloc peak, in a process that has already compiled the
 # cloners, is 1.3 MiB at 1000 trials and 4.7 MiB at 5000 (0.95 KiB a trial), and
-# `validate --trials 5000` peaks at 43.5 MiB RSS; the cap also bounds run time
+# `validate --trials 5000` peaks at 37.0 MiB RSS; the cap also bounds run time
 MAX_TRIALS = 100_000
 
 
 def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     """All closed-form-versus-simulation oracles and structure checks.
 
-    One stream feeds the randomized checks in the order listed (closed-form programs
-    per family, noise draws, transfer programs, circuits); each draws all
-    its randomness first, in array calls.  Each check stacks its programs as
-    columns (4^n, P), as bare vectors, and compares one closed-form call per family
-    with one engine call per family and register size; the noise oracle makes four
-    per kind, one clean and one per certain Pauli error, at any number of draws.
+    One stdlib stream, ``random.Random(seed)``, feeds the randomized checks in the
+    order listed (closed-form programs per family, noise draws, transfer programs,
+    circuits); each draws all its randomness first, in ``simcore._uniforms`` calls.
+    Each check stacks its programs as columns (4^n, P), as bare vectors, and
+    compares one closed-form call per family with one engine call per family and
+    register size; the noise oracle makes four per kind, one clean and one per
+    certain Pauli error, at any number of draws.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks: list[Check] = []
     for n in (1, 2):
         dev = mub.unbiasedness_deviation(mubs_for(n).bases, n)

@@ -384,7 +384,8 @@ def fidelity_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Eve's fidelities (S, P), the diagonals of ``fidelity_matrices``,
     as fresh arrays.  From 4^N program columns on, c^dag M c off the identity's
-    forms costs less; it makes M c a few states at a time, not all (S, 4^N, P)."""
+    forms costs less; it makes M c a few states and programs at a time, in
+    products of at most 2^15 entries, never the whole (S, 4^N, P) stack."""
     d2 = 4**num_clone_qubits
     if programs.shape[1] < d2:
         mats = fidelity_matrices(kind, num_clone_qubits, programs, states, channel)
@@ -392,12 +393,15 @@ def fidelity_columns(
         return tuple(np.diagonal(m, axis1=1, axis2=2).real.copy() for m in mats)
     forms = fidelity_matrices(kind, num_clone_qubits, np.eye(d2), states, channel)
     values = tuple(np.empty((len(states), programs.shape[1])) for _ in forms)
-    step = max(1, 2**15 // programs.size)  # states per product: 2^15 entries or one state
+    cols = min(programs.shape[1], 2**15 // d2)  # programs per product
+    step = 2**15 // (d2 * cols)  # states per product: 2^15 entries at most
     for f, m in zip(values, forms):
-        for k in range(0, len(m), step):
-            prod = m[k : k + step] @ programs  # Re(c conj(M c)) = Re(conj(c) M c)
-            f[k : k + step] = np.einsum("ip,sip->sp", programs, np.conj(prod, out=prod)).real
-            del prod  # one product at a time
+        for j in range(0, programs.shape[1], cols):
+            c, out = programs[:, j : j + cols], f[:, j : j + cols]
+            for k in range(0, len(m), step):
+                prod = m[k : k + step] @ c  # Re(c conj(M c)) = Re(conj(c) M c)
+                out[k : k + step] = np.einsum("ip,sip->sp", c, np.conj(prod, out=prod)).real
+                del prod  # one product at a time
     return values
 
 

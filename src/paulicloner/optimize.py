@@ -42,6 +42,7 @@ import functools
 import itertools
 import logging
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +60,7 @@ from .cloner import (
 )
 from .mub import mubs_for
 from .noise import PauliChannel
-from .simcore import Circuit, GateOp, apply_ops, rotation_block
+from .simcore import Circuit, GateOp, _uniforms, apply_ops, rotation_block
 
 logger = logging.getLogger("paulicloner")
 
@@ -297,11 +298,11 @@ def program_prep_state_and_shift_grads(parameters: np.ndarray):
 
 def restart_starts(cfg: OptimizerConfig, size: int) -> np.ndarray:
     """The (cfg.restarts, size) starts of one Adam row: zeros for restart 0,
-    uniform angles from a stream derived from ``cfg.seed`` and r for r > 0."""
+    and for r > 0 angles uniform in [-pi, pi) from the stdlib stream
+    ``random.Random(f"{cfg.seed}/{r}")``."""
     starts = np.zeros((cfg.restarts, size))
-    for restart in range(1, cfg.restarts):
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
-        starts[restart] = np.random.default_rng(seq).uniform(-math.pi, math.pi, size)
+    for r in range(1, cfg.restarts):
+        starts[r] = -math.pi + 2 * math.pi * _uniforms(random.Random(f"{cfg.seed}/{r}"), size)
     return starts
 
 
@@ -678,8 +679,7 @@ def _units(task: str) -> list[tuple]:
 
 
 def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
-    child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1000 + row_index,))
-    return replace(cfg, seed=int(child.generate_state(1)[0]))
+    return replace(cfg, seed=random.Random(f"{cfg.seed}/{1000 + row_index}").getrandbits(32))
 
 
 def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
@@ -793,8 +793,9 @@ def frontier_sweep(
     rows.  bb84, sixstate and pairs rows are exact; ``cfg`` drives the Adam
     series only, whose rows all run in one Adam batch.  They are
     deterministic for a fixed config: the row at target i of the u-th
-    series (``_units`` order) draws its restart starts from the seed
-    derived from (cfg.seed, u * len(f_values) + i).
+    series (``_units`` order) is seeded by 32 bits of the stdlib stream
+    ``random.Random(f"{cfg.seed}/{1000 + k}")``, k = u * len(f_values) + i,
+    and draws its restart starts from that seed (``restart_starts``).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")

@@ -14,6 +14,7 @@ Every gate runs through one kernel, ``apply_gates``, and is defined once, by
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -351,3 +352,14 @@ def inject_state(state: StateVector, register, amplitudes) -> StateVector:
     )
     out = np.transpose(out, np.argsort(register + rest)).reshape(-1)
     return StateVector(n, out)
+
+
+def _uniforms(rng: random.Random, shape) -> np.ndarray:
+    """Doubles in [0, 1) of ``shape``, the same on every platform: the top 53 bits of
+    little-endian 64-bit words of ``rng.randbytes``, times 2^-53.  Words are read
+    8192 at a time, so the draw's scratch memory does not grow with its size."""
+    out = np.empty(shape)
+    for chunk in np.split(out.reshape(-1), range(8192, out.size, 8192)):
+        words = np.frombuffer(rng.randbytes(8 * chunk.size), "<u8")
+        np.multiply(words >> 11, 2.0**-53, out=chunk)
+    return out

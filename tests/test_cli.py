@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -199,7 +200,7 @@ class TestValidateCommand:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before the trials guard")
 
-        monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(simcore, "_uniforms", no_draws)
         trials = str(cli.MAX_TRIALS + 1)
         code, out, err = run_cli(capsys, "validate", "--trials", trials)
         assert code == 2 and out == ""
@@ -278,7 +279,7 @@ class TestRandomCircuits:
 
     def test_draws_cover_every_size_gate_and_control(self):
         sizes, gates, angles, controls, orders, inputs = cli._random_circuits(
-            np.random.default_rng(0), 200
+            random.Random(0), 200
         )
         assert sizes.shape == (200,) and gates.shape == angles.shape == (200, 12)
         n = np.broadcast_to(sizes[:, None], gates.shape)
@@ -303,8 +304,8 @@ class TestRandomCircuits:
             assert not np.any(v[2**size :])
 
     def test_equal_seeds_give_equal_circuits(self):
-        a = cli._random_circuits(np.random.default_rng(0), 200)
-        b = cli._random_circuits(np.random.default_rng(0), 200)
+        a = cli._random_circuits(random.Random(0), 200)
+        b = cli._random_circuits(random.Random(0), 200)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
@@ -313,20 +314,20 @@ class TestRandomPrograms:
 
     @pytest.mark.parametrize("n,complex_share", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 1.0)])
     def test_unit_columns(self, n, complex_share):
-        columns = cli._random_programs(np.random.default_rng(0), 50, n, complex_share)
+        columns = cli._random_programs(random.Random(0), 50, n, complex_share)
         assert columns.shape == (4**n, 50)
         np.testing.assert_allclose(np.linalg.norm(columns, axis=0), 1.0, rtol=0, atol=1e-12)
         if complex_share == 0.0:
             assert not np.any(columns.imag)
 
     def test_closed_form_draw_has_real_and_complex_columns(self):
-        columns = cli._random_programs(np.random.default_rng(0), 200, 1, 0.3)
+        columns = cli._random_programs(random.Random(0), 200, 1, 0.3)
         is_complex = np.any(columns.imag != 0, axis=0)
         assert 0 < np.count_nonzero(is_complex) < 200
 
     def test_equal_seeds_give_equal_columns(self):
-        a = cli._random_programs(np.random.default_rng(4), 30, 2, 0.3)
-        b = cli._random_programs(np.random.default_rng(4), 30, 2, 0.3)
+        a = cli._random_programs(random.Random(4), 30, 2, 0.3)
+        b = cli._random_programs(random.Random(4), 30, 2, 0.3)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -342,15 +343,106 @@ class TestClosedFormCheckMemory:
     @pytest.mark.parametrize("kind", [ClonerKind.NG, ClonerKind.QID])
     def test_two_qubit_check_within_1_kib_per_program(self, kind):
         count = 5000
-        cli._closed_form_check(np.random.default_rng(0), 20, kind, 2)  # compiles the cloner
+        cli._closed_form_check(random.Random(0), 20, kind, 2)  # compiles the cloner
         tracemalloc.start()
         try:
-            dev = cli._closed_form_check(np.random.default_rng(1), count, kind, 2)
+            dev = cli._closed_form_check(random.Random(1), count, kind, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert dev <= 1e-12
         assert peak / count <= 1024
+
+
+def run_in_subprocess(code: str, **env) -> str:
+    src = str(Path(paulicloner.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+SEEDED_COMMANDS = [
+    ["validate", "--trials", "20", "--seed", "1"],
+    ["sweep", "--task", "b92", "--f", "0.75:0.8:0.05", "--steps", "2", "--restarts", "2"],
+    ["sweep", "--task", "twenty", "--f", "0.45:0.5:0.05", "--steps", "2", "--restarts", "2"],
+]
+
+
+class TestSeededDraws:
+    """Every seeded number comes from the stdlib's Mersenne Twister through
+    simcore._uniforms; the statistics use 10^5 draws and tolerances of about
+    five standard errors."""
+
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=["validate", "b92", "twenty"])
+    def test_seeded_commands_load_neither_numpy_random_nor_openssl(self, argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "from paulicloner.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))"
+        )
+        assert run_in_subprocess(code).strip() == "[]"
+
+    def test_uniforms(self):
+        u = simcore._uniforms(random.Random(0), (10, 10**4))
+        assert u.shape == (10, 10**4)
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))  # 53-bit doubles
+        assert abs(u.mean() - 0.5) < 0.005 and abs(u.var() - 1 / 12) < 0.0012
+        # the chunked reads make one stream, whatever the shape
+        np.testing.assert_array_equal(simcore._uniforms(random.Random(0), 10**5), u.ravel())
+
+    def test_complex_gaussians(self):
+        z = cli._gaussians(random.Random(1), (10**5,))
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) < 0.02 and abs(part.var() - 1.0) < 0.025
+        assert abs(np.mean(z.real * z.imag)) < 0.02
+        assert abs(np.mean(z**2)) < 0.045  # isotropic: E z^2 = 0
+
+    def test_integers_cover_their_range(self):
+        sizes, gates, _, controls, _, _ = cli._random_circuits(random.Random(2), 8334)
+        assert gates.size > 10**5
+        k = len(simcore.GATE_NAMES)
+        shares = np.bincount(gates.ravel(), minlength=k) / gates.size
+        np.testing.assert_allclose(shares, 1 / k, atol=0.005)
+        np.testing.assert_allclose(np.bincount(sizes - 2) / sizes.size, 1 / 3, atol=0.025)
+        cry = gates == simcore.GATE_NAMES.index("CRY")
+        np.testing.assert_allclose(np.bincount(controls[cry]) / cry.sum(), 0.5, atol=0.025)
+
+    def test_dirichlet_rows(self):
+        rows = cli._dirichlet(random.Random(3), 10**5)
+        assert rows.shape == (10**5, 4) and rows.min() >= 0.0
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        # Dirichlet(1, 1, 1, 1): each entry Beta(1, 3), mean 1/4, variance 3/80
+        np.testing.assert_allclose(rows.mean(axis=0), 0.25, atol=0.003)
+        np.testing.assert_allclose(rows.var(axis=0), 3 / 80, atol=0.0009)
+
+    def test_streams_are_the_same_in_every_process(self):
+        # pinned values: the stdlib stream and the word reads are the same on every platform
+        pinned = [0.38524530801093704, 0.8902439183457648, 0.040484381006232306]
+        assert simcore._uniforms(random.Random(0), 3).tolist() == pinned
+        # string seeds hash by sha512, not by the per-process str hash
+        code = (
+            "import sys\n"
+            "from paulicloner import optimize\n"
+            "from paulicloner.cli import main\n"
+            "cfg = optimize.OptimizerConfig(restarts=3, seed=5)\n"
+            "print(optimize.restart_starts(optimize._row_config(cfg, 2), 4).tolist())\n"
+            f"main({SEEDED_COMMANDS[1] + ['--seed', '5']!r})"
+        )
+        first, second = (run_in_subprocess(code, PYTHONHASHSEED=h) for h in ("1", "2"))
+        assert first == second
+        cfg = optimize.OptimizerConfig(restarts=3, seed=5)
+        starts = optimize.restart_starts(optimize._row_config(cfg, 2), 4)
+        assert first.splitlines()[0] == str(starts.tolist())
 
 
 class TestValidateBatches:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,30 @@ class TestCompiledEngine:
                 single = np.concatenate(single, axis=1)
                 batch = np.stack([cols[0][:, p], cols[1][:, p]], axis=1)
                 np.testing.assert_allclose(single, batch, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", [ClonerKind.NG, ClonerKind.QID])
+    def test_forms_route_products_stay_small(self, kind):
+        # 5000 complex two-qubit columns: each M c product holds at most 2^15
+        # entries, so the peak is about the (S, P) values of both receivers
+        count = 5000
+        rng = np.random.default_rng(50)
+        columns = rng.standard_normal((16, count)) + 1j * rng.standard_normal((16, count))
+        columns /= np.linalg.norm(columns, axis=0)
+        rows = state_rows(2, [st for b in mubs_for(2).bases for st in b.states])
+        fidelity_columns(kind, 2, columns[:, :16], rows)  # compiles the cloner
+        tracemalloc.start()
+        try:
+            values = fidelity_columns(kind, 2, columns, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / count <= 600
+        # the chunks cover the batch: blocks of 1000 columns make one product a state
+        blocks = [columns[:, j : j + 1000] for j in range(0, count, 1000)]
+        parts = [fidelity_columns(kind, 2, block, rows) for block in blocks]
+        for r, got in enumerate(values):
+            want = np.concatenate([part[r] for part in parts], axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("kind", [ClonerKind.NG, ClonerKind.QID])
     @pytest.mark.parametrize("mixed", ["with-identity", "no-identity"])

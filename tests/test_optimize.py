@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracle import central_difference, pareto_filter, reference_fidelities
 
 from paulicloner.analytic import table1_angles
-from paulicloner import optimize
+from paulicloner import optimize, simcore
 from paulicloner.cloner import (
     B92_INPUTS,
     ClonerKind,
@@ -219,8 +220,8 @@ class TestAdam:
         assert starts.shape == (3, 5)
         np.testing.assert_array_equal(starts[0], np.zeros(5))
         for r in (1, 2):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(r,)))
-            np.testing.assert_array_equal(starts[r], rng.uniform(-math.pi, math.pi, 5))
+            u = simcore._uniforms(random.Random(f"17/{r}"), 5)
+            np.testing.assert_array_equal(starts[r], -math.pi + 2 * math.pi * u)
 
 
 class TestGradients:
@@ -595,13 +596,12 @@ class TestSweep:
                 continue
             # the row at target i of the u-th Adam series owns seed u * len(fs) + i
             k = units.index((r.series, r.label)) * len(fs) + fs.index(r.f_target)
-            child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1000 + k,))
-            row_seed = int(child.generate_state(1)[0])
+            row_seed = random.Random(f"{cfg.seed}/{1000 + k}").getrandbits(32)
             rows = slice(k * cfg.restarts, (k + 1) * cfg.restarts)
             np.testing.assert_array_equal(starts[rows][0], np.zeros(size))
             for restart in range(1, cfg.restarts):
-                seq = np.random.SeedSequence(entropy=row_seed, spawn_key=(restart,))
-                want = np.random.default_rng(seq).uniform(-math.pi, math.pi, size)
+                u = simcore._uniforms(random.Random(f"{row_seed}/{restart}"), size)
+                want = -math.pi + 2 * math.pi * u
                 np.testing.assert_array_equal(starts[rows][restart], want)
             # the winner is the first restart with the lowest loss
             winner = int(np.argmin(trace[:, rows].min(axis=0)))
