@@ -1,23 +1,21 @@
 """Closed-form clone fidelities and named program states.
 
-Every fidelity of the NG and QID circuits is a quadratic form in the program
-amplitudes.  Like the engine (``cloner.fidelity_columns``), the closed forms
-take programs as columns (4^N, P) and evaluate them all in one call, each
-program's values independent of the others.  For the NG family one
-stabilizer rule gives them all, at any register size and for complex
-programs (``ng_closed_form``): Bob's fidelity in a basis is the program
-weight on the indices j whose (z|x)-encoded Pauli string fixes that basis,
-and Eve's collects the XOR autocorrelations sum_i conj(a_i xor s) a_i over
-the same stabilizers s, read off a Walsh-Hadamard transform.  The QID
-coefficient tables do not have such a uniform rule and are stored explicitly
-(``qid_fidelity_columns``); they too take complex programs.  ``ng_fidelities``
-and ``qid_fidelities`` wrap one program's columns in a ``FidelityReport``.
+Both cloners follow one covariance rule (Cerf's Pauli cloners; for the QID,
+the Weyl-covariant form of Braunstein, Buzek and Hillery): for displacements
+D_g, receiver R's fidelity at input psi is F_R = sum_g |<psi|D_g|psi>|^2
+|c^R_g|^2 = chi @ w_R.  For NG the D_g are the Pauli strings and Bob's c_g the
+program amplitudes; for QID they are X^-m Z^n over Z_d x Z_d, d = 2^N, and
+Bob's c_g the program's Bell overlaps.  Eve's coefficients are the symplectic
+Fourier transform of Bob's.  The closed forms take programs as columns
+(4^N, P), like the engine, each step elementwise along the program axis.
+``ng_fidelities`` and ``qid_fidelities`` wrap one program in a report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,96 +40,63 @@ class ImbalanceEta:
         return cls((1 - 2 * p_z - 2 * p_y) / (1 - 2 * p_x - 2 * p_y))
 
 
-# QID two-qubit coefficient tables: (i, j, sign) triples, fidelity =
-# 1/4 + 1/2 * sum sign * a_i * a_j.  M1 is split over the state pairs
-# (0, 2) and (1, 3); M3 and M4 share one table.
-_QID2Q_AB_M1_02 = (
-    (0, 10, 1), (0, 15, 1), (0, 5, 1), (1, 11, 1), (1, 14, 1), (1, 4, 1),
-    (10, 15, 1), (10, 5, 1), (11, 14, 1), (11, 4, 1), (12, 2, 1), (12, 7, 1),
-    (12, 9, 1), (13, 3, 1), (13, 6, 1), (13, 8, 1), (14, 4, 1), (15, 5, 1),
-    (2, 7, 1), (2, 9, 1), (3, 6, 1), (3, 8, 1), (6, 8, 1), (7, 9, 1),
-)
-_QID2Q_AE_M1_02 = (
-    (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (10, 11, 1),
-    (10, 8, 1), (10, 9, 1), (11, 8, 1), (11, 9, 1), (12, 13, 1), (12, 14, 1),
-    (12, 15, 1), (13, 14, 1), (13, 15, 1), (14, 15, 1), (2, 3, 1), (4, 5, 1),
-    (4, 6, 1), (4, 7, 1), (5, 6, 1), (5, 7, 1), (6, 7, 1), (8, 9, 1),
-)
-_QID2Q_AB_M1_13 = (
-    (0, 10, 1), (0, 15, 1), (0, 5, 1), (1, 11, 1), (1, 14, 1), (1, 4, 1),
-    (10, 15, 1), (10, 5, 1), (11, 14, 1), (11, 4, 1), (12, 2, -1), (12, 7, -1),
-    (12, 9, 1), (13, 3, -1), (13, 6, -1), (13, 8, 1), (14, 4, 1), (15, 5, 1),
-    (2, 7, 1), (2, 9, -1), (3, 6, 1), (3, 8, -1), (6, 8, -1), (7, 9, -1),
-)
-_QID2Q_AE_M1_13 = (
-    (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (10, 11, 1),
-    (10, 8, -1), (10, 9, -1), (11, 8, -1), (11, 9, -1), (12, 13, 1),
-    (12, 14, -1), (12, 15, -1), (13, 14, -1), (13, 15, -1), (14, 15, 1),
-    (2, 3, 1), (4, 5, 1), (4, 6, 1), (4, 7, 1), (5, 6, 1), (5, 7, 1),
-    (6, 7, 1), (8, 9, 1),
-)
-_QID2Q_AB_M2 = (
-    (0, 10, 1), (0, 15, 1), (0, 5, 1), (1, 11, -1), (1, 14, -1), (1, 4, 1),
-    (10, 15, 1), (10, 5, 1), (11, 14, 1), (11, 4, -1), (12, 9, -1),
-    (13, 8, -1), (14, 4, -1), (15, 5, 1), (2, 7, -1), (3, 6, -1),
-)
-_QID2Q_AE_M2 = (
-    (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (10, 11, -1),
-    (12, 13, -1), (14, 15, -1), (2, 3, 1), (4, 5, 1), (4, 6, -1), (4, 7, -1),
-    (5, 6, -1), (5, 7, -1), (6, 7, 1), (8, 9, -1),
-)
-_QID2Q_AB_M34 = (
-    (0, 10, 1), (0, 15, 1), (0, 5, 1), (1, 4, -1),
-    (10, 15, 1), (10, 5, 1), (11, 14, -1), (15, 5, 1),
-)
-_QID2Q_AE_M34 = (
-    (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1),
-    (1, 3, 1), (2, 3, 1), (4, 5, -1), (6, 7, -1),
-)
-
-
-def _re(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re(u conj(v)) elementwise; for real rows the plain product."""
-    return (u * v.conj()).real
-
-
-def _pair_sum(a: np.ndarray, table) -> np.ndarray:
-    """1/4 + 1/2 sum sign Re(a_i conj(a_j)) over rows a_i, added in table order."""
-    return 0.25 + 0.5 * sum(sign * _re(a[i], a[j]) for i, j, sign in table)
-
-
-def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's and Eve's QID fidelities, each (state, program), of program
-    columns (4^N, P) for N = 1 or 2, real or complex, in the engine's order:
-    the states of ``mubs_for(N)`` basis by basis.
-
-    At N = 1 the X and Y fidelities differ only in one relative sign.  At
-    N = 2 the M1 fidelities are not uniform (states 0 and 2 share one value,
-    states 1 and 3 another), and M3 and M4 always coincide, which is why this
-    circuit cannot trade fidelity between those two bases.
-    """
-    a = np.asarray(columns)
-    if len(a) == 4:
-        ad, bc, ab, cd = (_re(a[i], a[j]) for i, j in ((0, 3), (1, 2), (0, 1), (2, 3)))
-        f_ab = [_re(a[0], a[0]) + _re(a[3], a[3]), ad + bc + 0.5, ad - bc + 0.5]
-        f_ae = [_re(a[0], a[0]) + _re(a[1], a[1]), ab + cd + 0.5, ab - cd + 0.5]
-        return np.repeat(f_ab, 2, axis=0), np.repeat(f_ae, 2, axis=0)
-    if len(a) != 16:
-        raise ValueError("QID closed forms exist for 1- and 2-qubit programs")
-    ab_m0, ae_m0 = (sum(_re(a[k], a[k]) for k in ks) for ks in ((0, 5, 10, 15), (0, 1, 2, 3)))
-    # the tables are read at call time
-    ab_02, ab_13 = _pair_sum(a, _QID2Q_AB_M1_02), _pair_sum(a, _QID2Q_AB_M1_13)
-    ae_02, ae_13 = _pair_sum(a, _QID2Q_AE_M1_02), _pair_sum(a, _QID2Q_AE_M1_13)
-    ab_m2, ae_m2 = _pair_sum(a, _QID2Q_AB_M2), _pair_sum(a, _QID2Q_AE_M2)
-    ab_m34, ae_m34 = _pair_sum(a, _QID2Q_AB_M34), _pair_sum(a, _QID2Q_AE_M34)
-    f_ab = [ab_m0] * 4 + [ab_02, ab_13, ab_02, ab_13] + [ab_m2] * 4 + [ab_m34] * 8
-    f_ae = [ae_m0] * 4 + [ae_02, ae_13, ae_02, ae_13] + [ae_m2] * 4 + [ae_m34] * 8
-    return np.array(f_ab), np.array(f_ae)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise as re^2 + im^2, without the rounding of a square root."""
+    return z.real**2 + z.imag**2
 
 
 def _masked_sum(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """sum_s masks[b, s] values[s, p] as (b, p), added in the order of s."""
     return sum(m[:, None] * v for v, m in zip(values, masks.T))
+
+
+def _qid_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's weights, each (d^2, P) over g = m d + n, of QID program
+    columns a: |c_mn|^2 with c_mn = <B_mn|a> over the Bell states
+    B_mn = d^-1/2 sum_k w^(n k) |k>_Eve |k + m>_anc, and |e_pq|^2 with
+    e_pq = d^-1 sum_{m,n} w^-(p n - q m) c_mn.  A register's value k counts
+    its first qubit as the low digit.  For d = 2 and 4 the twiddles are exact
+    (+-1, +-i), and the scales, powers of two, come after squaring."""
+    d = math.isqrt(len(a))
+    bits, k = d.bit_length() - 1, np.arange(d)
+    v = np.array([int(f"{value:0{bits}b}"[::-1], 2) for value in k])  # basis index of k
+    twiddle = np.array([1, -1j, -1, 1j])[4 // d * np.outer(k, k) % 4]  # w^(-n k)
+    pairs = a[d * v + v[(k + k[:, None]) % d]]  # [m, k]: Eve value k, ancilla k + m
+    bob = sum(twiddle[:, j, None] * pairs[:, None, j] for j in k)  # [m, n]
+    half = sum(twiddle[:, j, None] * bob[:, None, j] for j in k)  # [m, p]
+    eve = sum(twiddle.conj()[:, j, None] * half[j, :, None] for j in k)  # [p, q]
+    return _abs2(bob).reshape(d * d, -1) / d, _abs2(eve).reshape(d * d, -1) / d**3
+
+
+@lru_cache(maxsize=None)
+def _qid_chi(num_qubits: int) -> np.ndarray:
+    """Read-only chi[s, m d + n] = |<psi_s| X^-m Z^n |psi_s>|^2 over the states of
+    ``mubs_for(N)``, X^m |k> = |k + m mod d> and Z^n |k> = w^(n k) |k>: d times
+    Bob's weights of the program psi (x) psi*.  Each <psi|D|psi> is (a + i b) / d
+    with integers a, b on the MUB states, so rounding makes chi exact."""
+    psi = np.array([st.amplitudes for b in mubs_for(num_qubits).bases for st in b.states])
+    d = psi.shape[1]
+    bob, _ = _qid_weights(np.einsum("se,sc->ecs", psi, psi.conj()).reshape(d * d, -1))
+    chi = np.round(bob.T * d**3) / (d * d)
+    chi.flags.writeable = False
+    return chi
+
+
+def qid_fidelity_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's QID fidelities, each (state, program), of program
+    columns (4^N, P) for N = 1 or 2, real or complex, in the engine's order:
+    the states of ``mubs_for(N)`` basis by basis.  On the two-qubit states chi
+    is 0, 1/4, 1/2 or 1: the M1 values differ between states 0, 2 and 1, 3,
+    and M3's always equal M4's, so this circuit cannot trade between them."""
+    a = np.asarray(columns)
+    if len(a) not in (4, 16):
+        raise ValueError("QID closed forms exist for 1- and 2-qubit programs")
+    chi, chunk = _qid_chi(round(math.log(len(a), 4))), 64  # fixed scratch per pass
+    values = tuple(np.empty((len(chi), a.shape[1])) for _ in range(2))
+    for j in range(0, a.shape[1], chunk):
+        for f, w in zip(values, _qid_weights(a[:, j : j + chunk])):
+            f[:, j : j + chunk] = _masked_sum(w, chi)
+    return values
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
@@ -143,22 +108,22 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _ng_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Eve's weights, each (4^N, P) over (z|x) labels j, of NG program
+    columns a: |a_j|^2, and |(H a)_j'|^2 / 4^N, j' = (x|z), H = ``_walsh_hadamard``."""
+    d = math.isqrt(len(a))
+    spectrum = _abs2(_walsh_hadamard(np.array(a, dtype=complex, order="C")))
+    return _abs2(a), spectrum[np.arange(d * d).reshape(d, d).T.ravel()] / len(a)
+
+
 def ng_closed_form(columns: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Eve's NG fidelities, each (basis, program), of program columns
-    (4^N, P), shared by every state of a basis.  Over the indices s of the Pauli
-    strings that fix the basis (its invariant mask; s = 0 is I):
-    F_AB = sum_s |a_s|^2,  F_AE = (1 + sum_{s > 0} r_s) / 2^N,  with the XOR
-    autocorrelation r_s = sum_i conj(a_{i^s}) a_i = (H |H a|^2)_s / 4^N, H the
-    +-1 Walsh-Hadamard transform.  Every step is elementwise along the program
-    axis, so a program's values do not depend on the other columns.
-    """
+    (4^N, P), shared by every state of a basis: there chi_j = |<psi|P_j|psi>|^2
+    is the basis's invariant mask."""
     if any(4**b.num_qubits != len(columns) for b in bases):
         raise ValueError("program and basis register sizes differ")
-    stabilizes = np.array([b.invariant_mask for b in bases], dtype=float)
-    spectrum = _walsh_hadamard(np.array(columns, dtype=complex, order="C"))
-    r = _walsh_hadamard(spectrum.real**2 + spectrum.imag**2) / len(columns)
-    f_ae = (1 + _masked_sum(r[1:], stabilizes[:, 1:])) / math.isqrt(len(columns))
-    return _masked_sum(np.abs(columns) ** 2, stabilizes), f_ae
+    chi = np.array([b.invariant_mask for b in bases], dtype=float)
+    return tuple(_masked_sum(w, chi) for w in _ng_weights(columns))
 
 
 def ng_fidelities(s: SoftwareState) -> FidelityReport:

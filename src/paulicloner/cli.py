@@ -101,7 +101,10 @@ def _program_from_args(args, kind: ClonerKind) -> SoftwareState:
         if not 0 < norm < math.inf:
             raise ValueError("amplitudes must be finite and not all zero")
         return SoftwareState(amps / norm)
-    rho, phi, theta = (float(v) for v in args.angles.split(","))
+    try:
+        rho, phi, theta = (float(v) for v in args.angles.split(","))
+    except ValueError:
+        raise ValueError("--angles takes three numbers: rho,phi,theta") from None
     if args.n != 1:
         raise ValueError("--angles parameterizes 1-qubit programs")
     return ng_angles_to_program(NgAngles(rho, phi, theta))
@@ -125,10 +128,9 @@ def cmd_fidelities(args) -> int:
             f"program describes {program.num_clone_qubits}-qubit registers, --n {args.n}"
         )
     channel = _channel_from_args(args, args.n)
-    all_bases = mubs_for(args.n)
-    bases = list(all_bases.bases)
-    if args.bases:
-        bases = [all_bases[lbl.strip()] for lbl in args.bases.split(",")]
+    bases = None  # the register's full MUB set
+    if args.bases is not None:
+        bases = [mubs_for(args.n)[lbl.strip()] for lbl in args.bases.split(",")]
     report = clone_fidelities(kind, args.n, program, channel=channel, bases=bases)
     payload = {
         "kind": kind.value,

@@ -337,6 +337,9 @@ def resolve_bases(num_clone_qubits: int, bases=None) -> tuple[MubBasis, ...]:
     for basis in bases:
         if not isinstance(basis, MubBasis):
             raise TypeError(f"expected MubBasis, got {type(basis)!r}")
+    labels = [b.label for b in bases]
+    if not bases or len(set(labels)) < len(labels):
+        raise ValueError(f"bases must be a non-empty list of distinct bases, got {labels}")
     return bases
 
 

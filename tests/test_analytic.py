@@ -25,6 +25,7 @@ from paulicloner.cloner import (
     SoftwareState,
     clone_fidelities,
     fidelity_columns,
+    fidelity_matrices,
     ng_angles_to_program,
     state_rows,
 )
@@ -229,6 +230,79 @@ class TestNgWalshHadamard:
             assert np.array_equal(c, f)
 
 
+def random_states(rng, n, count):
+    """Random complex input states as rows (count, 2^N)."""
+    v = rng.standard_normal((count, 2**n)) + 1j * rng.standard_normal((count, 2**n))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def value_index(n):
+    """Basis index of each register value v, the register's first qubit the low digit."""
+    return [int(f"{v:0{n}b}"[::-1], 2) for v in range(2**n)]
+
+
+def displacements(kind, n):
+    """The displacement operators D_g of a cloner as (4^N, 2^N, 2^N): for NG the
+    Pauli strings by (z|x) index; for QID X^-m Z^n at g = m d + n, with
+    X^m |v> = |v + m mod d> and Z^n |v> = w^(n v) |v> on register values v."""
+    if kind == ClonerKind.NG:
+        return mub.pauli_matrices(n)
+    d, idx = 2**n, value_index(n)
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    for m, k, v in itertools.product(range(d), repeat=3):
+        ops[m * d + k, idx[(v - m) % d], idx[v]] = np.exp(2j * np.pi * k * v / d)
+    return ops
+
+
+def displacement_chi(states, kind, n):
+    """chi[s, g] = |<psi_s|D_g|psi_s>|^2 for input states as rows (S, 2^N)."""
+    ops = displacements(kind, n)
+    return np.abs(np.einsum("sa,gab,sb->sg", states.conj(), ops, states)) ** 2
+
+
+class TestCovarianceRule:
+    """The paper's core claim: each receiver's fidelity is
+    sum_g |<psi|D_g|psi>|^2 w_g, with weights |c_g|^2 of its own coefficients,
+    at any input state; Eve's coefficients are the symplectic Fourier transform
+    of Bob's."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(ClonerKind.QID, 1), (ClonerKind.QID, 2)] + [(ClonerKind.NG, n) for n in (1, 2, 3)],
+    )
+    def test_matches_the_engine_at_random_states(self, kind, n):
+        rng = np.random.default_rng(100 + 10 * n + (kind == ClonerKind.QID))
+        states = random_states(rng, n, 40)
+        programs = complex_columns(rng, n, 50)
+        helper = analytic._ng_weights if kind == ClonerKind.NG else analytic._qid_weights
+        weights = helper(programs)
+        chi = displacement_chi(states, kind, n)
+        for w, f in zip(weights, fidelity_columns(kind, n, programs, states)):
+            np.testing.assert_allclose(chi @ w, f, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bell_vectors_diagonalize_every_qid_form(self, n):
+        d, idx = 2**n, value_index(n)
+        w = np.exp(2j * np.pi / d)
+        bell = np.zeros((d * d, d * d), dtype=complex)  # column m d + n: B_mn
+        for m, k, j in itertools.product(range(d), repeat=3):
+            bell[d * idx[j] + idx[(j + m) % d], m * d + k] = w ** (k * j) / math.sqrt(d)
+        # E_pq = d^-1 sum_mn w^(p n - q m) B_mn, so that e_pq = <E_pq|a>
+        g = np.arange(d * d)
+        fourier = w ** (np.outer(g % d, g // d) - np.outer(g // d, g % d)) / d
+        images = bell @ fourier
+        mub_states = [st.amplitudes for b in mubs_for(n).bases for st in b.states]
+        states = np.vstack([mub_states, random_states(np.random.default_rng(120 + n), n, 20)])
+        chi = displacement_chi(states, ClonerKind.QID, n)
+        forms = fidelity_matrices(ClonerKind.QID, n, np.eye(d * d), states)
+        for m, basis in zip(forms, (bell, images)):
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d * d), rtol=0, atol=1e-14)
+            diagonal = basis.conj().T @ m @ basis
+            on = np.diagonal(diagonal, axis1=1, axis2=2)
+            np.testing.assert_allclose(on, chi, rtol=0, atol=1e-14)
+            assert np.max(np.abs(diagonal * (1 - np.eye(d * d)))) <= 1e-14
+
+
 class TestColumnMemory:
     """Peak traced memory per program column stays flat as the batch grows."""
 
@@ -249,6 +323,12 @@ class TestColumnMemory:
         engine(columns[:, :16])  # compiles the cloner outside the traced call
         assert self.peak_per_column(lambda c: ng_closed_form(c, bases), columns) <= 1024
         assert self.peak_per_column(engine, columns) <= 1024
+
+    def test_qid_fidelity_columns_within_384_b(self):
+        # the (2, 20, P) values are 320 B a program; the chunked scratch is fixed
+        columns = complex_columns(np.random.default_rng(91), 2, 5000)
+        qid_fidelity_columns(columns[:, :16])  # builds chi outside the traced call
+        assert self.peak_per_column(qid_fidelity_columns, columns) <= 384
 
 
 class TestColumnForms:
@@ -333,34 +413,37 @@ class TestQid2q:
                 )
 
     def test_equals_the_numpy_scalar_evaluation_bit_for_bit(self):
-        # reference: the same sums one program at a time on numpy scalars, each
-        # square a product (a scalar x ** 2 goes through libm pow, which rounds
-        # differently for about 1 in 1000 inputs)
+        # reference: the rule one program at a time on Python scalars, in the
+        # production order: twiddle products (exact: +-1, +-i), each square a
+        # product (a scalar x ** 2 goes through libm pow, which rounds
+        # differently for about 1 in 1000 inputs), chi @ w added in order of g
+        d, v = 4, value_index(2)
+        clock = [1, -1j, -1, 1j]  # w^-k for w = i
+        states = [st.amplitudes for b in mubs_for(2).bases for st in b.states]
+        # <psi|D|psi> = (a + i b) / 4 on the MUB states: rounding makes chi exact
+        chi = displacement_chi(np.array(states), ClonerKind.QID, 2)
+        chi = (np.round(chi * 16) / 16).tolist()
+
+        def square(z):
+            return z.real * z.real + z.imag * z.imag
+
         def reference(s):
-            a = s.amplitudes.real
-
-            def pair_sum(table):
-                return float(0.25 + 0.5 * sum(sg * a[i] * a[j] for i, j, sg in table))
-
-            m0 = [
-                float(a[0] * a[0] + a[5] * a[5] + a[10] * a[10] + a[15] * a[15]),
-                float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]),
-            ]
-            tables = (
-                analytic._QID2Q_AB_M1_02, analytic._QID2Q_AB_M1_13,
-                analytic._QID2Q_AE_M1_02, analytic._QID2Q_AE_M1_13,
-                analytic._QID2Q_AB_M2, analytic._QID2Q_AE_M2,
-                analytic._QID2Q_AB_M34, analytic._QID2Q_AE_M34,
-            )
-            return m0 + [pair_sum(t) for t in tables]
+            a = s.amplitudes.tolist()
+            r = range(d)
+            pair = [[a[d * v[k] + v[(k + m) % d]] for k in r] for m in r]  # [m][k]
+            bob = [[sum(clock[n * k % 4] * pair[m][k] for k in r) for n in r] for m in r]
+            half = [[sum(clock[p * n % 4] * bob[m][n] for n in r) for p in r] for m in r]
+            eve = [[sum(clock[-q * m % 4] * half[m][p] for m in r) for q in r] for p in r]
+            w_ab = [square(c) / d for row in bob for c in row]
+            w_ae = [square(e) / d**3 for row in eve for e in row]
+            return [[sum(c * w for c, w in zip(row, ws)) for row in chi] for ws in (w_ab, w_ae)]
 
         rng = np.random.default_rng(11)
         for _ in range(200):
-            s = random_program(rng, 2)
+            s = random_program(rng, 2, complex_amps=rng.random() < 0.5)
             r = qid_fidelities(s)
             ab, ae = r.per_state_ab, r.per_state_ae
-            got = [ab["M0"][0], ae["M0"][0], *ab["M1"][:2], *ae["M1"][:2]]
-            got += [ab["M2"][0], ae["M2"][0], ab["M3"][0], ae["M3"][0]]
+            got = [[f for b in mubs_for(2).bases for f in per[b.label]] for per in (ab, ae)]
             assert got == reference(s)
             assert all(type(f) is float for v in (*ab.values(), *ae.values()) for f in v)
 

@@ -153,6 +153,25 @@ class TestFidelitiesCommand:
         assert out == ""
         assert "'Q'" in err and "Z, X, Y" in err
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [("Z,Z,X", "distinct bases, got ['Z', 'Z', 'X']"), ("", "no basis ''")],
+    )
+    def test_repeated_or_empty_basis_list_is_a_usage_error(self, capsys, labels, message):
+        argv = ["fidelities", "--kind", "ng", "--n", "1", "--preset", "pccm-sym"]
+        code, out, err = run_cli(capsys, *argv, "--bases", labels)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("angles", ["1,2", "1,2,3,4", "1,x,3"])
+    def test_angles_need_three_numbers(self, capsys, angles):
+        argv = ["fidelities", "--kind", "ng", "--n", "1", "--angles", angles]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --angles takes three numbers: rho,phi,theta\n"
+
     def test_unknown_preset(self, capsys):
         code, _, _ = run_cli(
             capsys, "fidelities", "--kind", "ng", "--n", "1", "--preset", "bogus"
@@ -217,24 +236,30 @@ class TestValidateCommand:
             cli.main(["validate", "--help"])
         assert f"at most {cli.MAX_TRIALS}" in capsys.readouterr().out
 
+    @staticmethod
+    def plant_in_chi(monkeypatch, value):
+        """Set one nonzero entry of the two-qubit QID chi table, |<psi|D|psi>|^2
+        of the identity at an M2 state, to ``value``."""
+        original = analytic._qid_chi
+
+        def planted(n):
+            chi = original(n).copy()
+            if n == 2:
+                chi[8, 0] = value(chi[8, 0])
+            return chi
+
+        monkeypatch.setattr(analytic, "_qid_chi", planted)
+
     def test_corrupted_table_fails_with_named_check(self, capsys, monkeypatch):
-        # flip one sign in a coefficient table: the qid-2q oracle must trip
-        bad = tuple(
-            (i, j, -s) if idx == 0 else (i, j, s)
-            for idx, (i, j, s) in enumerate(analytic._QID2Q_AB_M2)
-        )
-        monkeypatch.setattr(analytic, "_QID2Q_AB_M2", bad)
+        # flip the sign of one chi entry: the qid-2q oracle must trip
+        self.plant_in_chi(monkeypatch, lambda x: -x)
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
-        assert "[FAIL] analytic-vs-sim-qid-2q" in out
+        assert failed_checks(out) == ["analytic-vs-sim-qid-2q"]
 
     def test_nan_in_table_fails_with_named_check(self, capsys, monkeypatch):
         # a NaN deviation must not be dropped by the worst-case maximum
-        bad = tuple(
-            (i, j, math.nan) if idx == 0 else (i, j, s)
-            for idx, (i, j, s) in enumerate(analytic._QID2Q_AB_M2)
-        )
-        monkeypatch.setattr(analytic, "_QID2Q_AB_M2", bad)
+        self.plant_in_chi(monkeypatch, lambda x: math.nan)
         code, out, _ = run_cli(capsys, "validate", "--trials", "5", "--seed", "3")
         assert code == 1
         assert "[FAIL] analytic-vs-sim-qid-2q" in out
@@ -479,10 +504,20 @@ class TestValidateBatches:
         assert failed_checks(out) == ["analytic-vs-sim-ng-1q"]
 
     def test_complex_program_terms_of_qid(self, capsys, monkeypatch):
-        # Re(u v) for Re(u conj(v)): equal on real programs, so only the complex
-        # draws of both register sizes show it
-        monkeypatch.setattr(analytic, "_re", lambda u, v: (u * v).real)
+        # a^T M a for a^dag M a, the conjugate dropped from the program: the QID
+        # forms M are real, so this is F(Re a) - F(Im a), equal to F(a) on real
+        # programs, and only the complex draws of both register sizes show it
+        original = analytic.qid_fidelity_columns
+        complex_seen = []
+
+        def dropped_conjugate(columns):
+            complex_seen.extend(np.any(columns.imag != 0, axis=0))
+            real, imag = (original(np.ascontiguousarray(p)) for p in (columns.real, columns.imag))
+            return tuple(r - i for r, i in zip(real, imag))
+
+        monkeypatch.setattr(analytic, "qid_fidelity_columns", dropped_conjugate)
         code, out, _ = run_cli(capsys, "validate", "--trials", "10", "--seed", "3")
+        assert any(complex_seen) and not all(complex_seen)
         assert code == 1
         assert failed_checks(out) == ["analytic-vs-sim-qid-1q", "analytic-vs-sim-qid-2q"]
 

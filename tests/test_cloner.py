@@ -41,6 +41,7 @@ from paulicloner.cloner import (
     fidelity_matrices,
     ng_angles_to_program,
     ng_software_prep_circuit,
+    resolve_bases,
     state_rows,
 )
 from paulicloner.mub import PauliString, index_to_pauli, mubs_for
@@ -250,6 +251,16 @@ class TestCloneFidelities:
             bases=[mubs["Z"], mubs["X"]],
         )
         assert report.basis_labels == ("Z", "X")
+
+    @pytest.mark.parametrize("labels", ["", "ZZX", "XYX"])
+    def test_empty_or_repeated_basis_list_raises(self, labels):
+        # a report keys its values by label, so a repeated basis would fold away
+        mubs = mubs_for(1)
+        bases = [mubs[lbl] for lbl in labels]
+        with pytest.raises(ValueError, match="non-empty list of distinct bases"):
+            resolve_bases(1, bases)
+        with pytest.raises(ValueError, match="non-empty list of distinct bases"):
+            clone_fidelities(ClonerKind.NG, 1, SoftwareState.computational(1), bases=bases)
 
     def test_report_averages_are_means(self):
         rng = np.random.default_rng(3)
