@@ -14,7 +14,6 @@ from .simcore import (
     basis_state,
     fidelity_pure,
     inject_state,
-    partial_trace,
 )
 from .mub import (
     MubBasis,
@@ -31,8 +30,6 @@ from .mub import (
 )
 from .noise import (
     PauliChannel,
-    apply_channel,
-    channel_with_single_error,
     noisy_fidelity_1q,
     parse_channel_spec,
 )

@@ -437,7 +437,7 @@ def cmd_validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep / optimize
+# sweep
 
 
 MAX_F_TARGETS = 1000
@@ -448,20 +448,17 @@ def _parse_f_range(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"malformed f range {spec!r}, expected start:stop:step") from None
-    # NaN fails these comparisons, and finite bounds keep the loop below finite
+    # NaN fails these comparisons
     if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):
         raise ValueError(
             f"bad --f range {spec!r}: need 0 <= start <= stop <= 1 and a finite step > 0"
         )
-    # counted before enumerating; a float quotient, since it may overflow an int
-    if (stop - start) / step + 1 > MAX_F_TARGETS:
+    # the steps past start, counted before any list is built: a float, which may
+    # be huge (or inf for a subnormal step)
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_F_TARGETS:
         raise ValueError(f"--f range {spec!r} asks for more than {MAX_F_TARGETS} targets")
-    values = []
-    f = start
-    while f <= stop + 1e-9:
-        values.append(round(f, 10))
-        f += step
-    return values
+    return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
 
 
 def _config_comment(config: dict) -> list[str]:
@@ -507,52 +504,21 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
     return lines
 
 
-def _run_sweep(args, f_values) -> optimize.SweepResult:
-    """The frontier run behind sweep and optimize, from the shared run options."""
+def cmd_sweep(args) -> int:
+    f_values = _parse_f_range(args.f) if args.f else None
     channel = _channel_from_args(args, optimize.task_num_clone_qubits(args.task))
-    overrides = {
-        "steps": args.steps,
-        "restarts": args.restarts,
-        "learning_rate": args.lr,
-        "seed": args.seed,
-    }
+    overrides = {"steps": args.steps, "restarts": args.restarts, "seed": args.seed}
     cfg = replace(
         optimize.default_task_config(args.task),
         **{k: v for k, v in overrides.items() if v is not None},
     )
-    return optimize.frontier_sweep(args.task, f_values=f_values, cfg=cfg, channel=channel)
-
-
-def cmd_sweep(args) -> int:
-    result = _run_sweep(args, _parse_f_range(args.f) if args.f else None)
+    result = optimize.frontier_sweep(args.task, f_values=f_values, cfg=cfg, channel=channel)
     lines = _sweep_csv_lines(result, vars(args))
     if args.out:
         _write_lines(args.out, lines)
         print(f"wrote {len(result.rows)} rows to {args.out}")
     else:
         print("\n".join(lines))
-    return 0
-
-
-def cmd_optimize(args) -> int:
-    result = _run_sweep(args, [args.f_target])
-    payload = [
-        {
-            "f_target": None if math.isnan(row.f_target) else row.f_target,
-            "series": row.series,
-            "label": row.label,
-            "f_ab": row.f_ab,
-            "f_ae": row.f_ae,
-            "f_ab_avg": row.f_ab_avg,
-            "f_ae_avg": row.f_ae_avg,
-            "params": None
-            if row.parameters is None
-            else [float(p) for p in row.parameters],
-            "target_miss": row.target_miss,
-        }
-        for row in result.rows
-    ]
-    _print_json({"task": args.task, "rows": payload})
     return 0
 
 
@@ -630,26 +596,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
-    # the options every frontier run takes, shared by sweep and optimize;
-    # seed, steps, restarts and lr drive the Adam series only
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--task", choices=list(optimize.TASKS), required=True)
-    run.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--steps", type=int, default=None)
-    run.add_argument("--restarts", type=int, default=None)
-    run.add_argument("--lr", type=float, default=None)
-
-    p = sub.add_parser(
-        "sweep", parents=[run], help="frontier sweep over Bob-fidelity targets"
-    )
+    p = sub.add_parser("sweep", help="frontier sweep over Bob-fidelity targets")
+    p.add_argument("--task", choices=list(optimize.TASKS), required=True)
+    p.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
     p.add_argument("--f", help="target range start:stop:step (default per task)")
+    # seed, steps and restarts drive the Adam series only
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--out", help="CSV output path (default: print)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("optimize", parents=[run], help="optimize one Bob-fidelity target")
-    p.add_argument("--f-target", type=float, required=True)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("mubs", help="print the mutually unbiased bases")
     p.add_argument("--n", type=int, choices=[1, 2], required=True)

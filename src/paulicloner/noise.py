@@ -1,10 +1,10 @@
 """Pauli channels: probability maps over N-qubit Pauli strings.
 
 The stored probability map always includes the identity string carrying the
-residual mass, so the probabilities sum to one.  Mixed-state evolution is a
-plain Kraus mixture; the closed-form single-qubit transforms below map
-noiseless per-basis fidelities to their noisy counterparts without any
-simulation.
+residual mass, so the probabilities sum to one.  The cloner's fidelity engine
+averages over the channel's Kraus branches; the closed-form single-qubit
+transforms below map noiseless per-basis fidelities to their noisy
+counterparts without any simulation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import PauliString
-from .simcore import DensityMatrix
 
 _PROB_TOL = 1e-12
 
@@ -47,11 +46,6 @@ class PauliChannel:
             raise ValueError("channel probabilities do not sum to 1")
         object.__setattr__(self, "probs", cleaned)
 
-    @property
-    def is_identity(self) -> bool:
-        ident = PauliString.identity(self.num_qubits)
-        return abs(self.probs.get(ident, 0.0) - 1.0) <= _PROB_TOL
-
     def branches(self) -> list[tuple[PauliString, float]]:
         """Kraus branches with nonzero weight, identity first."""
         ident = PauliString.identity(self.num_qubits)
@@ -64,25 +58,8 @@ class PauliChannel:
         return out
 
     @classmethod
-    def identity_channel(cls, num_qubits: int) -> "PauliChannel":
-        return cls(num_qubits, {PauliString.identity(num_qubits): 1.0})
-
-    @classmethod
     def from_xyz(cls, p_x: float, p_y: float, p_z: float) -> "PauliChannel":
         return cls(1, {PauliString("X"): p_x, PauliString("Y"): p_y, PauliString("Z"): p_z})
-
-
-def channel_with_single_error(
-    num_qubits: int, pauli: PauliString, p: float
-) -> PauliChannel:
-    """Channel applying one specific error with probability p."""
-    if not isinstance(pauli, PauliString):
-        pauli = PauliString(pauli)
-    if pauli.is_identity:
-        raise ValueError("the error string must not be the identity")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return PauliChannel(num_qubits, {pauli: p})
 
 
 def parse_channel_spec(spec: str, num_qubits: int) -> PauliChannel:
@@ -104,19 +81,6 @@ def parse_channel_spec(spec: str, num_qubits: int) -> PauliChannel:
             p = PauliString(name.strip().upper())
             probs[p] = probs.get(p, 0.0) + float(value)
     return PauliChannel(num_qubits, probs)
-
-
-def apply_channel(rho: DensityMatrix, channel: PauliChannel) -> DensityMatrix:
-    """Kraus mixture sum_i p_i P_i rho P_i."""
-    if rho.num_qubits != channel.num_qubits:
-        raise ValueError(
-            f"state on {rho.num_qubits} qubits, channel on {channel.num_qubits}"
-        )
-    out = np.zeros_like(rho.matrix)
-    for p, w in channel.branches():
-        u = p.matrix()
-        out += w * (u @ rho.matrix @ u.conj().T)
-    return DensityMatrix(rho.num_qubits, out)
 
 
 def noisy_fidelity_1q(fidelity, basis: str, p_x, p_y, p_z) -> float | np.ndarray:

@@ -102,6 +102,7 @@ class AnsatzSpec:
         return cls(kind, np.zeros(ANSATZ_PARAM_COUNTS[kind]))
 
 
+ADAM_LEARNING_RATE = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -109,16 +110,11 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float = 0.1
     steps: int = 100
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be at least 1")
 
@@ -327,7 +323,7 @@ def adam_optimize(loss_and_grad, starts: np.ndarray, cfg: OptimizerConfig):
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
             m_hat = m / (1 - ADAM_BETA1**t)
             v_hat = v / (1 - ADAM_BETA2**t)
-            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            params = params - ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         values, g = loss_and_grad(params)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
@@ -691,6 +687,9 @@ def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
     rows = []
     for f in f_values:
         psi = exact_frontier_point(m_ab, m_ae, f)
+        # eigensolver dust and -0 print as 0: every amplitude of at most
+        # 1e-15 times the largest
+        psi = np.where(np.abs(psi) <= 1e-15 * np.abs(psi).max(), 0.0, psi)
         report = _forms_report(labels, forms, psi)
         miss = abs(report.f_ab_avg - f)
         if miss > 1e-9:

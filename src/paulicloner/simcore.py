@@ -1,4 +1,5 @@
-"""Dense statevector and density-matrix simulation for small qubit registers.
+"""Dense statevector simulation for small qubit registers, and the reduced
+density matrices of its pure states.
 
 Bit-order convention used throughout the package: qubit 0 is the most
 significant bit of the state index, so for an n-qubit register the
@@ -143,12 +144,6 @@ class GateOp:
         m.flags.writeable = False
         return m[0]
 
-    def inverse(self) -> tuple["GateOp", ...]:
-        """Inverse as a sequence of ops from the same gate set, by gate_inverses."""
-        repeats, angle = gate_inverses(GATE_NAMES.index(self.name), self.angle or 0.0)
-        angle = float(angle) if self.name in ROTATION_GATES else self.angle
-        return (GateOp(self.name, self.qubits, angle, self.control_value),) * int(repeats)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -162,12 +157,6 @@ class Circuit:
         for op in self.ops:
             if any(q < 0 or q >= self.num_qubits for q in op.qubits):
                 raise ValueError(f"{op} outside register of {self.num_qubits} qubits")
-
-    def inverse(self) -> "Circuit":
-        inv: list[GateOp] = []
-        for op in reversed(self.ops):
-            inv.extend(op.inverse())
-        return Circuit(self.num_qubits, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -192,11 +181,6 @@ class StateVector:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(
-            self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
 
 
 @dataclass(frozen=True)
@@ -285,25 +269,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         )
     out = apply_ops(state.amplitudes, state.num_qubits, circuit.ops)
     return StateVector(state.num_qubits, out)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits not in ``keep``; kept qubits stay in ascending order."""
-    keep = sorted(set(keep))
-    n = rho.num_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep]
-    if not traced:
-        return rho
-    t = rho.matrix.reshape((2,) * (2 * n))
-    # row axes are 0..n-1, column axes n..2n-1
-    perm = keep + traced + [n + q for q in keep] + [n + q for q in traced]
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = np.transpose(t, perm).reshape(dk, dt, dk, dt)
-    return DensityMatrix(len(keep), np.einsum("abcb->ac", t))
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:

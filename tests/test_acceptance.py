@@ -36,7 +36,7 @@ from paulicloner.mub import (
     mubs_for,
     pauli_action,
 )
-from paulicloner.noise import PauliChannel, channel_with_single_error, noisy_fidelity_1q
+from paulicloner.noise import PauliChannel, noisy_fidelity_1q
 from paulicloner.simcore import StateVector
 
 
@@ -210,7 +210,7 @@ def test_c07_unbiasedness():
 
 def test_c08_bb84_frontier_beats_phase_covariant():
     start = time.monotonic()
-    channel = channel_with_single_error(1, PauliString("X"), 0.25)
+    channel = PauliChannel(1, {PauliString("X"): 0.25})
     f_values = [round(f, 3) for f in np.arange(0.55, 0.80, 0.025)]
     result = opt.frontier_sweep(
         "bb84",
@@ -237,7 +237,7 @@ def test_c08_bb84_frontier_beats_phase_covariant():
 
 def test_c09_two_qubit_noisy_frontier():
     start = time.monotonic()
-    channel = channel_with_single_error(2, PauliString("YI"), 0.45)
+    channel = PauliChannel(2, {PauliString("YI"): 0.45})
     f_values = [0.35, 0.40, 0.45, 0.50, 0.55, 0.60]
     result = opt.frontier_sweep(
         "twenty",
@@ -330,7 +330,7 @@ def test_c13_parameter_shift_gradients():
     # central differences; the id keeps the name of the parameter-shift
     # gradients these replaced.
     rng = np.random.default_rng(24)
-    channel = channel_with_single_error(2, PauliString("YI"), 0.45)
+    channel = PauliChannel(2, {PauliString("YI"): 0.45})
     forms = opt.fidelity_quadratic_forms(ClonerKind.NG, 2, mubs_for(2).bases, channel)
     objective_p, gradient_p = opt.make_program_loss(forms, 0.5)
     objective_b, gradient_b = opt.make_b92_loss(0.8)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -779,17 +780,15 @@ class TestSweepCommand:
             ("0.5", "0.5", "0.5")
         ]
         for target, count in (("0.5", 1), ("0.6", 0)):
-            argv = ["optimize", "--task", "bb84", "--noise", noise, "--f-target", target]
+            argv = ["sweep", "--task", "bb84", "--noise", noise, "--f", f"{target}:{target}:1"]
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
-            rows = [r for r in json.loads(out)["rows"] if r["series"] == "pccm"]
-            assert [(r["f_ab_avg"], r["f_ae_avg"]) for r in rows] == [(0.5, 0.5)] * count
+            rows = [r for r in csv.DictReader(out.splitlines()[1:]) if r["series"] == "pccm"]
+            assert [(r["F_AB_avg"], r["F_AE_avg"]) for r in rows] == [("0.5", "0.5")] * count
 
-    @pytest.mark.parametrize(
-        "argv", [["sweep", "--f", "0.8:0.8:0.1"], ["optimize", "--f-target", "0.8"]]
-    )
-    def test_b92_rejects_a_channel(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv, "--task", "b92", "--noise", "X=0.3")
+    def test_b92_rejects_a_channel(self, capsys):
+        argv = ["sweep", "--f", "0.8:0.8:0.1", "--task", "b92", "--noise", "X=0.3"]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: the b92 task is noiseless\n")
 
     def test_too_many_targets_exit_2_at_once(self, capsys):
@@ -800,6 +799,12 @@ class TestSweepCommand:
         assert len(cli._parse_f_range("0.001:1:0.001")) == cli.MAX_F_TARGETS == 1000
         with pytest.raises(ValueError, match="--f"):
             cli._parse_f_range("0:1:0.001")
+
+    def test_f_range_stops_at_its_stop(self):
+        # a step far below the 1e-9 slack on stop still gives one target
+        assert cli._parse_f_range("0.5:0.5:1e-13") == [0.5]
+        assert cli._parse_f_range("0.55:0.8:0.025")[-1] == 0.8
+        assert len(cli._parse_f_range("0:1:0.005")) == 201
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -813,14 +818,6 @@ class TestSweepCommand:
             code, out, err = run_cli(capsys, "sweep", "--task", "b92", f"--f={spec}")
             assert (code, out) == (2, "")
             assert "--f" in err
-
-    @pytest.mark.parametrize("lr", ["nan", "inf"])
-    def test_non_finite_learning_rate_exits_2(self, capsys, lr):
-        argv = ["sweep", "--task", "bb84", "--f", "0.7:0.7:0.1", "--lr", lr]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "learning_rate" in err
 
     def test_optimizer_failure_exits_1(self, capsys, monkeypatch):
         def exploding(*args, **kwargs):
@@ -839,41 +836,27 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
-class TestOptimizeCommand:
-    def test_single_target_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "optimize",
-            "--task",
-            "bb84",
-            "--noise",
-            "X=0.25",
-            "--f-target",
-            "0.7",
-            "--steps",
-            "30",
-            "--restarts",
-            "1",
-            "--seed",
-            "2",
-        )
+    def test_single_target(self, capsys):
+        argv = ["sweep", "--task", "bb84", "--noise", "X=0.25", "--f", "0.7:0.7:1"]
+        code, out, _ = run_cli(capsys, *argv, "--steps", "30", "--restarts", "1", "--seed", "2")
         assert code == 0
-        payload = json.loads(out)
-        ng_rows = [r for r in payload["rows"] if r["series"] == "ng"]
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        ng_rows = [r for r in rows if r["series"] == "ng"]
         assert len(ng_rows) == 1
-        assert len(ng_rows[0]["params"]) == 4
-        assert abs(ng_rows[0]["f_ab_avg"] - 0.7) < 1e-9
-        miss = abs(ng_rows[0]["f_ab_avg"] - 0.7)
-        assert ng_rows[0]["target_miss"] == pytest.approx(miss, abs=1e-11)
-        others = [r for r in payload["rows"] if r["series"] != "ng"]
-        assert others and all(r["target_miss"] is None for r in others)
-
+        assert len(ng_rows[0]["params"].split()) == 4
+        miss = abs(float(ng_rows[0]["F_AB_avg"]) - 0.7)
+        assert miss < 1e-9
+        assert float(ng_rows[0]["target_miss"]) == pytest.approx(miss, abs=1e-11)
+        others = [r for r in rows if r["series"] != "ng"]
+        assert others and all(r["target_miss"] == "" for r in others)
 
     @pytest.mark.parametrize(
         "task, noise, num_rows", [("bb84", "X=0.25", 2), ("b92", None, 3)]
     )
-    def test_rows_equal_the_sweep_rows(self, capsys, task, noise, num_rows):
-        argv = ["optimize", "--task", task, "--f-target", "0.75", "--seed", "4"]
+    def test_single_target_rows_equal_the_frontier_sweep_rows(
+        self, capsys, task, noise, num_rows
+    ):
+        argv = ["sweep", "--task", task, "--f", "0.75:0.75:1", "--seed", "4"]
         argv += ["--steps", "5", "--restarts", "2"]
         code, out, _ = run_cli(capsys, *argv, *(["--noise", noise] if noise else []))
         assert code == 0
@@ -883,23 +866,53 @@ class TestOptimizeCommand:
             cfg=replace(optimize.default_task_config(task), steps=5, restarts=2, seed=4),
             channel=parse_channel_spec(noise, 1) if noise else None,
         )
-        expected = [
-            {
-                "f_target": None if math.isnan(row.f_target) else row.f_target,
-                "series": row.series,
-                "label": row.label,
-                "f_ab": row.f_ab,
-                "f_ae": row.f_ae,
-                "f_ab_avg": row.f_ab_avg,
-                "f_ae_avg": row.f_ae_avg,
-                "params": None if row.parameters is None else list(row.parameters),
-                "target_miss": row.target_miss,
-            }
-            for row in result.rows
-        ]
-        assert len(expected) == num_rows
-        expected = json.loads(json.dumps(cli._round_floats(expected)))
-        assert json.loads(out)["rows"] == expected
+        assert len(result.rows) == num_rows
+        assert out.splitlines()[1:] == cli._sweep_csv_lines(result, {})[1:]
+
+    def test_pairs_programs_print_no_eigensolver_dust(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--task", "pairs")
+        assert code == 0
+        cells = [c for r in csv.DictReader(out.splitlines()[1:]) for c in r["params"].split()]
+        assert len(cells) == 40 * 16
+        assert "-0" not in cells
+        assert all(float(c) == 0 or abs(float(c)) >= 1e-15 for c in cells)
+
+
+class TestCliSurface:
+    def test_subcommands_and_their_options(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: sorted(s for a in sub._actions for s in a.option_strings)
+            for name, sub in commands.choices.items()
+        }
+        help_ = ["-h", "--help"]
+        assert surface == {
+            "fidelities": sorted(
+                help_
+                + ["--kind", "--n", "--preset", "--amplitudes", "--angles"]
+                + ["--noise", "--bases", "--out"]
+            ),
+            "validate": sorted(help_ + ["--trials", "--seed"]),
+            "sweep": sorted(
+                help_ + ["--task", "--noise", "--f", "--seed", "--steps", "--restarts", "--out"]
+            ),
+            "mubs": sorted(help_ + ["--n", "--check"]),
+            "table": sorted(help_ + ["--n"]),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--task", "bb84", "--f-target", "0.7"],
+            ["sweep", "--task", "bb84", "--f", "0.7:0.7:1", "--lr", "0.1"],
+        ],
+    )
+    def test_removed_command_and_option_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestTableAndMubs:

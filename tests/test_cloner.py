@@ -45,7 +45,7 @@ from paulicloner.cloner import (
     state_rows,
 )
 from paulicloner.mub import PauliString, index_to_pauli, mubs_for
-from paulicloner.noise import PauliChannel, channel_with_single_error
+from paulicloner.noise import PauliChannel
 from paulicloner.simcore import Circuit, GateOp, StateVector, apply_circuit, basis_state
 
 
@@ -235,7 +235,7 @@ class TestCloneFidelities:
             assert report.f_ae[lbl] == pytest.approx(0.7, abs=1e-10)
 
     def test_noisy_e0(self):
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
+        ch = PauliChannel(1, {PauliString("X"): 0.25})
         report = clone_fidelities(
             ClonerKind.NG, 1, SoftwareState.computational(1), channel=ch
         )
@@ -585,7 +585,7 @@ class TestCompiledEngine:
                 ClonerKind.NG,
                 2,
                 uqcm_program_ng(2),
-                channel=channel_with_single_error(1, PauliString("X"), 0.1),
+                channel=PauliChannel(1, {PauliString("X"): 0.1}),
             )
         with pytest.raises(TypeError):
             clone_fidelities(ClonerKind.NG, 1, uqcm_program_ng(1), bases=["Z"])

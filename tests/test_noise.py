@@ -3,60 +3,7 @@ import pytest
 
 from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
 from paulicloner.mub import PauliString
-from paulicloner.noise import (
-    PauliChannel,
-    apply_channel,
-    channel_with_single_error,
-    noisy_fidelity_1q,
-    parse_channel_spec,
-)
-from paulicloner.simcore import DensityMatrix, basis_state
-
-
-def zero_projector():
-    return basis_state(1, 0).to_density_matrix()
-
-
-class TestApplyChannel:
-    def test_identity_channel(self):
-        rho = zero_projector()
-        out = apply_channel(rho, PauliChannel.identity_channel(1))
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
-
-    def test_full_bit_flip(self):
-        out = apply_channel(zero_projector(), PauliChannel(1, {PauliString("X"): 1.0}))
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_partial_bit_flip(self):
-        out = apply_channel(zero_projector(), PauliChannel(1, {PauliString("X"): 0.25}))
-        np.testing.assert_allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-15)
-
-    def test_preserves_density_matrix_structure(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            m = g @ g.conj().T
-            rho = DensityMatrix(2, m / np.trace(m).real)
-            p = rng.dirichlet(np.ones(16)) * rng.uniform(0.1, 1.0)
-            probs = {
-                PauliString(f"{a}{b}"): p[i * 4 + j]
-                for i, a in enumerate("IXYZ")
-                for j, b in enumerate("IXYZ")
-                if (a, b) != ("I", "I")
-            }
-            out = apply_channel(rho, PauliChannel(2, probs))
-            # constructor re-validates Hermiticity, trace, positivity
-            assert abs(np.trace(out.matrix).real - 1) < 1e-12
-
-    def test_unitality(self):
-        rho = DensityMatrix(1, np.eye(2) / 2)
-        ch = PauliChannel.from_xyz(0.2, 0.1, 0.15)
-        out = apply_channel(rho, ch)
-        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_channel(zero_projector(), PauliChannel.identity_channel(2))
+from paulicloner.noise import PauliChannel, noisy_fidelity_1q, parse_channel_spec
 
 
 class TestNoisyFidelity:
@@ -116,20 +63,17 @@ class TestNoisyFidelity:
 
 class TestChannelConstruction:
     def test_single_error_channel(self):
-        ch = channel_with_single_error(2, PauliString("YI"), 0.45)
+        ch = PauliChannel(2, {PauliString("YI"): 0.45})
         assert ch.probs[PauliString("YI")] == pytest.approx(0.45)
         assert ch.probs[PauliString("II")] == pytest.approx(0.55)
 
     def test_zero_probability_is_identity(self):
-        assert channel_with_single_error(1, PauliString("X"), 0.0).is_identity
-
-    def test_identity_error_rejected(self):
-        with pytest.raises(ValueError):
-            channel_with_single_error(1, PauliString("I"), 0.1)
+        ch = PauliChannel(1, {PauliString("X"): 0.0})
+        assert ch.branches() == [(PauliString("I"), 1.0)]
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
-            channel_with_single_error(1, PauliString("X"), 1.5)
+            PauliChannel(1, {PauliString("X"): 1.5})
         with pytest.raises(ValueError):
             PauliChannel(1, {PauliString("X"): 0.7, PauliString("Y"): 0.7})
 
@@ -151,7 +95,7 @@ class TestChannelConstruction:
         assert ch.probs[PauliString("YI")] == pytest.approx(0.45)
         assert ch.probs[PauliString("XX")] == pytest.approx(0.05)
         assert ch.probs[PauliString("II")] == pytest.approx(0.5)
-        assert parse_channel_spec("", 1).is_identity
+        assert parse_channel_spec("", 1).branches() == [(PauliString("I"), 1.0)]
         with pytest.raises(ValueError):
             parse_channel_spec("X0.25", 1)
         with pytest.raises(ValueError):

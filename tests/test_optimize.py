@@ -18,8 +18,9 @@ from paulicloner.cloner import (
     clone_fidelities,
 )
 from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import PauliChannel, channel_with_single_error
+from paulicloner.noise import PauliChannel
 from paulicloner.optimize import (
+    ADAM_LEARNING_RATE,
     TASKS,
     AnsatzSpec,
     OptimizerConfig,
@@ -179,12 +180,11 @@ class TestAdam:
         def loss_and_grad(params):
             return np.array(next(values)), np.ones_like(params)
 
-        params, trace = adam_optimize(
-            loss_and_grad, np.zeros((1, 1)), OptimizerConfig(steps=5, learning_rate=0.5)
-        )
+        params, trace = adam_optimize(loss_and_grad, np.zeros((1, 1)), OptimizerConfig(steps=5))
         np.testing.assert_array_equal(trace[:, 0], [3, 1, 0, 2, 0, 5])
-        # Adam moves a constant gradient by lr per step: step 2 sits at -1
-        assert params[0, 0] == pytest.approx(-1.0, abs=1e-6)
+        # Adam moves a constant gradient by its learning rate per step: step 2
+        # sits two steps down
+        assert params[0, 0] == pytest.approx(-2 * ADAM_LEARNING_RATE, abs=1e-6)
 
     def test_batch_is_bit_identical_to_each_trajectory_alone(self):
         # six trajectories over three sets of forms and six targets
@@ -227,7 +227,7 @@ class TestAdam:
 class TestGradients:
     def test_program_prep_shift_matches_central_difference(self):
         rng = np.random.default_rng(4)
-        ch = channel_with_single_error(2, PauliString("YI"), 0.45)
+        ch = PauliChannel(2, {PauliString("YI"): 0.45})
         forms = fidelity_quadratic_forms(ClonerKind.NG, 2, mubs_for(2).bases, ch)
         objective, gradient = make_program_loss(forms, 0.5)
         for _ in range(5):
@@ -272,7 +272,7 @@ def _shift_rule_b92_gradient(f_target, p):
 def _prep_forms(name):
     bases = mubs_for(2).bases
     if name == "ng-twenty":
-        ch = channel_with_single_error(2, PauliString("YI"), 0.45)
+        ch = PauliChannel(2, {PauliString("YI"): 0.45})
         return fidelity_quadratic_forms(ClonerKind.NG, 2, bases, ch)
     if name == "qid-twenty":
         ch = PauliChannel(2, {PauliString("XZ"): 0.2, PauliString("YY"): 0.1})
@@ -392,7 +392,7 @@ class TestLayeredPass:
 class TestQuadraticForms:
     def test_forms_reproduce_simulation(self):
         rng = np.random.default_rng(7)
-        ch = channel_with_single_error(2, PauliString("XZ"), 0.3)
+        ch = PauliChannel(2, {PauliString("XZ"): 0.3})
         for kind in (ClonerKind.NG, ClonerKind.QID):
             forms = fidelity_quadratic_forms(kind, 2, mubs_for(2).bases, ch)
             for _ in range(5):
@@ -625,7 +625,7 @@ class TestSweep:
     def test_exact_rows_share_one_sign(self):
         # the eigensolver leaves the sign free: f=0.55 and 0.65 once printed
         # all-negative programs beside an all-positive one at f=0.6
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
+        ch = PauliChannel(1, {PauliString("X"): 0.25})
         rows = frontier_sweep("bb84", f_values=[0.55, 0.6, 0.65], channel=ch).series("ng")
         bases = [mubs_for(1)[lbl] for lbl in "ZX"]
         forms = fidelity_quadratic_forms(ClonerKind.NG, 1, bases, ch)
@@ -647,7 +647,7 @@ class TestSweep:
             frontier_sweep("bb84", f_values=[])
 
     def test_bb84_sweep_rows_and_determinism(self):
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
+        ch = PauliChannel(1, {PauliString("X"): 0.25})
         cfg = OptimizerConfig(steps=40, restarts=2, seed=5)
         fs = [0.7, 0.75]
         r1 = frontier_sweep("bb84", f_values=fs, cfg=cfg, channel=ch)
@@ -660,7 +660,7 @@ class TestSweep:
         assert [r.f_target for r in r1.series("pccm")] == fs
 
     def test_rows_sorted_by_target(self):
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
+        ch = PauliChannel(1, {PauliString("X"): 0.25})
         cfg = OptimizerConfig(steps=20, restarts=1, seed=5)
         result = frontier_sweep("bb84", f_values=[0.8, 0.7], cfg=cfg, channel=ch)
         targets = [r.f_target for r in result.rows if not math.isnan(r.f_target)]
@@ -746,7 +746,7 @@ class TestSweep:
         assert compared >= 2
 
     def test_achieved_frontier_is_monotone_after_pareto(self):
-        ch = channel_with_single_error(1, PauliString("X"), 0.25)
+        ch = PauliChannel(1, {PauliString("X"): 0.25})
         result = frontier_sweep(
             "bb84",
             f_values=[0.6, 0.65, 0.7, 0.75],
