@@ -1,9 +1,75 @@
 import numpy as np
 import pytest
 
-from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
-from paulicloner.mub import PauliString
+from paulicloner.cloner import (
+    ClonerKind,
+    SoftwareState,
+    clone_fidelities,
+    clone_output_reduced,
+    mix_branches,
+)
+from paulicloner.mub import PauliString, pauli_matrices, pauli_to_index
 from paulicloner.noise import PauliChannel, noisy_fidelity_1q, parse_channel_spec
+from paulicloner.simcore import DensityMatrix, basis_state
+
+
+def zero_projector():
+    return DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
+
+
+def apply_channel(rho, channel):
+    """The channel as the fidelity engine applies it: each Kraus branch's
+    Pauli matrix conjugates rho, and mix_branches sums the branch weights."""
+    branches = channel.branches()
+    paulis = pauli_matrices(channel.num_qubits)[[pauli_to_index(p) for p, _ in branches]]
+    weights = np.array([w for _, w in branches])
+    conjugated = paulis @ rho.matrix @ np.swapaxes(paulis, 1, 2).conj()
+    return DensityMatrix(rho.num_qubits, mix_branches(conjugated, weights))
+
+
+class TestApplyChannel:
+    def test_identity_channel(self):
+        rho = zero_projector()
+        out = apply_channel(rho, PauliChannel(1, {}))
+        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+
+    def test_full_bit_flip(self):
+        out = apply_channel(zero_projector(), PauliChannel(1, {PauliString("X"): 1.0}))
+        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
+
+    def test_partial_bit_flip(self):
+        out = apply_channel(zero_projector(), PauliChannel(1, {PauliString("X"): 0.25}))
+        np.testing.assert_allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-15)
+
+    def test_preserves_density_matrix_structure(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g @ g.conj().T
+            rho = DensityMatrix(2, m / np.trace(m).real)
+            p = rng.dirichlet(np.ones(16)) * rng.uniform(0.1, 1.0)
+            probs = {
+                PauliString(f"{a}{b}"): p[i * 4 + j]
+                for i, a in enumerate("IXYZ")
+                for j, b in enumerate("IXYZ")
+                if (a, b) != ("I", "I")
+            }
+            out = apply_channel(rho, PauliChannel(2, probs))
+            # constructor re-validates Hermiticity, trace, positivity
+            assert abs(np.trace(out.matrix).real - 1) < 1e-12
+
+    def test_unitality(self):
+        rho = DensityMatrix(1, np.eye(2) / 2)
+        ch = PauliChannel.from_xyz(0.2, 0.1, 0.15)
+        out = apply_channel(rho, ch)
+        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        program = SoftwareState(np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="channel size"):
+            clone_output_reduced(
+                ClonerKind.NG, 1, program, basis_state(1, 0), PauliChannel(2, {})
+            )
 
 
 class TestNoisyFidelity:
@@ -70,6 +136,12 @@ class TestChannelConstruction:
     def test_zero_probability_is_identity(self):
         ch = PauliChannel(1, {PauliString("X"): 0.0})
         assert ch.branches() == [(PauliString("I"), 1.0)]
+
+    def test_identity_error_rejected(self):
+        # an explicit identity weight is the whole identity mass, so the
+        # probabilities must then sum to one
+        with pytest.raises(ValueError):
+            PauliChannel(1, {PauliString("I"): 0.1})
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,42 @@ class TestRotations:
                 np.testing.assert_allclose(-0.5j * h @ block, want, atol=1e-15)
 
 
+class TestPartialTrace:
+    """reduced_density_matrix traces a pure state down to the kept qubits."""
+
+    def test_bell_state_is_maximally_mixed(self):
+        bell = StateVector(2, np.array([S2, 0, 0, S2]))
+        rho = reduced_density_matrix(bell, {0})
+        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
+
+    def test_keep_all_is_identity(self):
+        rng = np.random.default_rng(2)
+        state = random_state(rng, 2)
+        np.testing.assert_allclose(
+            reduced_density_matrix(state, {0, 1}).matrix,
+            projector(state).matrix,
+            atol=1e-14,
+        )
+
+    def test_product_state(self):
+        state = StateVector(2, np.array([S2, S2, 0, 0]))  # |0> (x) |+>
+        rho = reduced_density_matrix(state, {1})
+        np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-14)
+
+    def test_empty_keep_rejected(self):
+        bell = StateVector(2, np.array([S2, 0, 0, S2]))
+        with pytest.raises(ValueError):
+            reduced_density_matrix(bell, set())
+
+    def test_trace_preserved_and_product_factor_recovered(self):
+        rng = np.random.default_rng(3)
+        a, b = random_state(rng, 2), random_state(rng, 1)
+        joint = StateVector(3, np.kron(a.amplitudes, b.amplitudes))
+        rho_a = reduced_density_matrix(joint, {0, 1})
+        np.testing.assert_allclose(rho_a.matrix, projector(a).matrix, atol=1e-12)
+        assert abs(np.trace(rho_a.matrix) - 1) < 1e-12
+
+
 class TestFidelityPure:
     def test_pure_match(self):
         zero = basis_state(1, 0)
