@@ -14,20 +14,23 @@ Fourier transform of Bob's.  The closed forms take programs as columns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cloner import FidelityReport, NgAngles, SoftwareState
 from .mub import MubBasis, mubs_for
+from .simcore import Frozen
 
 
-@dataclass(frozen=True)
-class ImbalanceEta:
+class ImbalanceEta(Frozen):
     """Noise-imbalance ratio between the Z- and X-affected error weights."""
 
-    eta: float
+    __slots__ = ("eta",)
+
+    def __init__(self, eta: float) -> None:
+        object.__setattr__(self, "eta", eta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.eta > 0:

@@ -12,9 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
-from dataclasses import dataclass, replace
+
+# One OpenBLAS thread, set before numpy loads: with registers of at most two
+# qubits a command's BLAS calls are small, and a second thread only costs time
+# (it spins while numpy loads).  A thread count the user set stays, and a
+# process that loaded numpy before the CLI keeps what it has.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -144,8 +152,7 @@ def cmd_fidelities(args) -> int:
         "per_state_ab": {k: list(v) for k, v in report.per_state_ab.items()},
         "per_state_ae": {k: list(v) for k, v in report.per_state_ae.items()},
     }
-    _print_json(payload)
-    if args.out:
+    if args.out:  # first, so that a path that cannot be written stops before any output
         lines = _config_comment(vars(args))
         lines.append("basis,state,F_AB,F_AE")
         for lbl in report.basis_labels:
@@ -154,6 +161,7 @@ def cmd_fidelities(args) -> int:
             ):
                 lines.append(f"{lbl},{i},{_fmt(fab)},{_fmt(fae)}")
         _write_lines(args.out, lines)
+    _print_json(payload)
     return 0
 
 
@@ -161,11 +169,15 @@ def cmd_fidelities(args) -> int:
 # validate
 
 
-@dataclass
 class Check:
-    name: str
-    deviation: float
-    tolerance: float
+    """One validation check: its largest deviation against its tolerance."""
+
+    __slots__ = ("name", "deviation", "tolerance")
+
+    def __init__(self, name: str, deviation: float, tolerance: float) -> None:
+        self.name = name
+        self.deviation = deviation
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:
@@ -471,8 +483,12 @@ def _config_comment(config: dict) -> list[str]:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the lines to ``path``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
@@ -507,10 +523,11 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
 def cmd_sweep(args) -> int:
     f_values = _parse_f_range(args.f) if args.f else None
     channel = _channel_from_args(args, optimize.task_num_clone_qubits(args.task))
-    overrides = {"steps": args.steps, "restarts": args.restarts, "seed": args.seed}
-    cfg = replace(
-        optimize.default_task_config(args.task),
-        **{k: v for k, v in overrides.items() if v is not None},
+    default = optimize.default_task_config(args.task)
+    cfg = optimize.OptimizerConfig(
+        default.steps if args.steps is None else args.steps,
+        default.restarts if args.restarts is None else args.restarts,
+        default.seed if args.seed is None else args.seed,
     )
     result = optimize.frontier_sweep(args.task, f_values=f_values, cfg=cfg, channel=channel)
     lines = _sweep_csv_lines(result, vars(args))

@@ -30,7 +30,6 @@ or reduced states of its Kraus branches are mixed with the branch weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -42,6 +41,7 @@ from .noise import PauliChannel
 from .simcore import (
     Circuit,
     DensityMatrix,
+    Frozen,
     GateOp,
     StateVector,
     basis_state,
@@ -58,11 +58,14 @@ class ClonerKind(Enum):
     QID = "qid"
 
 
-@dataclass(frozen=True)
-class SoftwareState:
+class SoftwareState(Frozen):
     """The cloner program: a normalized vector of 4^N amplitudes."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
+
+    def __init__(self, amplitudes) -> None:
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
@@ -85,13 +88,20 @@ class SoftwareState:
         return cls(amps)
 
 
-@dataclass(frozen=True)
-class NgAngles:
+class NgAngles(Frozen):
     """Three-angle parameterization of a real single-qubit program state."""
 
-    rho: float
-    phi: float
-    theta: float
+    __slots__ = ("rho", "phi", "theta")
+
+    def __init__(self, rho: float, phi: float, theta: float) -> None:
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "theta", theta)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not NgAngles:
+            return NotImplemented
+        return (self.rho, self.phi, self.theta) == (other.rho, other.phi, other.theta)
 
     def to_program(self) -> SoftwareState:
         return ng_angles_to_program(self)
@@ -128,9 +138,13 @@ def ng_software_prep_circuit(angles: NgAngles) -> Circuit:
     )
 
 
-@dataclass(frozen=True)
-class ClonerLayout:
-    num_clone_qubits: int
+class ClonerLayout(Frozen):
+    """Qubit indices of the registers of a cloner on N-qubit inputs."""
+
+    __slots__ = ("num_clone_qubits",)
+
+    def __init__(self, num_clone_qubits: int) -> None:
+        object.__setattr__(self, "num_clone_qubits", num_clone_qubits)
 
     @property
     def num_qubits(self) -> int:
@@ -222,14 +236,16 @@ def build_cloner(
     raise ValueError("QID circuits are available for 1- and 2-qubit registers only")
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(Frozen):
     """Per-basis and per-state clone fidelities for both receivers."""
 
-    f_ab: dict
-    f_ae: dict
-    per_state_ab: dict
-    per_state_ae: dict
+    __slots__ = ("f_ab", "f_ae", "per_state_ab", "per_state_ae")
+
+    def __init__(self, f_ab: dict, f_ae: dict, per_state_ab: dict, per_state_ae: dict) -> None:
+        object.__setattr__(self, "f_ab", f_ab)
+        object.__setattr__(self, "f_ae", f_ae)
+        object.__setattr__(self, "per_state_ab", per_state_ab)
+        object.__setattr__(self, "per_state_ae", per_state_ae)
 
     @classmethod
     def from_columns(cls, labels, f_ab, f_ae) -> "FidelityReport":

@@ -13,25 +13,36 @@ is what ties the commuting-class structure to the fidelity formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .simcore import PAULIS, Circuit, GateOp, StateVector
+from .simcore import PAULIS, Circuit, Frozen, GateOp, StateVector
 
 PAULI_LETTERS = "".join(PAULIS)  # "IXYZ"
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """An N-qubit Pauli operator as a string over {I, X, Y, Z}."""
+class PauliString(Frozen):
+    """An N-qubit Pauli operator as a string over {I, X, Y, Z}; equal strings are
+    equal and hash alike, so they key a channel's probabilities."""
 
-    letters: str
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: str) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.letters) < 1 or any(c not in PAULI_LETTERS for c in self.letters):
             raise ValueError(f"invalid Pauli string {self.letters!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PauliString:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -95,12 +106,15 @@ def _symplectic_commutes(u: int, v: int, num_qubits: int) -> bool:
     return (bin(zu & xv).count("1") + bin(xu & zv).count("1")) % 2 == 0
 
 
-@dataclass(frozen=True)
-class MubBasis:
+class MubBasis(Frozen):
     """One orthonormal basis: a label and 2^N states in a fixed order."""
 
-    label: str
-    states: tuple[StateVector, ...]
+    # no __slots__: the cached invariant_mask lives in the instance __dict__
+
+    def __init__(self, label: str, states) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "states", states)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -121,12 +135,15 @@ class MubBasis:
         return mask
 
 
-@dataclass(frozen=True)
-class MubSet:
+class MubSet(Frozen):
     """A collection of pairwise mutually unbiased bases."""
 
-    num_qubits: int
-    bases: tuple[MubBasis, ...]
+    __slots__ = ("num_qubits", "bases")
+
+    def __init__(self, num_qubits: int, bases) -> None:
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "bases", bases)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bases", tuple(self.bases))
@@ -218,18 +235,21 @@ def mub_prep_circuit(basis_index: int) -> Circuit:
     return Circuit(2, tuple(ops))
 
 
-@dataclass(frozen=True)
-class PauliAction:
+class PauliAction(Frozen):
     """How a Pauli string acts on one basis: fixes every state ray, or permutes.
 
-    ``permutation[k]`` is the index of the state that state k maps onto, and
-    ``phases[k]`` the unit factor picked up: P|b_k> = phases[k] |b_perm[k]>.
-    For the invariant case the permutation is the identity.
+    ``kind`` is "invariant" or "permutation".  ``permutation[k]`` is the index
+    of the state that state k maps onto, and ``phases[k]`` the unit factor
+    picked up: P|b_k> = phases[k] |b_perm[k]>.  For the invariant case the
+    permutation is the identity.
     """
 
-    kind: str  # "invariant" | "permutation"
-    permutation: tuple[int, ...]
-    phases: tuple[complex, ...]
+    __slots__ = ("kind", "permutation", "phases")
+
+    def __init__(self, kind: str, permutation: tuple[int, ...], phases: tuple) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "phases", phases)
 
     @property
     def is_invariant(self) -> bool:

@@ -9,21 +9,23 @@ counterparts without any simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mub import PauliString
+from .simcore import Frozen
 
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PauliChannel:
+class PauliChannel(Frozen):
     """probs maps each PauliString (including identity) to its probability."""
 
-    num_qubits: int
-    probs: dict
+    __slots__ = ("num_qubits", "probs")
+
+    def __init__(self, num_qubits: int, probs: dict) -> None:
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "probs", probs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cleaned: dict[PauliString, float] = {}

@@ -43,7 +43,6 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .cloner import (
 )
 from .mub import mubs_for
 from .noise import PauliChannel
-from .simcore import Circuit, GateOp, _uniforms, apply_ops, rotation_block
+from .simcore import Circuit, Frozen, GateOp, _uniforms, apply_ops, rotation_block
 
 logger = logging.getLogger("paulicloner")
 
@@ -78,12 +77,15 @@ ANSATZ_LAYOUTS = {
 ANSATZ_PARAM_COUNTS = {k: lay[0] * lay[1] * 3 for k, lay in ANSATZ_LAYOUTS.items()}
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(Frozen):
     """A trainable circuit family plus its current parameter vector."""
 
-    kind: str
-    parameters: np.ndarray
+    __slots__ = ("kind", "parameters")
+
+    def __init__(self, kind: str, parameters) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameters", parameters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ANSATZ_PARAM_COUNTS:
@@ -108,11 +110,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    steps: int = 100
-    restarts: int = 5
-    seed: int = 0
+class OptimizerConfig(Frozen):
+    """Adam steps, restarts per row and the seed of the restarts' draws."""
+
+    __slots__ = ("steps", "restarts", "seed")
+
+    def __init__(self, steps: int = 100, restarts: int = 5, seed: int = 0) -> None:
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "restarts", restarts)
+        object.__setattr__(self, "seed", seed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.restarts < 1:
@@ -597,26 +604,47 @@ def _xyz_probs(channel: PauliChannel | None) -> dict:
 # frontier sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    f_target: float
-    series: str
-    label: str
-    f_ab: dict
-    f_ae: dict
-    f_ab_avg: float
-    f_ae_avg: float
-    # program amplitudes (exact rows) or ansatz angles (Adam rows); None for
-    # reference rows
-    parameters: np.ndarray | None
-    # |F_AB_avg - f_target| of an optimized row; None for reference rows
-    target_miss: float | None = None
+class SweepRow(Frozen):
+    """One row of a sweep.  ``parameters`` holds the program amplitudes (exact
+    rows) or ansatz angles (Adam rows), and ``target_miss`` |F_AB_avg -
+    f_target| of an optimized row; both are None for reference rows."""
+
+    __slots__ = (
+        "f_target", "series", "label", "f_ab", "f_ae", "f_ab_avg", "f_ae_avg",
+        "parameters", "target_miss",
+    )
+
+    def __init__(
+        self,
+        f_target: float,
+        series: str,
+        label: str,
+        f_ab: dict,
+        f_ae: dict,
+        f_ab_avg: float,
+        f_ae_avg: float,
+        parameters: np.ndarray | None,
+        target_miss: float | None = None,
+    ) -> None:
+        object.__setattr__(self, "f_target", f_target)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "f_ab", f_ab)
+        object.__setattr__(self, "f_ae", f_ae)
+        object.__setattr__(self, "f_ab_avg", f_ab_avg)
+        object.__setattr__(self, "f_ae_avg", f_ae_avg)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "target_miss", target_miss)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    task: str
-    rows: tuple[SweepRow, ...]
+class SweepResult(Frozen):
+    """A task's sweep rows, in the order they print."""
+
+    __slots__ = ("task", "rows")
+
+    def __init__(self, task: str, rows: tuple[SweepRow, ...]) -> None:
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "rows", rows)
 
     def series(self, name: str, label: str | None = None) -> list[SweepRow]:
         return [
@@ -675,7 +703,8 @@ def _units(task: str) -> list[tuple]:
 
 
 def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
-    return replace(cfg, seed=random.Random(f"{cfg.seed}/{1000 + row_index}").getrandbits(32))
+    seed = random.Random(f"{cfg.seed}/{1000 + row_index}").getrandbits(32)
+    return OptimizerConfig(cfg.steps, cfg.restarts, seed)
 
 
 def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -111,8 +110,21 @@ def rotation_block(angles) -> np.ndarray:
     return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
 
 
-@dataclass(frozen=True)
-class GateOp:
+class Frozen:
+    """Base of the package's immutable value types.  Each sets its attributes
+    once, in ``__init__``, through ``object.__setattr__``; any later assignment
+    or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GateOp(Frozen):
     """A single gate: name, acted-on qubits (controls first), optional angle.
 
     For CNOT the qubits are (control, target), for CCNOT (control, control,
@@ -120,10 +132,20 @@ class GateOp:
     ``control_value`` (0 or 1).
     """
 
-    name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-    control_value: int = 1
+    __slots__ = ("name", "qubits", "angle", "control_value")
+
+    def __init__(
+        self,
+        name: str,
+        qubits: tuple[int, ...],
+        angle: float | None = None,
+        control_value: int = 1,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "control_value", control_value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.name not in GATE_NAMES:
@@ -145,26 +167,34 @@ class GateOp:
         return m[0]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """An ordered list of gates on a fixed-size register."""
 
-    num_qubits: int
-    ops: tuple[GateOp, ...]
+    __slots__ = ("num_qubits", "ops")
+
+    def __init__(self, num_qubits: int, ops) -> None:
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "ops", ops)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if any(q < 0 or q >= self.num_qubits for q in op.qubits):
-                raise ValueError(f"{op} outside register of {self.num_qubits} qubits")
+                raise ValueError(
+                    f"{op.name} on qubits {op.qubits} outside register of {self.num_qubits} qubits"
+                )
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """Pure state of ``num_qubits`` qubits; amplitude vector of length 2^n."""
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "amplitudes")
+
+    def __init__(self, num_qubits: int, amplitudes) -> None:
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
@@ -183,12 +213,15 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Mixed state: Hermitian, unit-trace, positive-semidefinite matrix."""
 
-    num_qubits: int
-    matrix: np.ndarray
+    __slots__ = ("num_qubits", "matrix")
+
+    def __init__(self, num_qubits: int, matrix) -> None:
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's stays writable

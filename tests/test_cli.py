@@ -2,18 +2,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from fresh_process import run_python
 
-import paulicloner
 from paulicloner import analytic, cli, mub, optimize, simcore
 from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
 from paulicloner.mub import PauliString, mubs_for
@@ -380,20 +375,6 @@ class TestClosedFormCheckMemory:
         assert peak / count <= 1024
 
 
-def run_in_subprocess(code: str, **env) -> str:
-    src = str(Path(paulicloner.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 SEEDED_COMMANDS = [
     ["validate", "--trials", "20", "--seed", "1"],
     ["sweep", "--task", "b92", "--f", "0.75:0.8:0.05", "--steps", "2", "--restarts", "2"],
@@ -415,7 +396,7 @@ class TestSeededDraws:
             f"    assert main({argv!r}) == 0\n"
             "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))"
         )
-        assert run_in_subprocess(code).strip() == "[]"
+        assert run_python("-c", code).strip() == "[]"
 
     def test_uniforms(self):
         u = simcore._uniforms(random.Random(0), (10, 10**4))
@@ -464,7 +445,7 @@ class TestSeededDraws:
             "print(optimize.restart_starts(optimize._row_config(cfg, 2), 4).tolist())\n"
             f"main({SEEDED_COMMANDS[1] + ['--seed', '5']!r})"
         )
-        first, second = (run_in_subprocess(code, PYTHONHASHSEED=h) for h in ("1", "2"))
+        first, second = (run_python("-c", code, PYTHONHASHSEED=h) for h in ("1", "2"))
         assert first == second
         cfg = optimize.OptimizerConfig(restarts=3, seed=5)
         starts = optimize.restart_starts(optimize._row_config(cfg, 2), 4)
@@ -863,7 +844,7 @@ class TestSweepCommand:
         result = optimize.frontier_sweep(
             task,
             [0.75],
-            cfg=replace(optimize.default_task_config(task), steps=5, restarts=2, seed=4),
+            cfg=optimize.OptimizerConfig(steps=5, restarts=2, seed=4),
             channel=parse_channel_spec(noise, 1) if noise else None,
         )
         assert len(result.rows) == num_rows
@@ -914,6 +895,24 @@ class TestCliSurface:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelities", "--kind", "ng", "--n", "1", "--preset", "uqcm-sym"],
+            ["sweep", "--task", "pairs", "--f", "0.7:0.7:1"],
+        ],
+        ids=["fidelities", "sweep"],
+    )
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_one_error_line_and_exit_2(self, capsys, tmp_path, argv, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestTableAndMubs:
     def test_table_two_qubits(self, capsys):
@@ -941,16 +940,7 @@ class TestTableAndMubs:
 
 
 def test_python_dash_m_runs_the_cli(capsys):
-    src = str(Path(paulicloner.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "paulicloner", "table", "--n", "1"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    stdout = run_python("-m", "paulicloner", "table", "--n", "1")
     code, out, _ = run_cli(capsys, "table", "--n", "1")
     assert code == 0
-    assert proc.stdout == out
+    assert stdout == out

@@ -1,12 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
+from fresh_process import run_python
 from oracle import (
     reference_fidelities,
     reference_reduced,
@@ -14,7 +11,6 @@ from oracle import (
     reference_unitary,
 )
 
-import paulicloner
 from paulicloner import cli, simcore
 from paulicloner.analytic import (
     qid_closed_form,
@@ -553,25 +549,12 @@ class TestCompiledEngine:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     def test_nothing_compiled_at_import(self):
-        src = str(Path(paulicloner.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         code = (
             "import paulicloner, paulicloner.cli\n"
             "from paulicloner.cloner import cloner_unitary\n"
             "print(cloner_unitary.cache_info().currsize)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "0"
+        assert run_python("-c", code).strip() == "0"
 
     def test_entry_checks(self):
         rng = np.random.default_rng(30)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -64,7 +63,12 @@ def inverse_circuit(circuit):
         [GATE_NAMES.index(op.name) for op in ops], [op.angle or 0.0 for op in ops]
     )
     inverse = [
-        replace(op, angle=float(angle) if op.name in ROTATION_GATES else op.angle)
+        GateOp(
+            op.name,
+            op.qubits,
+            float(angle) if op.name in ROTATION_GATES else op.angle,
+            op.control_value,
+        )
         for op, r, angle in zip(ops, repeats, angles)
         for _ in range(r)
     ]
