@@ -2,7 +2,9 @@
 against simulation, run frontier sweeps, and print the MUB tables.
 
 Exit codes: 0 on success, 1 when validation or an optimizer run fails,
-2 on usage errors.  CSV files embed the full run configuration as
+2 on usage errors, 141 (128 + SIGPIPE, as a shell reports a process that a
+closed pipe ended) when standard output is closed before the output is
+written, as by ``| head``.  CSV files embed the full run configuration as
 '#'-prefixed comment lines, and all numeric output uses 12 significant
 digits.
 """
@@ -10,7 +12,6 @@ digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -55,6 +56,8 @@ def _round_floats(obj):
 
 
 def _print_json(payload: dict) -> None:
+    import json  # loaded only by the commands that print or embed JSON
+
     print(json.dumps(_round_floats(payload), indent=2))
 
 
@@ -217,15 +220,17 @@ def _max_abs(a, b) -> float:
 
 def _prep_circuit_deviation() -> float:
     """How far each MUB preparation circuit, run on |k>, is from basis state k
-    up to a global phase."""
+    up to a global phase: each basis's circuit runs once, gate by gate, on the
+    stack of all four |k>."""
     devs = []
     for idx, basis in enumerate(mubs_for(2).bases):
-        circuit = mub.mub_prep_circuit(idx)
-        for k, ref in enumerate(basis.states):
-            got = simcore.apply_circuit(simcore.basis_state(2, k), circuit).amplitudes
-            phase = np.vdot(ref.amplitudes, got)
-            devs += [abs(abs(phase) - 1.0), _max_abs(got, phase * ref.amplitudes)]
-    return float(np.max(devs))
+        got = np.eye(4, dtype=complex)
+        for op in mub.mub_prep_circuit(idx).ops:  # one gate broadcast over the stack
+            got = simcore.apply_gates(got, op.matrix()[None], [op.qubits])
+        ref = np.array([st.amplitudes for st in basis.states])
+        phases = np.sum(ref.conj() * got, axis=1)
+        devs += [np.abs(np.abs(phases) - 1.0), np.abs(got - phases[:, None] * ref).ravel()]
+    return float(np.max(np.concatenate(devs)))
 
 
 def _classes_form_groups(n: int) -> bool:
@@ -353,26 +358,25 @@ def _run_slot(psi, gates, controls, qubits, arities, angles, repeats) -> None:
 
 def _unitarity_check(rng, count: int) -> float:
     """Random circuits, run on bare amplitudes, keep norms; their inverses undo them.
-    Each register size's circuits run as one stack, slot by slot, and the inverse
-    pass repeats each slot's inverse gates as gate_inverses says."""
+    All circuits run as one 4-qubit stack, slot by slot: an n-qubit register sits
+    on the low qubits 4 - n .. 3, whose states are the inputs' first 2^n entries.
+    The inverse pass repeats each slot's inverse gates as gate_inverses says."""
     sizes, gates, angles, controls, orders, inputs = _random_circuits(rng, count)
     repeats, inverse_angles = simcore.gate_inverses(gates, angles)
     arities = np.array([simcore.GATE_ARITY[g] for g in simcore.GATE_NAMES])[gates]
     arities[arities > sizes[:, None]] = 0  # the slot holds no gate
-    columns = (gates, controls, orders, arities, angles, inverse_angles, repeats)
-    devs = []
-    for n in (2, 3, 4):
-        g, c, q, k, a, b, r = (x[sizes == n].swapaxes(0, 1) for x in columns)  # slot-major
-        v = inputs[sizes == n, : 2**n]
-        out = v.copy()
-        for slot in range(12):
-            _run_slot(out, g[slot], c[slot], q[slot], k[slot], a[slot], np.ones_like(r[slot]))
-        back = out.copy()
-        for slot in range(11, -1, -1):
-            _run_slot(back, g[slot], c[slot], q[slot], k[slot], b[slot], r[slot])
-        # norm() of a 1-D complex vector is two BLAS dots, which axis=1 does not use
-        devs += [[abs(float(np.linalg.norm(x)) - 1.0) for x in out], np.abs(back - v).ravel()]
-    return float(np.max(np.concatenate(devs)))
+    qubits = orders + (4 - sizes)[:, None, None]
+    columns = (gates, controls, qubits, arities, angles, inverse_angles, repeats)
+    g, c, q, k, a, b, r = (x.swapaxes(0, 1) for x in columns)  # slot-major
+    out = inputs.copy()
+    for slot in range(12):
+        _run_slot(out, g[slot], c[slot], q[slot], k[slot], a[slot], np.ones_like(r[slot]))
+    back = out.copy()
+    for slot in range(11, -1, -1):
+        _run_slot(back, g[slot], c[slot], q[slot], k[slot], b[slot], r[slot])
+    # norm() of a 1-D complex vector is two BLAS dots, which axis=1 does not use
+    norms = [abs(float(np.linalg.norm(x)) - 1.0) for x in out]
+    return float(np.max(np.concatenate([norms, np.abs(back - inputs).ravel()])))
 
 
 # run_validation's tracemalloc peak, in a process that has already compiled the
@@ -390,7 +394,9 @@ def run_validation(trials: int = 200, seed: int = 0) -> list[Check]:
     Each check stacks its programs as columns (4^n, P), as bare vectors, and
     compares one closed-form call per family with one engine call per family and
     register size; the noise oracle makes four per kind, one clean and one per
-    certain Pauli error, at any number of draws.
+    certain Pauli error, at any number of draws.  The gate-level checks run
+    stacks too: every random circuit in one 4-qubit stack, and each MUB
+    preparation circuit once on the stack of its four basis states.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
@@ -474,6 +480,8 @@ def _parse_f_range(spec: str) -> list[float]:
 
 
 def _config_comment(config: dict) -> list[str]:
+    import json
+
     cleaned = {
         k: v
         for k, v in sorted(config.items())
@@ -636,11 +644,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # as the signal module's docs advise: later writes, the flush at exit
+        # too, go to devnull, and no traceback is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -334,13 +334,13 @@ def cloner_outputs(
         ]
         weights = np.array([w for _, w in branches])
     u = cloner_unitary(kind, num_clone_qubits).reshape(-1, d, d * d)
-    # V = U (I (x) psi) first, so the inputs meet a 2^(3N) x 2^N matrix.
-    # einsum keeps these small products off BLAS, whose threaded path costs
-    # more to wake than the products themselves.
-    v = np.einsum("rij,jp->rpi", u, programs)
+    # V = U (I (x) psi) first, so the inputs meet a 2^(3N) x 2^N matrix.  Both
+    # products are stacks of small matrices, one per row of U, each too small
+    # for OpenBLAS to split over threads.
+    v = u @ programs  # (row, i, program)
     inputs = np.einsum("kab,sb->aks", errors, states)
-    out = np.einsum("rpi,iks->rpks", v, inputs)
-    return out.reshape(d, d, d, *out.shape[1:]), weights
+    out = np.swapaxes(v, 1, 2) @ inputs.reshape(d, -1)
+    return out.reshape(d, d, d, programs.shape[1], *inputs.shape[1:]), weights
 
 
 def resolve_bases(num_clone_qubits: int, bases=None) -> tuple[MubBasis, ...]:
@@ -514,10 +514,12 @@ def bob_pauli_transfer_matrices(
     engine contraction: axes (program, i, j)."""
     dim = 2**num_clone_qubits
     out, _ = cloner_outputs(kind, num_clone_qubits, programs, np.eye(dim))
-    # s[a, e, p, k]: Bob amplitude a and environment e for program p, basis input k
-    s = out[..., 0, :].reshape(dim, -1, programs.shape[1], dim)
-    # cross[p, k, l] = Tr_env |psi_k><psi_l|
-    cross = np.einsum("aepk,bepl->pklab", s, s.conj())
-    paulis = pauli_matrices(num_clone_qubits)
-    images = np.einsum("jkl,pklab->pjab", paulis, cross)
-    return np.einsum("iab,pjba->pij", paulis, images) / dim
+    # s[p, (k a), e]: Bob amplitude a and environment e for program p, basis input k
+    s = out[..., 0, :].reshape(dim, -1, programs.shape[1], dim).transpose(2, 3, 0, 1)
+    s = s.reshape(len(s), dim * dim, -1)
+    # cross[p, (k l), (b a)] = <a| Tr_env |psi_k><psi_l| |b>
+    cross = (s @ np.swapaxes(s, 1, 2).conj()).reshape(-1, *(dim,) * 4)
+    cross = cross.transpose(0, 1, 3, 4, 2).reshape(len(s), dim * dim, -1)
+    paulis = pauli_matrices(num_clone_qubits).reshape(dim**2, -1)  # [j, (k l)], [i, (a b)]
+    images = paulis @ cross  # images[p, j, (b a)] = <a| L(P_j) |b>
+    return np.swapaxes(images @ paulis.T, 1, 2) / dim  # Tr[P_i L(P_j)]

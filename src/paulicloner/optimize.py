@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import random
 
@@ -61,7 +60,13 @@ from .mub import mubs_for
 from .noise import PauliChannel
 from .simcore import Circuit, Frozen, GateOp, _uniforms, apply_ops, rotation_block
 
-logger = logging.getLogger("paulicloner")
+
+def _warn(msg: str, *args) -> None:
+    """A row warning on the "paulicloner" logger, which loads on the first one."""
+    import logging
+
+    logging.getLogger("paulicloner").warning(msg, *args)
+
 
 _B92_INPUTS = np.array(list(B92_INPUTS.values()), dtype=complex)
 
@@ -723,7 +728,7 @@ def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
         miss = abs(report.f_ab_avg - f)
         if miss > 1e-9:
             msg = "%s %s f=%.3f: outside the reachable Bob interval [%.4f, %.4f]"
-            logger.warning(msg, series, label, f, *reachable)
+            _warn(msg, series, label, f, *reachable)
         rows.append(_report_row(f, series, label, report, psi, miss))
     return rows
 
@@ -761,7 +766,7 @@ def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
         miss = abs(report.f_ab_avg - f_target)
         if miss > 0.02:
             msg = "%s %s f=%.3f: converged Bob average %.4f misses the target"
-            logger.warning(msg, series, label, f_target, report.f_ab_avg)
+            _warn(msg, series, label, f_target, report.f_ab_avg)
         rows.append(_report_row(f_target, series, label, report, p, miss))
     return rows
 

@@ -6,6 +6,8 @@ hardware circuit runs gate by gate, and the receivers' reduced states are
 mixed with the branch weights.  ``reference_unitary`` compiles the hardware
 column by column, one simulator run per basis column.
 ``reference_ng_closed_form`` is the NG closed form by direct XOR gathers.
+``einsum_cloner_outputs`` and ``einsum_transfer_matrices`` are the engine's
+contractions written as plain einsums, the reference for its matmuls.
 ``central_difference`` is the derivative reference for the adjoint
 gradients, and ``pareto_filter`` the non-dominated subset of frontier points.
 """
@@ -14,8 +16,8 @@ import math
 
 import numpy as np
 
-from paulicloner.cloner import ClonerLayout, SoftwareState, build_cloner
-from paulicloner.mub import index_to_pauli
+from paulicloner.cloner import ClonerLayout, SoftwareState, build_cloner, cloner_unitary
+from paulicloner.mub import index_to_pauli, pauli_matrices, pauli_to_index
 from paulicloner.simcore import (
     apply_circuit,
     apply_ops,
@@ -90,6 +92,34 @@ def reference_ng_closed_form(columns, bases):
     masked_sum = lambda values, masks: sum(m[:, None] * v for v, m in zip(values.T, masks.T))
     f_ae = (1 + masked_sum(overlap[:, 1:], stabilizes[:, 1:])) / math.isqrt(a.shape[1])
     return masked_sum(np.abs(a) ** 2, stabilizes), f_ae
+
+
+def einsum_cloner_outputs(kind, n, programs, states, channel=None):
+    """``cloner.cloner_outputs``, V = U (I (x) psi) and V's products with the
+    inputs, as einsums: axes (Bob, Eve, ancilla, program, branch, state)."""
+    d = 2**n
+    if channel is None:
+        errors, weights = np.eye(d)[None], np.ones(1)
+    else:
+        branches = channel.branches()
+        errors = pauli_matrices(n)[[pauli_to_index(p) for p, _ in branches]]
+        weights = np.array([w for _, w in branches])
+    u = cloner_unitary(kind, n).reshape(-1, d, d * d)
+    v = np.einsum("rij,jp->rpi", u, programs)
+    inputs = np.einsum("kab,sb->aks", errors, states)
+    out = np.einsum("rpi,iks->rpks", v, inputs)
+    return out.reshape(d, d, d, *out.shape[1:]), weights
+
+
+def einsum_transfer_matrices(kind, n, programs):
+    """``cloner.bob_pauli_transfer_matrices`` as einsums: axes (program, i, j)."""
+    dim = 2**n
+    out, _ = einsum_cloner_outputs(kind, n, programs, np.eye(dim))
+    s = out[..., 0, :].reshape(dim, -1, programs.shape[1], dim)
+    cross = np.einsum("aepk,bepl->pklab", s, s.conj())
+    paulis = pauli_matrices(n)
+    images = np.einsum("jkl,pklab->pjab", paulis, cross)
+    return np.einsum("iab,pjba->pij", paulis, images) / dim
 
 
 def central_difference(fn, parameters: np.ndarray, h: float = 1e-5) -> np.ndarray:

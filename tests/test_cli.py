@@ -2,12 +2,15 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from fresh_process import run_python
+from fresh_process import python_env, run_python
 
 from paulicloner import analytic, cli, mub, optimize, simcore
 from paulicloner.cloner import ClonerKind, SoftwareState, clone_fidelities
@@ -295,6 +298,18 @@ def failed_checks(out: str) -> list[str]:
     return [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
 
 
+def plant_rx_off_by_1e9(monkeypatch):
+    """Scale every RX matrix from simcore.gate_matrices by 1 + 1e-9."""
+    original = simcore.gate_matrices
+    rx = simcore.GATE_NAMES.index("RX")
+
+    def scaled_rx(gates, angles, control_values):
+        scale = np.where(np.asarray(gates) == rx, 1 + 1e-9, 1.0)
+        return original(gates, angles, control_values) * scale[:, None, None]
+
+    monkeypatch.setattr(simcore, "gate_matrices", scaled_rx)
+
+
 class TestRandomCircuits:
     """The bulk draws behind circuit-unitarity cover what the check claims."""
 
@@ -328,6 +343,65 @@ class TestRandomCircuits:
         a = cli._random_circuits(random.Random(0), 200)
         b = cli._random_circuits(random.Random(0), 200)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def count_kernel_calls(monkeypatch) -> dict:
+    """Calls of simcore.apply_gates and simcore.gate_matrices from here on."""
+    calls = {"apply_gates": 0, "gate_matrices": 0}
+    for name in calls:
+        original = getattr(simcore, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(simcore, name, counted)
+    return calls
+
+
+def two_qubit_registers(original):
+    """_random_circuits with every register of two qubits: the other qubits
+    sorted last in each order, the inputs cut to their first 4 entries."""
+
+    def draw(rng, count):
+        sizes, gates, angles, controls, orders, v = original(rng, count)
+        orders = np.take_along_axis(orders, np.argsort(orders >= 2, axis=-1, kind="stable"), -1)
+        v[:, 4:] = 0
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return np.full_like(sizes, 2), gates, angles, controls, orders, v
+
+    return draw
+
+
+class TestOneCircuitStack:
+    """circuit-unitarity runs every register size in one 4-qubit stack, and
+    mub-prep-circuits each basis's circuit once on its four basis states; the
+    kernel-call counts are exact, so they bound the work without a clock."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unitarity_check_kernel_calls(self, monkeypatch, seed):
+        calls = count_kernel_calls(monkeypatch)
+        assert cli._unitarity_check(random.Random(seed), 200) <= 1e-10
+        # a stack a register size made 264 and 192
+        assert calls["apply_gates"] <= 96 and calls["gate_matrices"] <= 72
+
+    def test_prep_circuit_kernel_calls(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        assert cli._prep_circuit_deviation() <= 1e-12
+        # a run a basis state made 72 and 72
+        assert calls["apply_gates"] <= 18 and calls["gate_matrices"] <= 18
+
+    def test_rx_defect_shows_on_two_qubit_registers(self, capsys, monkeypatch):
+        # the most-padded registers, on qubits 2 and 3 of the stack, pass clean;
+        # the RX of test_gate_matrix_off_by_1e9 fails circuit-unitarity alone
+        monkeypatch.setattr(cli, "_random_circuits", two_qubit_registers(cli._random_circuits))
+        sizes, _, _, _, orders, v = cli._random_circuits(random.Random(3), 20)
+        assert np.all(sizes == 2) and np.all(orders[..., :2] < 2) and not np.any(v[:, 4:])
+        assert cli._unitarity_check(random.Random(3), 20) <= 1e-10
+        plant_rx_off_by_1e9(monkeypatch)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
+        assert code == 1
+        assert failed_checks(out) == ["circuit-unitarity"]
 
 
 class TestRandomPrograms:
@@ -576,14 +650,7 @@ class TestValidateBatches:
 
     def test_gate_matrix_off_by_1e9(self, capsys, monkeypatch):
         # RX runs only in the random circuits, not in the compiled cloners
-        original = simcore.gate_matrices
-        rx = simcore.GATE_NAMES.index("RX")
-
-        def scaled_rx(gates, angles, control_values):
-            scale = np.where(np.asarray(gates) == rx, 1 + 1e-9, 1.0)
-            return original(gates, angles, control_values) * scale[:, None, None]
-
-        monkeypatch.setattr(simcore, "gate_matrices", scaled_rx)
+        plant_rx_off_by_1e9(monkeypatch)
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1
         assert failed_checks(out) == ["circuit-unitarity"]
@@ -944,3 +1011,30 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "1")
     assert code == 0
     assert stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelities", "--kind", "ng", "--n", "2", "--amplitudes", "1" + " 0" * 15],
+        ["mubs", "--n", "2"],
+    ],
+    ids=["json", "lines"],
+)
+def test_closed_stdout_pipe_exits_141_without_a_traceback(argv):
+    # the reader is gone before the first write, so every write finds the pipe closed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paulicloner", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=python_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE == 141

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from fresh_process import run_python
 from oracle import (
+    einsum_cloner_outputs,
+    einsum_transfer_matrices,
     reference_fidelities,
     reference_reduced,
     reference_transfer_matrix,
     reference_unitary,
 )
 
-from paulicloner import cli, simcore
+from paulicloner import cli, cloner, simcore
 from paulicloner.analytic import (
     qid_closed_form,
     qid_uqcm_program_2q,
@@ -41,7 +43,7 @@ from paulicloner.cloner import (
     state_rows,
 )
 from paulicloner.mub import PauliString, index_to_pauli, mubs_for
-from paulicloner.noise import PauliChannel
+from paulicloner.noise import PauliChannel, parse_channel_spec
 from paulicloner.simcore import Circuit, GateOp, StateVector, apply_circuit, basis_state
 
 
@@ -580,3 +582,47 @@ class TestCompiledEngine:
             clone_output_reduced(
                 ClonerKind.NG, 2, uqcm_program_ng(2), random_input(rng, 1)
             )
+
+
+# (kind, N, channel spec): both kinds at N = 1 and 2, clean and under two errors
+CONTRACTION_CASES = [
+    (kind, n, spec)
+    for kind in ClonerKind
+    for n, noisy in ((1, "X=0.25,Z=0.1"), (2, "YI=0.45,XX=0.05"))
+    for spec in (None, noisy)
+] + [(ClonerKind.NG, 3, None)]
+
+
+class TestMatmulContractions:
+    """The engine's matmul contractions against their einsum forms."""
+
+    @staticmethod
+    def columns(rng, n, count):
+        """The identity's columns, then ``count`` random complex unit columns."""
+        v = rng.standard_normal((4**n, count)) + 1j * rng.standard_normal((4**n, count))
+        return np.hstack([np.eye(4**n), v / np.linalg.norm(v, axis=0)])
+
+    @pytest.mark.parametrize("kind,n,spec", CONTRACTION_CASES)
+    def test_fidelity_matrices_match_the_einsums(self, monkeypatch, kind, n, spec):
+        rng = np.random.default_rng(70 + n)
+        programs = self.columns(rng, n, 5)
+        if n < 3:
+            rows = state_rows(n, [st for b in mubs_for(n).bases for st in b.states])
+        else:
+            rows = np.array([random_input(rng, n).amplitudes for _ in range(6)])
+        channel = parse_channel_spec(spec, n) if spec else None
+        got = fidelity_matrices(kind, n, programs, rows, channel)
+        monkeypatch.setattr(cloner, "cloner_outputs", einsum_cloner_outputs)
+        want = fidelity_matrices(kind, n, programs, rows, channel)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(rows), len(programs[0]), len(programs[0]))
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,n", ENGINE_CASES)
+    def test_transfer_matrices_match_the_einsums(self, kind, n):
+        programs = self.columns(np.random.default_rng(80 + n), n, 5)
+        got = bob_pauli_transfer_matrices(kind, n, programs)
+        assert got.shape == (programs.shape[1], 4**n, 4**n)
+        np.testing.assert_allclose(
+            got, einsum_transfer_matrices(kind, n, programs), rtol=0, atol=1e-15
+        )

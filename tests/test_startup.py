@@ -1,8 +1,8 @@
 """What a process pays and changes before any work: ``import paulicloner``
 loads no numpy and leaves the environment alone, the CLI loads no
-``dataclasses`` and runs OpenBLAS on one thread unless told otherwise.  Each
-case runs in a fresh interpreter that gets no BLAS thread variable unless the
-case passes one."""
+``dataclasses``, ``logging`` or ``json`` and runs OpenBLAS on one thread
+unless told otherwise.  Each case runs in a fresh interpreter that gets no
+BLAS thread variable unless the case passes one."""
 
 import pytest
 from fresh_process import run_python
@@ -24,7 +24,27 @@ def test_package_import_loads_no_numpy_and_leaves_the_environment():
 
 
 def test_cli_import_loads_no_dataclasses():
-    code = "import sys, paulicloner.cli\nprint('dataclasses' in sys.modules)"
+    # nor logging and json, which load where a command first uses them
+    code = (
+        "import sys, paulicloner.cli\n"
+        "print(sorted({'dataclasses', 'logging', 'json'} & set(sys.modules)))"
+    )
+    assert run_python("-c", code).strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--trials", "20"], ["sweep", "--task", "b92", "--f", "0.75:0.8:0.05"]],
+    ids=["validate", "b92"],
+)
+def test_commands_without_a_warning_load_no_logging(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from paulicloner.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('logging' in sys.modules)"
+    )
     assert run_python("-c", code).strip() == "False"
 
 
