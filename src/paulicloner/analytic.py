@@ -28,10 +28,6 @@ class ImbalanceEta(Frozen):
 
     __slots__ = ("eta",)
 
-    def __init__(self, eta: float) -> None:
-        object.__setattr__(self, "eta", eta)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not self.eta > 0:
             raise ValueError("eta must be positive")
@@ -204,10 +200,9 @@ def table1_angles(
         theta = PCCM_SYM_THETA if theta is None else theta
         if eta is None:
             raise ValueError("the imbalanced cloner requires eta")
-        eta_val = eta.eta if isinstance(eta, ImbalanceEta) else float(eta)
-        if not eta_val > 0:
-            raise ValueError("eta must be positive")
-        return NgAngles(math.atan(eta_val * math.tan(2 * theta)) / 2, theta, theta)
+        if not isinstance(eta, ImbalanceEta):
+            eta = ImbalanceEta(float(eta))
+        return NgAngles(math.atan(eta.eta * math.tan(2 * theta)) / 2, theta, theta)
     raise ValueError(f"unknown cloner kind {kind!r}")
 
 

@@ -172,15 +172,10 @@ def cmd_fidelities(args) -> int:
 # validate
 
 
-class Check:
+class Check(simcore.Frozen):
     """One validation check: its largest deviation against its tolerance."""
 
     __slots__ = ("name", "deviation", "tolerance")
-
-    def __init__(self, name: str, deviation: float, tolerance: float) -> None:
-        self.name = name
-        self.deviation = deviation
-        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:

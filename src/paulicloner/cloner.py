@@ -63,10 +63,6 @@ class SoftwareState(Frozen):
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes) -> None:
-        object.__setattr__(self, "amplitudes", amplitudes)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
         n = round(math.log(amps.size, 4))
@@ -92,11 +88,6 @@ class NgAngles(Frozen):
     """Three-angle parameterization of a real single-qubit program state."""
 
     __slots__ = ("rho", "phi", "theta")
-
-    def __init__(self, rho: float, phi: float, theta: float) -> None:
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", theta)
 
     def __eq__(self, other) -> bool:
         if type(other) is not NgAngles:
@@ -138,35 +129,6 @@ def ng_software_prep_circuit(angles: NgAngles) -> Circuit:
     )
 
 
-class ClonerLayout(Frozen):
-    """Qubit indices of the registers of a cloner on N-qubit inputs."""
-
-    __slots__ = ("num_clone_qubits",)
-
-    def __init__(self, num_clone_qubits: int) -> None:
-        object.__setattr__(self, "num_clone_qubits", num_clone_qubits)
-
-    @property
-    def num_qubits(self) -> int:
-        return 3 * self.num_clone_qubits
-
-    @property
-    def alice(self) -> tuple[int, ...]:
-        return tuple(range(self.num_clone_qubits))
-
-    @property
-    def eve(self) -> tuple[int, ...]:
-        return tuple(range(self.num_clone_qubits, 2 * self.num_clone_qubits))
-
-    @property
-    def ancilla(self) -> tuple[int, ...]:
-        return tuple(range(2 * self.num_clone_qubits, 3 * self.num_clone_qubits))
-
-    @property
-    def software(self) -> tuple[int, ...]:
-        return self.eve + self.ancilla
-
-
 def build_ng(num_clone_qubits: int) -> Circuit:
     """Niu-Griffiths hardware: H on Eve's register, then three bitwise CNOT layers.
 
@@ -174,12 +136,13 @@ def build_ng(num_clone_qubits: int) -> Circuit:
     qubit index inside each layer.  The circuit holds no program: the program
     is the initial state of the software register.
     """
-    lay = ClonerLayout(num_clone_qubits)
-    ops: list[GateOp] = [GateOp("H", (q,)) for q in lay.eve]
-    ops += [GateOp("CNOT", (a, e)) for a, e in zip(lay.alice, lay.eve)]
-    ops += [GateOp("CNOT", (c, a)) for c, a in zip(lay.ancilla, lay.alice)]
-    ops += [GateOp("CNOT", (e, c)) for e, c in zip(lay.eve, lay.ancilla)]
-    return Circuit(lay.num_qubits, tuple(ops))
+    n = num_clone_qubits
+    alice, eve, ancilla = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    ops: list[GateOp] = [GateOp("H", (q,)) for q in eve]
+    ops += [GateOp("CNOT", (a, e)) for a, e in zip(alice, eve)]
+    ops += [GateOp("CNOT", (c, a)) for c, a in zip(ancilla, alice)]
+    ops += [GateOp("CNOT", (e, c)) for e, c in zip(eve, ancilla)]
+    return Circuit(3 * n, tuple(ops))
 
 
 def build_qid_1q() -> Circuit:
@@ -240,12 +203,6 @@ class FidelityReport(Frozen):
     """Per-basis and per-state clone fidelities for both receivers."""
 
     __slots__ = ("f_ab", "f_ae", "per_state_ab", "per_state_ae")
-
-    def __init__(self, f_ab: dict, f_ae: dict, per_state_ab: dict, per_state_ae: dict) -> None:
-        object.__setattr__(self, "f_ab", f_ab)
-        object.__setattr__(self, "f_ae", f_ae)
-        object.__setattr__(self, "per_state_ab", per_state_ab)
-        object.__setattr__(self, "per_state_ae", per_state_ae)
 
     @classmethod
     def from_columns(cls, labels, f_ab, f_ae) -> "FidelityReport":

@@ -28,10 +28,6 @@ class PauliString(Frozen):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: str) -> None:
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.letters) < 1 or any(c not in PAULI_LETTERS for c in self.letters):
             raise ValueError(f"invalid Pauli string {self.letters!r}")
@@ -109,12 +105,8 @@ def _symplectic_commutes(u: int, v: int, num_qubits: int) -> bool:
 class MubBasis(Frozen):
     """One orthonormal basis: a label and 2^N states in a fixed order."""
 
-    # no __slots__: the cached invariant_mask lives in the instance __dict__
-
-    def __init__(self, label: str, states) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "states", states)
-        self.__post_init__()
+    # the cached invariant_mask lives in the instance __dict__
+    __slots__ = ("label", "states", "__dict__")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -139,11 +131,6 @@ class MubSet(Frozen):
     """A collection of pairwise mutually unbiased bases."""
 
     __slots__ = ("num_qubits", "bases")
-
-    def __init__(self, num_qubits: int, bases) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "bases", bases)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bases", tuple(self.bases))
@@ -245,11 +232,6 @@ class PauliAction(Frozen):
     """
 
     __slots__ = ("kind", "permutation", "phases")
-
-    def __init__(self, kind: str, permutation: tuple[int, ...], phases: tuple) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "phases", phases)
 
     @property
     def is_invariant(self) -> bool:

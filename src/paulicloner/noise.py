@@ -22,11 +22,6 @@ class PauliChannel(Frozen):
 
     __slots__ = ("num_qubits", "probs")
 
-    def __init__(self, num_qubits: int, probs: dict) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "probs", probs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         cleaned: dict[PauliString, float] = {}
         for p, w in self.probs.items():

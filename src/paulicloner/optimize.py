@@ -87,11 +87,6 @@ class AnsatzSpec(Frozen):
 
     __slots__ = ("kind", "parameters")
 
-    def __init__(self, kind: str, parameters) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parameters", parameters)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.kind not in ANSATZ_PARAM_COUNTS:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
@@ -119,12 +114,7 @@ class OptimizerConfig(Frozen):
     """Adam steps, restarts per row and the seed of the restarts' draws."""
 
     __slots__ = ("steps", "restarts", "seed")
-
-    def __init__(self, steps: int = 100, restarts: int = 5, seed: int = 0) -> None:
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "restarts", restarts)
-        object.__setattr__(self, "seed", seed)
-        self.__post_init__()
+    _defaults = {"steps": 100, "restarts": 5, "seed": 0}
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.restarts < 1:
@@ -618,38 +608,12 @@ class SweepRow(Frozen):
         "f_target", "series", "label", "f_ab", "f_ae", "f_ab_avg", "f_ae_avg",
         "parameters", "target_miss",
     )
-
-    def __init__(
-        self,
-        f_target: float,
-        series: str,
-        label: str,
-        f_ab: dict,
-        f_ae: dict,
-        f_ab_avg: float,
-        f_ae_avg: float,
-        parameters: np.ndarray | None,
-        target_miss: float | None = None,
-    ) -> None:
-        object.__setattr__(self, "f_target", f_target)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "f_ab", f_ab)
-        object.__setattr__(self, "f_ae", f_ae)
-        object.__setattr__(self, "f_ab_avg", f_ab_avg)
-        object.__setattr__(self, "f_ae_avg", f_ae_avg)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "target_miss", target_miss)
-
+    _defaults = {"target_miss": None}
 
 class SweepResult(Frozen):
     """A task's sweep rows, in the order they print."""
 
     __slots__ = ("task", "rows")
-
-    def __init__(self, task: str, rows: tuple[SweepRow, ...]) -> None:
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "rows", rows)
 
     def series(self, name: str, label: str | None = None) -> list[SweepRow]:
         return [

@@ -111,11 +111,36 @@ def rotation_block(angles) -> np.ndarray:
 
 
 class Frozen:
-    """Base of the package's immutable value types.  Each sets its attributes
-    once, in ``__init__``, through ``object.__setattr__``; any later assignment
-    or deletion raises AttributeError."""
+    """Base of the package's immutable value types and their one constructor.
+
+    The constructor binds positional and keyword arguments to the fields named
+    in the class's ``__slots__``, in order; a field left out takes its value
+    from the class's ``_defaults``.  It then calls ``__post_init__``, which may
+    check the fields or store a normalized copy through ``object.__setattr__``.
+    Any later assignment or deletion raises AttributeError.
+    """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = [f for f in cls.__slots__ if f != "__dict__"]
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+            values[name] = value
+        for name in fields:
+            if name not in values and name not in cls._defaults:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, values.get(name, cls._defaults.get(name)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,19 +158,7 @@ class GateOp(Frozen):
     """
 
     __slots__ = ("name", "qubits", "angle", "control_value")
-
-    def __init__(
-        self,
-        name: str,
-        qubits: tuple[int, ...],
-        angle: float | None = None,
-        control_value: int = 1,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "control_value", control_value)
-        self.__post_init__()
+    _defaults = {"angle": None, "control_value": 1}
 
     def __post_init__(self) -> None:
         if self.name not in GATE_NAMES:
@@ -172,11 +185,6 @@ class Circuit(Frozen):
 
     __slots__ = ("num_qubits", "ops")
 
-    def __init__(self, num_qubits: int, ops) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "ops", ops)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
@@ -190,11 +198,6 @@ class StateVector(Frozen):
     """Pure state of ``num_qubits`` qubits; amplitude vector of length 2^n."""
 
     __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, num_qubits: int, amplitudes) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
@@ -217,11 +220,6 @@ class DensityMatrix(Frozen):
     """Mixed state: Hermitian, unit-trace, positive-semidefinite matrix."""
 
     __slots__ = ("num_qubits", "matrix")
-
-    def __init__(self, num_qubits: int, matrix) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "matrix", matrix)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's stays writable

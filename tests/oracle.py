@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from paulicloner.cloner import ClonerLayout, SoftwareState, build_cloner, cloner_unitary
+from paulicloner.cloner import SoftwareState, build_cloner, cloner_unitary
 from paulicloner.mub import index_to_pauli, pauli_matrices, pauli_to_index
 from paulicloner.simcore import (
     apply_circuit,
@@ -38,7 +38,7 @@ def reference_unitary(kind, n):
 
 def reference_reduced(kind, n, program, input_amps, channel=None):
     """Bob's and Eve's reduced states (as arrays) for one input vector."""
-    lay = ClonerLayout(n)
+    alice, eve, software = range(n), range(n, 2 * n), range(n, 3 * n)
     circuit = build_cloner(kind, n, program)
     branches = (
         [(np.eye(2**n), 1.0)]
@@ -48,12 +48,12 @@ def reference_reduced(kind, n, program, input_amps, channel=None):
     rho_b = np.zeros((2**n, 2**n), dtype=complex)
     rho_e = np.zeros_like(rho_b)
     for err, weight in branches:
-        state = basis_state(lay.num_qubits, 0)
-        state = inject_state(state, lay.software, program.amplitudes)
-        state = inject_state(state, lay.alice, err @ input_amps)
+        state = basis_state(3 * n, 0)
+        state = inject_state(state, software, program.amplitudes)
+        state = inject_state(state, alice, err @ input_amps)
         out = apply_circuit(state, circuit)
-        rho_b += weight * reduced_density_matrix(out, lay.alice).matrix
-        rho_e += weight * reduced_density_matrix(out, lay.eve).matrix
+        rho_b += weight * reduced_density_matrix(out, alice).matrix
+        rho_e += weight * reduced_density_matrix(out, eve).matrix
     return rho_b, rho_e
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulicloner import cli, cloner, optimize
+from paulicloner import cli, cloner, optimize, simcore
 from paulicloner.optimize import OptimizerConfig, frontier_sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,6 +72,22 @@ def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     assert metrics["optimize.gradient.calls"][0] == 1
     assert metrics["cloner.build_cloner.calls"][0] == 2
     assert metrics["cloner.build_cloner.distinct"][0] == 2
+
+
+def test_constructors_run_the_validators_patched_on_their_class(trace_layers):
+    # the shared constructor looks __post_init__ up at each call, so a
+    # validator patched after the class was made still runs, and is traced
+    tracer = trace_layers.Tracer()
+    patches = trace_layers.install(tracer)
+    try:
+        simcore.StateVector(1, [1.0, 0.0])
+        simcore.DensityMatrix(1, np.eye(2) / 2)
+        cloner.SoftwareState([1.0, 0.0, 0.0, 0.0])
+    finally:
+        trace_layers.uninstall(patches)
+    metrics = trace_layers.layer_metrics(tracer)
+    assert metrics["simcore.state_validation.calls"][0] == 2
+    assert metrics["cloner.program_validation.calls"][0] == 1
 
 
 @pytest.mark.parametrize("name", ["validate", "sweep-twenty", "sweep-b92"])

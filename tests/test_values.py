@@ -1,5 +1,6 @@
-"""The package's value types: the inputs each refuses, equality where callers
-use it, immutability, and the calls the benchmark's output checks replay."""
+"""The package's value types: the inputs each refuses, their one constructor,
+equality where callers use it, immutability, and the calls the benchmark's
+output checks replay."""
 
 import math
 
@@ -11,7 +12,7 @@ from paulicloner import analytic, cli, cloner, mub, noise, optimize, simcore
 Z0, Z1 = simcore.basis_state(1, 0), simcore.basis_state(1, 1)
 Z_BASIS = mub.MubBasis("Z", (Z0, Z1))
 
-# (type, arguments, exception): inputs each type refuses
+# (type, arguments, exception[, keyword arguments]): inputs each type refuses
 REFUSED = [
     (simcore.GateOp, ("XX", (0,)), ValueError),
     (simcore.GateOp, ("CNOT", (0,)), ValueError),
@@ -41,7 +42,6 @@ REFUSED = [
     (cloner.SoftwareState, ([1.0, 0.0],), ValueError),
     (cloner.SoftwareState, ([1.0, 1.0, 0.0, 0.0],), ValueError),
     (cloner.NgAngles, (0.1, 0.2), TypeError),
-    (cloner.ClonerLayout, (), TypeError),
     (cloner.FidelityReport, ({}, {}, {}), TypeError),
     (analytic.ImbalanceEta, (0.0,), ValueError),
     (analytic.ImbalanceEta, (math.nan,), ValueError),
@@ -53,15 +53,28 @@ REFUSED = [
     (optimize.SweepRow, (0.5, "ng", "", {}, {}, 0.5, 0.5), TypeError),
     (optimize.SweepResult, ("bb84",), TypeError),
     (cli.Check, ("check", 0.0), TypeError),
+    # the shared constructor: an unknown field, a field given twice, a missing one
+    (simcore.GateOp, ("H", (0,)), TypeError, {"axis": 0}),
+    (simcore.GateOp, ("H", (0,)), TypeError, {"qubits": (0,)}),
+    (optimize.AnsatzSpec, (), TypeError, {"kind": "b92"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, args, error", REFUSED, ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(REFUSED)]
+    "cls, args, error, kwargs",
+    [(*row, {})[:4] for row in REFUSED],
+    ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(REFUSED)],
 )
-def test_refused_inputs(cls, args, error):
+def test_refused_inputs(cls, args, error, kwargs):
     with pytest.raises(error):
-        cls(*args)
+        cls(*args, **kwargs)
+
+
+def test_keyword_fields_and_defaults():
+    op = simcore.GateOp(name="RY", qubits=(0,), angle=0.5)
+    assert (op.name, op.qubits, op.angle, op.control_value) == ("RY", (0,), 0.5, 1)
+    cfg = optimize.OptimizerConfig(seed=3)
+    assert (cfg.steps, cfg.restarts, cfg.seed) == (100, 5, 3)
 
 
 # every immutable type, built from valid input, and one of its fields
@@ -77,14 +90,26 @@ FROZEN = {
     "PauliChannel": (lambda: noise.PauliChannel.from_xyz(0.1, 0.0, 0.0), "probs"),
     "SoftwareState": (lambda: cloner.SoftwareState.computational(1), "amplitudes"),
     "NgAngles": (lambda: cloner.NgAngles(0.1, 0.2, 0.3), "rho"),
-    "ClonerLayout": (lambda: cloner.ClonerLayout(1), "num_clone_qubits"),
     "FidelityReport": (lambda: cloner.FidelityReport({}, {}, {}, {}), "f_ab"),
     "ImbalanceEta": (lambda: analytic.ImbalanceEta(2.0), "eta"),
     "AnsatzSpec": (lambda: optimize.AnsatzSpec.zeros("b92"), "parameters"),
     "OptimizerConfig": (lambda: optimize.OptimizerConfig(), "seed"),
     "SweepRow": (lambda: optimize.SweepRow(0.5, "ng", "", {}, {}, 0.5, 0.5, None), "f_target"),
     "SweepResult": (lambda: optimize.SweepResult("bb84", ()), "rows"),
+    "Check": (lambda: cli.Check("check", 0.0, 1e-12), "deviation"),
 }
+
+
+def _frozen_types(cls=simcore.Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_types(sub)
+
+
+def test_every_frozen_type_is_listed_and_uses_the_shared_constructor():
+    types = list(_frozen_types())
+    assert sorted(t.__name__ for t in types) == sorted(FROZEN)
+    assert [t.__name__ for t in types if "__init__" in vars(t)] == []
 
 
 @pytest.mark.parametrize("make, field", FROZEN.values(), ids=FROZEN)
