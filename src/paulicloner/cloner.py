@@ -13,11 +13,12 @@ three-rotation preparation for single-qubit registers is provided
 separately for cross-checks.
 
 The hardware is one fixed circuit per (kind, N), which holds no program;
-``build_cloner`` only checks that a program fits it.  It is compiled once, on
-first use, into its 2^(3N) matrix U by one gate-by-gate pass over all basis
-columns; the compile fails unless U is unitary.  Each evaluation contracts
-the programs into U and pushes every input and Kraus branch through one
-small product.  ``fidelity_matrices``, the one fidelity engine, reads the
+``build_cloner`` only checks that a program fits it.  Its leading gates act on
+the program register alone (NG's Hadamards, none for QID) as a transform T,
+and the rest must be classical (X, CNOT, CCNOT), so U = Perm (I_Alice (x) T).
+``cloner_permutation`` reads T and Perm off the circuit once per (kind, N);
+each evaluation gathers the transformed programs and the inputs by Perm and
+multiplies them.  ``fidelity_matrices``, the one fidelity engine, reads the
 quadratic forms of program columns off that output without forming reduced
 states (a unitary U and validated inputs make them density matrices), and
 ``fidelity_columns`` takes only their diagonals: the programs' fidelities.
@@ -227,38 +228,29 @@ class FidelityReport(Frozen):
         return float(np.mean(list(self.f_ae.values())))
 
 
-# The compiled unitary of a 3N-qubit cloner holds 64^N complex entries
-# (4 MiB at N = 3, 256 MiB at N = 4).
-MAX_COMPILED_QUBITS = 3
-
-
 @lru_cache(maxsize=None)
-def cloner_unitary(kind: ClonerKind, num_clone_qubits: int) -> np.ndarray:
-    """Read-only 2^(3N) x 2^(3N) unitary of the cloner hardware.
-
-    Compiled on first use per (kind, N) by one gate-by-gate pass over the
-    flattened identity, its column index riding as 3N untouched low qubits.
-    Column index k * 4^N + j stands for Alice's input |k> and program |j>.
-    """
-    if not 1 <= num_clone_qubits <= MAX_COMPILED_QUBITS:
-        raise ValueError(
-            f"cloners are compiled for 1 to {MAX_COMPILED_QUBITS}-qubit registers"
-        )
-    circuit = build_cloner(
-        kind, num_clone_qubits, SoftwareState.computational(num_clone_qubits)
-    )
-    eye = np.eye(2**circuit.num_qubits, dtype=complex)
-    u = simcore.apply_ops(eye.ravel(), 2 * circuit.num_qubits, circuit.ops)
-    u = u.reshape(eye.shape)
-    # a unitary U makes every reduced state a density matrix, so no call checks them.
-    # on 2 cores BLAS takes 12-16 ms at 64 x 64 (einsum 0.7), 11 ms at 512 (einsum 350)
-    gram = np.einsum("ji,jk->ik", u.conj(), u) if len(u) <= 64 else u.conj().T @ u
-    error = np.max(np.abs(gram - eye))
-    if not error <= 1e-12:
-        msg = f"compiled {kind.value} cloner for N={num_clone_qubits} is not unitary"
-        raise RuntimeError(f"{msg}: max|U^dag U - I| = {error:.1e}")
-    u.flags.writeable = False
-    return u
+def cloner_permutation(kind: ClonerKind, num_clone_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hardware U = Perm (I_Alice (x) T) as two read-only parts: the program
+    transform T (4^N, 4^N), made by the leading gates that touch no Alice
+    qubit, and the source column of each output row (8^N,), read off by
+    running the remaining, classical gates on the vector of basis indices.
+    Column k * 4^N + j stands for Alice's input |k> and program |j>."""
+    n = num_clone_qubits
+    ops = build_cloner(kind, n, SoftwareState.computational(n)).ops
+    lead = next((i for i, op in enumerate(ops) if min(op.qubits) < n), len(ops))
+    # T's columns ride as 2N low qubits under Alice's |0> and the program register
+    cols = simcore.apply_ops(np.eye(8**n, 4**n, dtype=complex).ravel(), 5 * n, ops[:lead])
+    transform = cols[: 16**n].reshape(4**n, 4**n).copy()  # not a view of all 8^N rows
+    msg = f"{kind.value} cloner for N={n}"
+    for op in ops[lead:]:
+        if op.name not in ("X", "CNOT", "CCNOT"):
+            raise RuntimeError(f"{msg}: {op.name} on {op.qubits} after the program transform")
+    rows = simcore.apply_ops(np.arange(8**n, dtype=complex), 3 * n, ops[lead:])
+    if not np.array_equal(np.sort(rows), np.arange(8**n)):  # each index exactly once
+        raise RuntimeError(f"{msg}: the classical gates do not permute the basis")
+    source = rows.real.astype(int)
+    transform.flags.writeable = source.flags.writeable = False
+    return transform, source
 
 
 def cloner_outputs(
@@ -290,14 +282,12 @@ def cloner_outputs(
             [pauli_to_index(p) for p, _ in branches]
         ]
         weights = np.array([w for _, w in branches])
-    u = cloner_unitary(kind, num_clone_qubits).reshape(-1, d, d * d)
-    # V = U (I (x) psi) first, so the inputs meet a 2^(3N) x 2^N matrix.  Both
-    # products are stacks of small matrices, one per row of U, each too small
-    # for OpenBLAS to split over threads.
-    v = u @ programs  # (row, i, program)
+    transform, source = cloner_permutation(kind, num_clone_qubits)
+    alice, program = np.divmod(source, d * d)
     inputs = np.einsum("kab,sb->aks", errors, states)
-    out = np.swapaxes(v, 1, 2) @ inputs.reshape(d, -1)
-    return out.reshape(d, d, d, programs.shape[1], *inputs.shape[1:]), weights
+    # row r holds (T psi)[j_r] times Alice's input at i_r
+    out = (transform @ programs)[program][:, :, None, None] * inputs[alice][:, None]
+    return out.reshape(d, d, d, *out.shape[1:]), weights
 
 
 def resolve_bases(num_clone_qubits: int, bases=None) -> tuple[MubBasis, ...]:

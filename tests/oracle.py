@@ -3,20 +3,22 @@
 Every input state and Kraus branch is simulated on its own: the program and
 the (error-applied) input are injected into the 3N-qubit register, the
 hardware circuit runs gate by gate, and the receivers' reduced states are
-mixed with the branch weights.  ``reference_unitary`` compiles the hardware
-column by column, one simulator run per basis column.
+mixed with the branch weights.  ``reference_unitary`` is the hardware's dense
+matrix, built column by column, one simulator run per basis column.
 ``reference_ng_closed_form`` is the NG closed form by direct XOR gathers.
 ``einsum_cloner_outputs`` and ``einsum_transfer_matrices`` are the engine's
-contractions written as plain einsums, the reference for its matmuls.
+contractions written as plain einsums through that dense matrix, the
+reference for the engine's gathers and matmuls.
 ``central_difference`` is the derivative reference for the adjoint
 gradients, and ``pareto_filter`` the non-dominated subset of frontier points.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from paulicloner.cloner import SoftwareState, build_cloner, cloner_unitary
+from paulicloner.cloner import SoftwareState, build_cloner
 from paulicloner.mub import index_to_pauli, pauli_matrices, pauli_to_index
 from paulicloner.simcore import (
     apply_circuit,
@@ -27,13 +29,14 @@ from paulicloner.simcore import (
 )
 
 
+@lru_cache(maxsize=None)
 def reference_unitary(kind, n):
-    """The cloner hardware's 2^(3N) x 2^(3N) unitary, one column per run."""
+    """The cloner hardware's read-only 2^(3N) x 2^(3N) unitary, one column per run."""
     circuit = build_cloner(kind, n, SoftwareState.computational(n))
     columns = np.eye(2**circuit.num_qubits, dtype=complex)
-    return np.stack(
-        [apply_ops(c, circuit.num_qubits, circuit.ops) for c in columns], axis=1
-    )
+    u = np.stack([apply_ops(c, circuit.num_qubits, circuit.ops) for c in columns], axis=1)
+    u.flags.writeable = False
+    return u
 
 
 def reference_reduced(kind, n, program, input_amps, channel=None):
@@ -95,8 +98,9 @@ def reference_ng_closed_form(columns, bases):
 
 
 def einsum_cloner_outputs(kind, n, programs, states, channel=None):
-    """``cloner.cloner_outputs``, V = U (I (x) psi) and V's products with the
-    inputs, as einsums: axes (Bob, Eve, ancilla, program, branch, state)."""
+    """``cloner.cloner_outputs`` through the dense unitary, V = U (I (x) psi)
+    and V's products with the inputs, as einsums: axes (Bob, Eve, ancilla,
+    program, branch, state)."""
     d = 2**n
     if channel is None:
         errors, weights = np.eye(d)[None], np.ones(1)
@@ -104,7 +108,7 @@ def einsum_cloner_outputs(kind, n, programs, states, channel=None):
         branches = channel.branches()
         errors = pauli_matrices(n)[[pauli_to_index(p) for p, _ in branches]]
         weights = np.array([w for _, w in branches])
-    u = cloner_unitary(kind, n).reshape(-1, d, d * d)
+    u = reference_unitary(kind, n).reshape(-1, d, d * d)
     v = np.einsum("rij,jp->rpi", u, programs)
     inputs = np.einsum("kab,sb->aks", errors, states)
     out = np.einsum("rpi,iks->rpks", v, inputs)

@@ -320,7 +320,7 @@ class TestColumnMemory:
         bases = mubs_for(2).bases
         rows = state_rows(2, [st for b in bases for st in b.states])
         engine = lambda c: fidelity_columns(ClonerKind.NG, 2, c, rows)
-        engine(columns[:, :16])  # compiles the cloner outside the traced call
+        engine(columns[:, :16])  # builds the cloner outside the traced call
         assert self.peak_per_column(lambda c: ng_closed_form(c, bases), columns) <= 1024
         assert self.peak_per_column(engine, columns) <= 1024
 

@@ -438,7 +438,7 @@ class TestClosedFormCheckMemory:
     @pytest.mark.parametrize("kind", [ClonerKind.NG, ClonerKind.QID])
     def test_two_qubit_check_within_1_kib_per_program(self, kind):
         count = 5000
-        cli._closed_form_check(random.Random(0), 20, kind, 2)  # compiles the cloner
+        cli._closed_form_check(random.Random(0), 20, kind, 2)  # builds the cloner
         tracemalloc.start()
         try:
             dev = cli._closed_form_check(random.Random(1), count, kind, 2)
@@ -649,7 +649,7 @@ class TestValidateBatches:
         assert failed_checks(out) == ["analytic-vs-sim-ng-1q", "analytic-vs-sim-ng-2q"]
 
     def test_gate_matrix_off_by_1e9(self, capsys, monkeypatch):
-        # RX runs only in the random circuits, not in the compiled cloners
+        # RX runs only in the random circuits, not in the cloners
         plant_rx_off_by_1e9(monkeypatch)
         code, out, _ = run_cli(capsys, "validate", "--trials", "20", "--seed", "3")
         assert code == 1

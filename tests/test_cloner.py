@@ -13,7 +13,7 @@ from oracle import (
     reference_unitary,
 )
 
-from paulicloner import cli, cloner, simcore
+from paulicloner import cli, cloner
 from paulicloner.analytic import (
     qid_closed_form,
     qid_uqcm_program_2q,
@@ -34,7 +34,7 @@ from paulicloner.cloner import (
     build_qid_2q,
     clone_fidelities,
     clone_output_reduced,
-    cloner_unitary,
+    cloner_permutation,
     fidelity_columns,
     fidelity_matrices,
     ng_angles_to_program,
@@ -379,7 +379,7 @@ def engine_channels(rng, n):
 
 
 class TestCompiledEngine:
-    """The compiled cloner against the gate-by-gate per-state reference."""
+    """The permutation engine against the gate-by-gate per-state reference."""
 
     @pytest.mark.parametrize("complex_amps", [False, True])
     @pytest.mark.parametrize("kind,n", ENGINE_CASES)
@@ -449,18 +449,23 @@ class TestCompiledEngine:
                 assert f.flags.writeable and f.flags.c_contiguous and f.flags.owndata
 
     @pytest.mark.parametrize("kind,n", ENGINE_CASES)
-    def test_compiled_unitary_is_unitary_and_read_only(self, kind, n):
-        u = cloner_unitary(kind, n)
-        assert u.shape == (8**n, 8**n)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(8**n), atol=1e-12)
-        assert not u.flags.writeable
-        with pytest.raises(ValueError):
-            u[0, 0] = 0.0
-        assert cloner_unitary(kind, n) is u
+    def test_permutation_is_read_only_and_cached(self, kind, n):
+        transform, source = cloner_permutation(kind, n)
+        assert transform.shape == (4**n, 4**n) and source.shape == (8**n,)
+        assert np.array_equal(np.sort(source), np.arange(8**n))  # each index once
+        for part in (transform, source):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0
+        again = cloner_permutation(kind, n)
+        assert again[0] is transform and again[1] is source
 
     @pytest.mark.parametrize("kind,n", ENGINE_CASES)
-    def test_one_pass_compile_equals_column_by_column(self, kind, n):
-        assert np.array_equal(cloner_unitary(kind, n), reference_unitary(kind, n))
+    def test_permutation_rebuilds_the_reference_unitary(self, kind, n):
+        # U = Perm (I_Alice (x) T): row r of U is row source[r] of I (x) T
+        transform, source = cloner_permutation(kind, n)
+        dense = np.kron(np.eye(2**n), transform)[source]
+        assert np.array_equal(dense, reference_unitary(kind, n))
 
     @pytest.mark.parametrize("kind,n", [(ClonerKind.NG, 2), (ClonerKind.QID, 1)])
     def test_columns_are_the_diagonals_and_the_single_programs(self, kind, n):
@@ -493,7 +498,7 @@ class TestCompiledEngine:
         columns = rng.standard_normal((16, count)) + 1j * rng.standard_normal((16, count))
         columns /= np.linalg.norm(columns, axis=0)
         rows = state_rows(2, [st for b in mubs_for(2).bases for st in b.states])
-        fidelity_columns(kind, 2, columns[:, :16], rows)  # compiles the cloner
+        fidelity_columns(kind, 2, columns[:, :16], rows)  # builds the cloner
         tracemalloc.start()
         try:
             values = fidelity_columns(kind, 2, columns, rows)
@@ -530,31 +535,49 @@ class TestCompiledEngine:
             mix = sum(w * part[r] for w, part in zip(weights, parts))
             np.testing.assert_allclose(got[r], mix, rtol=0, atol=1e-14)
 
-    def test_non_unitary_compile_raises_and_caches_nothing(self, monkeypatch, capsys):
-        cloner_unitary.cache_clear()
-        real_apply_ops = simcore.apply_ops
-        # a compile whose columns are off by a relative 1e-10
-        monkeypatch.setattr(
-            simcore, "apply_ops", lambda *args: (1 + 1e-10) * real_apply_ops(*args)
-        )
-        with pytest.raises(RuntimeError, match="ng cloner for N=1 is not unitary"):
-            cloner_unitary(ClonerKind.NG, 1)
-        assert cloner_unitary.cache_info().currsize == 0
+    @pytest.mark.parametrize("defect", ["alice-hadamard", "copying-cnot"])
+    def test_planted_defect_fails_the_build_and_caches_nothing(
+        self, monkeypatch, capsys, defect
+    ):
+        cloner_permutation.cache_clear()
+        if defect == "alice-hadamard":
+            # an H on Alice's qubit after the CNOTs: U is no longer a permutation
+            real_build_ng = cloner.build_ng
+            monkeypatch.setattr(
+                cloner,
+                "build_ng",
+                lambda n: Circuit(3 * n, real_build_ng(n).ops + (GateOp("H", (0,)),)),
+            )
+            message = "H on \\(0,\\) after the program transform"
+        else:
+            # a CNOT stage that sends |11> to |10>, so two rows share a source
+            real_matrix = GateOp.matrix
+            copying = np.eye(4, dtype=complex)[[0, 1, 2, 2]]
+            monkeypatch.setattr(
+                GateOp,
+                "matrix",
+                lambda op: copying if op.name == "CNOT" else real_matrix(op),
+            )
+            message = "the classical gates do not permute the basis"
+        with pytest.raises(RuntimeError, match=f"ng cloner for N=1: {message}"):
+            cloner_permutation(ClonerKind.NG, 1)
+        assert cloner_permutation.cache_info().currsize == 0
         argv = ["fidelities", "--kind", "ng", "--n", "1", "--preset", "uqcm-sym"]
         assert cli.main(argv) == 1
         out = capsys.readouterr()
-        assert out.out == "" and "not unitary" in out.err
-        assert cloner_unitary.cache_info().currsize == 0
+        assert out.out == "" and "ng cloner for N=1" in out.err
+        assert cloner_permutation.cache_info().currsize == 0
         monkeypatch.undo()
-        u = cloner_unitary(ClonerKind.NG, 1)
-        assert cloner_unitary.cache_info().currsize == 1
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
+        transform, source = cloner_permutation(ClonerKind.NG, 1)
+        assert cloner_permutation.cache_info().currsize == 1
+        dense = np.kron(np.eye(2), transform)[source]
+        assert np.array_equal(dense, reference_unitary(ClonerKind.NG, 1))
 
     def test_nothing_compiled_at_import(self):
         code = (
             "import paulicloner, paulicloner.cli\n"
-            "from paulicloner.cloner import cloner_unitary\n"
-            "print(cloner_unitary.cache_info().currsize)"
+            "from paulicloner.cloner import cloner_permutation\n"
+            "print(cloner_permutation.cache_info().currsize)"
         )
         assert run_python("-c", code).strip() == "0"
 
@@ -563,8 +586,11 @@ class TestCompiledEngine:
         rows3, rows4 = (state_rows(n, [random_input(rng, n)]) for n in (3, 4))
         with pytest.raises(ValueError):
             fidelity_columns(ClonerKind.QID, 3, uqcm_program_ng(3).amplitudes[:, None], rows3)
-        with pytest.raises(ValueError, match="compiled for 1 to 3"):
-            fidelity_columns(ClonerKind.NG, 4, uqcm_program_ng(4).amplitudes[:, None], rows4)
+        # NG evaluates on four-qubit registers too
+        prog4 = random_program(rng, 4, complex_amps=True)
+        got = fidelity_columns(ClonerKind.NG, 4, prog4.amplitudes[:, None], rows4)
+        want = reference_fidelities(ClonerKind.NG, 4, prog4, rows4[0])
+        np.testing.assert_allclose(np.concatenate(got)[:, 0], want, rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
             clone_fidelities(
                 ClonerKind.NG,
@@ -594,7 +620,8 @@ CONTRACTION_CASES = [
 
 
 class TestMatmulContractions:
-    """The engine's matmul contractions against their einsum forms."""
+    """The engine's gathers and matmuls against their einsum forms through
+    the dense reference unitary."""
 
     @staticmethod
     def columns(rng, n, count):

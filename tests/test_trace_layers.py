@@ -54,8 +54,8 @@ def test_install_patches_every_binding_and_uninstall_restores_it(trace_layers):
 def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     tracer = trace_layers.Tracer()
     cfg = OptimizerConfig(steps=3, restarts=2, seed=1)
-    # a cold compile, so that the sweep calls build_cloner through its hook
-    cloner.cloner_unitary.cache_clear()
+    # a cold build, so that the sweep calls build_cloner through its hook
+    cloner.cloner_permutation.cache_clear()
     patches = trace_layers.install(tracer)
     try:
         frontier_sweep("b92", f_values=[0.8], cfg=cfg)

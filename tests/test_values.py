@@ -60,11 +60,30 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, args, error, kwargs",
-    [(*row, {})[:4] for row in REFUSED],
-    ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(REFUSED)],
-)
+def _shown(value) -> str:
+    """A short stable form of one argument: arrays by shape, values by type."""
+    if isinstance(value, np.ndarray):
+        return f"array{_shown(value.shape)}"
+    if isinstance(value, simcore.Frozen):
+        return type(value).__name__
+    if isinstance(value, tuple):
+        return f"({','.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    return repr(value).replace(" ", "")
+
+
+def _case_id(cls, args, kwargs) -> str:
+    """A case named by its type and arguments, so that ids survive added or
+    removed rows."""
+    shown = [*map(_shown, args), *(f"{k}={_shown(v)}" for k, v in kwargs.items())]
+    return f"{cls.__name__}({','.join(shown)})"
+
+
+REFUSED_CASES = [(*row, {})[:4] for row in REFUSED]
+REFUSED_IDS = [_case_id(cls, args, kwargs) for cls, args, _, kwargs in REFUSED_CASES]
+assert len(set(REFUSED_IDS)) == len(REFUSED)
+
+
+@pytest.mark.parametrize("cls, args, error, kwargs", REFUSED_CASES, ids=REFUSED_IDS)
 def test_refused_inputs(cls, args, error, kwargs):
     with pytest.raises(error):
         cls(*args, **kwargs)
