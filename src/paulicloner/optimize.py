@@ -13,11 +13,11 @@ simulation remains the reference path; the forms are checked against it in
 the tests.
 
 The best F_AE at a given F_AB over all programs is an eigenproblem
-(``exact_frontier_point``), which solves the bb84, sixstate and pairs rows
-and the b92 reference rows (``grid-ng``, ``grid-qid``) on their Bob targets.
-Adam trains the 60-parameter program-prep ansatz of the twenty task and the
-b92 ansatz, a cloner of its own.  Every restart of every row of a sweep is
-one trajectory of a single batch that Adam steps in lockstep.
+(``exact_frontier_point``), which solves the bb84, sixstate, twenty and
+pairs rows and the b92 reference rows on their Bob targets.  Twenty rows
+print their programs compiled into the program-prep angles
+(``compile_programs``).  Adam trains the b92 ansatz, a cloner of its own:
+every restart of every row is one trajectory of a lockstep batch.
 
 The two layered rotation ansaetze (program-prep and b92) are each written
 once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
@@ -27,11 +27,11 @@ losses and exact gradients, for the whole batch, from one adjoint sweep
 product of its rotation blocks with the entangler folded into its rows: the
 forward pass and the backward pass of the loss's adjoint vectors make one
 product per layer, and the angle gradients are read from the rotation
-generators.  The parameter-shift derivatives of the program-prep ansatz
-remain as the reference the adjoint gradient is tested against.
+generators.  The parameter-shift derivatives of the program-prep ansatz are
+the reference its adjoint gradient and Jacobian are tested against.
 
-Every sweep row is read from what produced it: program rows from the
-quadratic forms, b92 rows (per input too) from the adjoint forward pass.
+Every sweep row is read from what produced it: program rows (twenty rows at
+their compiled state) from the forms, b92 rows from the forward pass.
 Gate-by-gate simulation (``b92_per_state_fidelities`` and the cloner
 circuits) is the oracle the tests compare against, not a production path.
 """
@@ -236,12 +236,19 @@ def layered_pass(
     phi, mu = post[..., np.argsort(entangler)[_qubit_halves(n)]]
     (r00, r01), (r10, r11) = np.einsum("lzkqat,lzkqbt->abzlq", mu, phi)
     # g_P = Im sum(P * R) for P = X, Y, Z
-    g_x, g_y, g_z = (r01 + r10).imag, (r10 - r01).real, (r00 - r11).imag
+    g = (r01 + r10).imag, (r10 - r01).real, (r00 - r11).imag
+    return values, _generator_sums(parameters, *g).reshape(b, -1)
+
+
+def _generator_sums(parameters: np.ndarray, g_x, g_y, g_z) -> np.ndarray:
+    """sum(H * R), stacked on a last axis, for the generator H of each angle
+    (a, b, c) of every block (``layered_pass``), from g_P = sum(P * R) or their
+    imaginary parts; their axes broadcast with the (B, L, n) blocks."""
     angles = np.moveaxis(parameters[..., 1:], -1, 0)
     (cos_b, cos_c), (sin_b, sin_c) = np.cos(angles), np.sin(angles)
     d_a = cos_b * (cos_c * g_x + sin_c * g_y) - sin_b * g_z
     d_b = cos_c * g_y - sin_c * g_x
-    return values, np.stack([d_a, d_b, g_z], axis=-1).reshape(b, -1)
+    return np.stack([d_a, d_b, g_z], axis=-1)
 
 
 def ansatz_pass(kind: str, parameters: np.ndarray, adjoint=None):
@@ -289,9 +296,65 @@ def shift_gradient_states(
 
 def program_prep_state_and_shift_grads(parameters: np.ndarray):
     """State of the program-prep ansatz and its 60 parameter-shift derivatives
-    d psi / d theta_k: the reference the adjoint gradient is tested against."""
+    d psi / d theta_k: the reference for the adjoint gradient and the Jacobian."""
     p = np.asarray(parameters, dtype=float).reshape(-1)
     return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
+
+
+def program_prep_jacobian(parameters: np.ndarray):
+    """States (B, 16) of a batch of program-prep ansaetze and their Jacobians
+    d psi / d theta (B, 16, 60), from one forward pass: an angle of layer l
+    moves the state by S_l E (-i/2 H) phi_l, with S_l the product of the
+    later layers, E the entangler, phi_l the rotated state before it and H
+    the generator, so each row of S_l E plays ``layered_pass``'s adjoint."""
+    num_layers, n, _, inputs = ANSATZ_LAYOUTS["program-prep"]
+    entangler = ENTANGLERS["program-prep"]
+    p = np.asarray(parameters, dtype=float).reshape(-1, num_layers, n, 3)
+    w = _layer_matrices(rotation_block(p), entangler)
+    post, suffix = np.empty(w.shape[:3], dtype=complex), np.empty_like(w)
+    psi, s = np.broadcast_to(inputs[0], post[:, 0].shape), np.eye(2**n)
+    for layer in range(num_layers):
+        psi = post[:, layer] = np.einsum("zab,zb->za", w[:, layer], psi)
+        suffix[:, -1 - layer] = s
+        s = s @ w[:, -1 - layer]
+    idx = np.argsort(entangler)[_qubit_halves(n)]  # by each qubit's value, as in the adjoint
+    (r00, r01), (r10, r11) = np.einsum("zliqat,zlqbt->abizlq", suffix[..., idx], post[..., idx])
+    g = r01 + r10, 1j * (r10 - r01), r00 - r11  # sum(P * R) for P = X, Y, Z
+    jacobian = -0.5j * np.moveaxis(_generator_sums(p, *g), 0, 1)
+    return psi, jacobian.reshape(len(p), 2**n, -1)
+
+
+# the compile's step cap, and the distance from its program at which a row warns
+FIT_ITERATIONS = 100
+FIT_BOUND = 1e-12
+
+
+def compile_programs(programs: np.ndarray) -> np.ndarray:
+    """Program-prep angles (B, 60) preparing the (B, 16) ``programs`` up to a
+    global phase: Levenberg-Marquardt on psi(theta) - e^{i phi} a from zero,
+    in lockstep; a fit's damping falls tenfold on a step that lowers its
+    residual, else rises tenfold.  Stops at FIT_BOUND / 100 or FIT_ITERATIONS."""
+    a = np.asarray(programs, dtype=complex)
+    x = np.hstack([np.zeros((len(a), ANSATZ_PARAM_COUNTS["program-prep"])), np.angle(a[:, :1])])
+    damping = np.full(len(a), 0.1)
+    for _ in range(FIT_ITERATIONS):
+        psi, jacobian = program_prep_jacobian(x[:, :-1])
+        r = psi - np.exp(1j * x[:, -1:]) * a
+        error = np.linalg.norm(r, axis=1)
+        if error.max() <= FIT_BOUND / 100:
+            break
+        # the phase as the last column, real and imaginary parts as rows
+        j = np.concatenate([jacobian, 1j * (r - psi)[..., None]], axis=-1)
+        j, r = np.hstack([j.real, j.imag]), np.hstack([r.real, r.imag])
+        # the step -J^T (J J^T + damping)^-1 r, by the eigensolver the exact rows load
+        w, v = np.linalg.eigh(j @ j.swapaxes(1, 2))
+        y = v @ (v.swapaxes(1, 2) @ r[..., None] / (w + damping[:, None])[..., None])
+        trial = x - (j.swapaxes(1, 2) @ y)[..., 0]
+        trial_r = ansatz_pass("program-prep", trial[:, :-1])[:, 0] - np.exp(1j * trial[:, -1:]) * a
+        better = np.linalg.norm(trial_r, axis=1) < error
+        x[better] = trial[better]
+        damping = np.where(better, damping / 10, damping * 10)
+    return x[:, :-1]
 
 
 def restart_starts(cfg: OptimizerConfig, size: int) -> np.ndarray:
@@ -600,8 +663,8 @@ def _xyz_probs(channel: PauliChannel | None) -> dict:
 
 
 class SweepRow(Frozen):
-    """One row of a sweep.  ``parameters`` holds the program amplitudes (exact
-    rows) or ansatz angles (Adam rows), and ``target_miss`` |F_AB_avg -
+    """One row of a sweep.  ``parameters`` holds the program amplitudes, or the
+    ansatz angles of twenty and b92 rows, and ``target_miss`` |F_AB_avg -
     f_target| of an optimized row; both are None for reference rows."""
 
     __slots__ = (
@@ -623,8 +686,8 @@ class SweepResult(Frozen):
         ]
 
 
-# per task: register size N of its cloners, solver ("exact" or the trained
-# ansatz), default Adam settings (validated for every task, used by Adam only)
+# per task: register size N of its cloners, solver ("exact", or the ansatz its
+# rows print), default Adam settings (validated for every task, used by b92)
 _TASK_SPECS = {
     "bb84": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
     "sixstate": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
@@ -652,10 +715,7 @@ def default_f_values(task: str) -> list[float]:
 
 
 def _units(task: str) -> list[tuple]:
-    """(cloner kind, basis labels, series, row label) of each optimized series
-    of the task, in seed order; the b92 ansatz is its own cloner (kind None)."""
-    if task == "b92":
-        return [(None, (), "qml", "")]
+    """(cloner kind, basis labels, series, row label) of each exact series."""
     if task == "bb84":
         return [(ClonerKind.NG, ("Z", "X"), "ng", "")]
     if task == "sixstate":
@@ -697,41 +757,44 @@ def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
     return rows
 
 
-def _adam_rows(ansatz, units, unit_forms, f_values, cfg) -> list[SweepRow]:
-    """Adam at every (series, target) row, each restart one trajectory of a
-    single lockstep batch; a row's winner is its first restart of least loss.
-
-    The row's fidelities are read from what Adam optimized: the quadratic
-    forms for a program ansatz, the adjoint forward pass for b92.
-    """
-    jobs = [(u, f) for u in range(len(units)) for f in f_values]
-    size = ANSATZ_PARAM_COUNTS[ansatz]
-    starts = np.concatenate(
-        [restart_starts(_row_config(cfg, k), size) for k in range(len(jobs))]
-    )
-    targets = np.repeat([f for _, f in jobs], cfg.restarts)
-    if ansatz == "b92":
-        loss_and_grad = functools.partial(b92_loss_and_grad, targets)
-    else:
-        means = [np.stack([m.mean(axis=0) for m in forms]) for forms in unit_forms]
-        stacks = np.repeat([means[u] for u, _ in jobs], cfg.restarts, axis=0)
-        loss_and_grad = functools.partial(program_prep_loss_and_grad, stacks, targets)
-    params, trace = adam_optimize(loss_and_grad, starts, cfg)
-    winners = trace.min(axis=0).reshape(len(jobs), cfg.restarts).argmin(axis=1)
-    best = params.reshape(len(jobs), cfg.restarts, size)[np.arange(len(jobs)), winners]
+def _compiled_rows(exact) -> list[SweepRow]:
+    """Exact (row, labels, forms) with their programs compiled in one batch; a
+    row reads its fidelities from the state its angles prepare, and warns when
+    that state lies farther than ``FIT_BOUND`` from its program."""
+    programs = np.array([row.parameters for row, _, _ in exact], dtype=complex)
     rows = []
-    for (u, f_target), p in zip(jobs, best):
-        _, labels, series, label = units[u]
-        if ansatz == "b92":
-            per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
-            report = FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
-        else:
-            report = _forms_report(labels, unit_forms[u], program_prep_state(p))
+    for (row, labels, forms), psi, theta in zip(exact, programs, compile_programs(programs)):
+        state = program_prep_state(theta)
+        overlap = np.vdot(psi, state)
+        error = np.linalg.norm(state - overlap / abs(overlap) * psi)
+        if not error <= FIT_BOUND:  # a NaN error fails too
+            msg = "%s %s f=%.3f: compiled program off by %.2g"
+            _warn(msg, row.series, row.label, row.f_target, error)
+        report = _forms_report(labels, forms, state)
+        miss = abs(report.f_ab_avg - row.f_target)
+        rows.append(_report_row(row.f_target, row.series, row.label, report, theta, miss))
+    return rows
+
+
+def _adam_rows(f_values, cfg) -> list[SweepRow]:
+    """Adam on the b92 ansatz at every target, each restart one trajectory of
+    a single lockstep batch; a row's winner is its first restart of least
+    loss, and its fidelities (per input too) come from the forward pass."""
+    size, jobs = ANSATZ_PARAM_COUNTS["b92"], len(f_values)
+    starts = np.concatenate([restart_starts(_row_config(cfg, k), size) for k in range(jobs)])
+    targets = np.repeat(f_values, cfg.restarts)
+    params, trace = adam_optimize(functools.partial(b92_loss_and_grad, targets), starts, cfg)
+    winners = trace.min(axis=0).reshape(jobs, cfg.restarts).argmin(axis=1)
+    best = params.reshape(jobs, cfg.restarts, size)[np.arange(jobs), winners]
+    rows = []
+    for f_target, p in zip(f_values, best):
+        per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
+        report = FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
         miss = abs(report.f_ab_avg - f_target)
         if miss > 0.02:
             msg = "%s %s f=%.3f: converged Bob average %.4f misses the target"
-            _warn(msg, series, label, f_target, report.f_ab_avg)
-        rows.append(_report_row(f_target, series, label, report, p, miss))
+            _warn(msg, "qml", "", f_target, report.f_ab_avg)
+        rows.append(_report_row(f_target, "qml", "", report, p, miss))
     return rows
 
 
@@ -787,11 +850,11 @@ def frontier_sweep(
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
     Emits one optimized row per target per series, plus the task's reference
-    rows.  bb84, sixstate and pairs rows are exact; ``cfg`` drives the Adam
-    series only, whose rows all run in one Adam batch.  They are
-    deterministic for a fixed config: the row at target i of the u-th
-    series (``_units`` order) is seeded by 32 bits of the stdlib stream
-    ``random.Random(f"{cfg.seed}/{1000 + k}")``, k = u * len(f_values) + i,
+    rows.  bb84, sixstate, twenty and pairs rows are exact, and twenty rows
+    print their programs compiled into the program-prep angles.  ``cfg``
+    drives the b92 series only, whose rows run in one Adam batch.  They are
+    deterministic for a fixed config: the row at target i is seeded by 32
+    bits of the stdlib stream ``random.Random(f"{cfg.seed}/{1000 + i}")``,
     and draws its restart starts from that seed (``restart_starts``).
     """
     if task not in TASKS:
@@ -810,18 +873,15 @@ def frontier_sweep(
     n, solver, _ = _TASK_SPECS[task]
 
     rows = _reference_rows(task, f_values, channel)
-    units = _units(task)
-    unit_forms = [
-        None
-        if kind is None
-        else fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
-        for kind, labels, _, _ in units
-    ]
-    if solver == "exact":
-        for forms, (_, labels, series, label) in zip(unit_forms, units):
-            rows += _exact_rows(forms, labels, f_values, series, label)
+    if solver == "b92":
+        rows += _adam_rows(f_values, cfg)
     else:
-        rows += _adam_rows(solver, units, unit_forms, f_values, cfg)
+        exact = []
+        for kind, labels, series, label in _units(task):
+            forms = fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
+            unit = _exact_rows(forms, labels, f_values, series, label)
+            exact += [(r, labels, forms) for r in unit]
+        rows += _compiled_rows(exact) if solver == "program-prep" else [r for r, *_ in exact]
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 

@@ -872,11 +872,20 @@ class TestSweepCommand:
             raise RuntimeError("objective diverged")
 
         monkeypatch.setattr(optimize, "adam_optimize", exploding)
-        code, _, err = run_cli(
-            capsys, "sweep", "--task", "twenty", "--noise", "YI=0.45", "--f", "0.5:0.5:0.1"
-        )
+        code, _, err = run_cli(capsys, "sweep", "--task", "b92", "--f", "0.8:0.8:1")
         assert code == 1
         assert "diverged" in err
+
+    def test_twenty_rows_do_not_depend_on_the_seed(self, capsys):
+        argv = ["sweep", "--task", "twenty", "--noise", "YI=0.45", "--f", "0.45:0.5:0.05"]
+        outs = []
+        for seed in ("0", "7"):
+            code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+            assert code == 0
+            outs.append(out.splitlines())
+        # every line but the config comment, which records the seed
+        assert outs[0][0] != outs[1][0]
+        assert outs[0][1:] == outs[1][1:]
 
     def test_unknown_task_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from paulicloner.cloner import (
     clone_fidelities,
 )
 from paulicloner.mub import PauliString, mubs_for
-from paulicloner.noise import PauliChannel
+from paulicloner.noise import PauliChannel, parse_channel_spec
 from paulicloner.optimize import (
     ADAM_LEARNING_RATE,
     TASKS,
@@ -41,6 +41,7 @@ from paulicloner.optimize import (
     loss,
     make_b92_loss,
     make_program_loss,
+    program_prep_jacobian,
     program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
@@ -281,6 +282,16 @@ def _prep_forms(name):
 
 
 class TestAdjointGradients:
+    def test_program_prep_jacobian_matches_shift_reference(self):
+        rng = np.random.default_rng(31)
+        ps = np.vstack([rng.uniform(-math.pi, math.pi, (3, 60)), np.zeros(60)])
+        states, jacobians = program_prep_jacobian(ps)
+        assert states.shape == (4, 16) and jacobians.shape == (4, 16, 60)
+        for p, psi, jac in zip(ps, states, jacobians):
+            ref_psi, ref = program_prep_state_and_shift_grads(p)
+            np.testing.assert_allclose(psi, ref_psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac, np.array(ref).T, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("name", ["ng-twenty", "qid-twenty", "pairs"])
     def test_program_prep_matches_shift_reference(self, name):
         rng = np.random.default_rng(30)
@@ -551,7 +562,7 @@ PAIR_LABELS = (
 SWEEP_SERIES = {
     "bb84": ([("ng", "")], False, ["pccm"]),
     "sixstate": ([("ng", "")], False, ["uqcm"]),
-    "twenty": ([("ng", ""), ("qid", "")], True, []),
+    "twenty": ([("ng", ""), ("qid", "")], False, []),
     "b92": ([("qml", "")], True, ["grid-ng", "grid-qid"]),
     "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], False, []),
 }
@@ -586,6 +597,17 @@ class TestSweep:
         assert got == expected
         # one batched call: every restart of every row is one trajectory
         assert len(calls) == (1 if adam else 0)
+        if task == "twenty":
+            # the exact programs, compiled: 60 angles whose state gives the row
+            for r in result.series("ng") + result.series("qid"):
+                assert r.parameters.shape == (60,)
+                program = SoftwareState(program_prep_state(r.parameters))
+                rep = clone_fidelities(ClonerKind(r.series), 2, program)
+                for got, want in [(r.f_ab, rep.f_ab), (r.f_ae, rep.f_ae)]:
+                    assert list(got) == list(want)
+                    np.testing.assert_allclose(list(got.values()), list(want.values()), atol=1e-12)
+                assert abs(r.f_ab_avg - rep.f_ab_avg) < 1e-12
+                assert abs(r.f_ae_avg - rep.f_ae_avg) < 1e-12
         if not adam:
             return
         starts, params, trace = calls[0]
@@ -606,6 +628,37 @@ class TestSweep:
             # the winner is the first restart with the lowest loss
             winner = int(np.argmin(trace[:, rows].min(axis=0)))
             np.testing.assert_array_equal(r.parameters, params[rows][winner])
+
+    @pytest.mark.parametrize("noise", ["YI=0.45", None, "XZ=0.2,IY=0.1"])
+    def test_twenty_rows_sit_on_the_exact_frontier(self, noise):
+        channel = None if noise is None else parse_channel_spec(noise, 2)
+        result = frontier_sweep("twenty", channel=channel)
+        fs = optimize.default_f_values("twenty")
+        labels = mubs_for(2).labels
+        for kind in ClonerKind:
+            forms = fidelity_quadratic_forms(kind, 2, mubs_for(2).bases, channel)
+            lo, hi = np.linalg.eigvalsh(forms[0].mean(axis=0))[[0, -1]]
+            exact = optimize._exact_rows(forms, labels, fs, kind.value, "")
+            rows = result.series(kind.value)
+            assert [r.f_target for r in rows] == fs
+            for row, want in zip(rows, exact):
+                assert row.parameters.shape == (60,)
+                assert abs(row.f_ae_avg - want.f_ae_avg) < 1e-12
+                assert row.target_miss == abs(row.f_ab_avg - row.f_target)
+                if lo <= row.f_target <= hi:
+                    assert row.target_miss <= 1e-9
+
+    def test_a_compile_off_its_program_warns_and_carries_its_miss(self, monkeypatch, caplog):
+        real = optimize.compile_programs
+        monkeypatch.setattr(optimize, "compile_programs", lambda a: real(a) + 1e-3)
+        channel = parse_channel_spec("YI=0.45", 2)
+        rows = frontier_sweep("twenty", f_values=[0.45, 0.5], channel=channel).series("ng")
+        for row in rows:
+            assert f"ng  f={row.f_target:.3f}: compiled program off by" in caplog.text
+            program = SoftwareState(program_prep_state(row.parameters))
+            rep = clone_fidelities(ClonerKind.NG, 2, program, channel)
+            assert abs(row.f_ab_avg - rep.f_ab_avg) < 1e-12
+            assert row.target_miss == abs(row.f_ab_avg - row.f_target) > 1e-9
 
     def test_b92_rows_match_the_simulation_oracle(self):
         cfg = OptimizerConfig(steps=30, restarts=2, seed=4)
