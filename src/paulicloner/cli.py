@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=list(optimize.TASKS), required=True)
     p.add_argument("--noise", help="channel spec, e.g. 'X=0.25' or 'YI=0.45'")
     p.add_argument("--f", help="target range start:stop:step (default per task)")
-    # seed, steps and restarts drive the b92 series only
+    # seed, steps and restarts are accepted and drive no sweep: every row is exact
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)

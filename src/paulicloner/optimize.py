@@ -1,4 +1,5 @@
-"""Program-state optimization: the exact frontier of two quadratic forms,
+"""Program-state optimization: the exact frontier of two quadratic forms
+and of the b92 isometries, the compile of exact states into ansatz angles,
 Adam with adjoint gradients, and the frontier sweeps of the standard
 eavesdropping tasks.
 
@@ -14,10 +15,11 @@ the tests.
 
 The best F_AE at a given F_AB over all programs is an eigenproblem
 (``exact_frontier_point``), which solves the bb84, sixstate, twenty and
-pairs rows and the b92 reference rows on their Bob targets.  Twenty rows
-print their programs compiled into the program-prep angles
-(``compile_programs``).  Adam trains the b92 ansatz, a cloner of its own:
-every restart of every row is one trajectory of a lockstep batch.
+pairs rows and the b92 reference rows on their Bob targets.  The b92
+``qml`` rows optimize a cloner of their own, an isometry from Alice's qubit
+to Bob's and Eve's, which ``b92_isometry`` solves exactly.  Twenty rows
+print their programs, and ``qml`` rows their isometries, compiled into
+ansatz angles (``compile_programs``).  No sweep runs Adam.
 
 The two layered rotation ansaetze (program-prep and b92) are each written
 once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
@@ -27,7 +29,8 @@ losses and exact gradients, for the whole batch, from one adjoint sweep
 product of its rotation blocks with the entangler folded into its rows: the
 forward pass and the backward pass of the loss's adjoint vectors make one
 product per layer, and the angle gradients are read from the rotation
-generators.  The parameter-shift derivatives of the program-prep ansatz are
+generators.  The compile reads its Jacobian from the same generators, after
+one forward pass (``ansatz_jacobian``).  The parameter-shift derivatives of the program-prep ansatz are
 the reference its adjoint gradient and Jacobian are tested against.
 
 Every sweep row is read from what produced it: program rows (twenty rows at
@@ -301,45 +304,49 @@ def program_prep_state_and_shift_grads(parameters: np.ndarray):
     return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
 
 
-def program_prep_jacobian(parameters: np.ndarray):
-    """States (B, 16) of a batch of program-prep ansaetze and their Jacobians
-    d psi / d theta (B, 16, 60), from one forward pass: an angle of layer l
-    moves the state by S_l E (-i/2 H) phi_l, with S_l the product of the
-    later layers, E the entangler, phi_l the rotated state before it and H
-    the generator, so each row of S_l E plays ``layered_pass``'s adjoint."""
-    num_layers, n, _, inputs = ANSATZ_LAYOUTS["program-prep"]
-    entangler = ENTANGLERS["program-prep"]
+def ansatz_jacobian(kind: str, parameters: np.ndarray):
+    """States (B, K, 2^n) of a batch of ansaetze on their K inputs and their
+    Jacobians d psi / d theta (B, K 2^n, P), from one forward pass: an angle
+    of layer l moves the state by S_l E (-i/2 H) phi_l, with S_l the product
+    of the later layers, E the entangler, phi_l the rotated state before it
+    and H the generator, so each row of S_l E plays ``layered_pass``'s
+    adjoint."""
+    num_layers, n, _, inputs = ANSATZ_LAYOUTS[kind]
+    entangler = ENTANGLERS[kind]
     p = np.asarray(parameters, dtype=float).reshape(-1, num_layers, n, 3)
     w = _layer_matrices(rotation_block(p), entangler)
-    post, suffix = np.empty(w.shape[:3], dtype=complex), np.empty_like(w)
-    psi, s = np.broadcast_to(inputs[0], post[:, 0].shape), np.eye(2**n)
+    post = np.empty(w.shape[:2] + inputs.shape, dtype=complex)
+    suffix = np.empty_like(w)
+    psi, s = np.broadcast_to(inputs, post[:, 0].shape), np.eye(2**n)
     for layer in range(num_layers):
-        psi = post[:, layer] = np.einsum("zab,zb->za", w[:, layer], psi)
+        psi = post[:, layer] = np.einsum("zab,zkb->zka", w[:, layer], psi)
         suffix[:, -1 - layer] = s
         s = s @ w[:, -1 - layer]
     idx = np.argsort(entangler)[_qubit_halves(n)]  # by each qubit's value, as in the adjoint
-    (r00, r01), (r10, r11) = np.einsum("zliqat,zlqbt->abizlq", suffix[..., idx], post[..., idx])
+    (r00, r01), (r10, r11) = np.einsum("zliqat,zlkqbt->abkizlq", suffix[..., idx], post[..., idx])
     g = r01 + r10, 1j * (r10 - r01), r00 - r11  # sum(P * R) for P = X, Y, Z
-    jacobian = -0.5j * np.moveaxis(_generator_sums(p, *g), 0, 1)
-    return psi, jacobian.reshape(len(p), 2**n, -1)
+    jacobian = -0.5j * np.moveaxis(_generator_sums(p, *g), 2, 0)
+    return psi, jacobian.reshape(len(p), psi[0].size, -1)
 
 
-# the compile's step cap, and the distance from its program at which a row warns
+# the compile's step cap, and the distance from its target at which a row warns
 FIT_ITERATIONS = 100
 FIT_BOUND = 1e-12
 
 
-def compile_programs(programs: np.ndarray) -> np.ndarray:
-    """Program-prep angles (B, 60) preparing the (B, 16) ``programs`` up to a
-    global phase: Levenberg-Marquardt on psi(theta) - e^{i phi} a from zero,
-    in lockstep; a fit's damping falls tenfold on a step that lowers its
-    residual, else rises tenfold.  Stops at FIT_BOUND / 100 or FIT_ITERATIONS."""
-    a = np.asarray(programs, dtype=complex)
-    x = np.hstack([np.zeros((len(a), ANSATZ_PARAM_COUNTS["program-prep"])), np.angle(a[:, :1])])
-    damping = np.full(len(a), 0.1)
+def compile_programs(kind: str, targets: np.ndarray) -> np.ndarray:
+    """Angles (B, P) of the ``kind`` ansatz whose outputs on its K inputs are
+    the (B, K, 2^n) ``targets`` up to one global phase per row:
+    Levenberg-Marquardt on psi(theta) - e^{i phi} a from zero, in lockstep; a
+    fit's damping falls tenfold on a step that lowers its residual, else rises
+    tenfold.  Stops at FIT_BOUND / 100 or FIT_ITERATIONS."""
+    a = np.asarray(targets, dtype=complex)
+    b = len(a)
+    x = np.hstack([np.zeros((b, ANSATZ_PARAM_COUNTS[kind])), np.angle(a[:, 0, :1])])
+    damping = np.full(b, 0.1)
     for _ in range(FIT_ITERATIONS):
-        psi, jacobian = program_prep_jacobian(x[:, :-1])
-        r = psi - np.exp(1j * x[:, -1:]) * a
+        psi, jacobian = ansatz_jacobian(kind, x[:, :-1])
+        psi, r = psi.reshape(b, -1), (psi - np.exp(1j * x[:, -1:, None]) * a).reshape(b, -1)
         error = np.linalg.norm(r, axis=1)
         if error.max() <= FIT_BOUND / 100:
             break
@@ -350,8 +357,8 @@ def compile_programs(programs: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(j @ j.swapaxes(1, 2))
         y = v @ (v.swapaxes(1, 2) @ r[..., None] / (w + damping[:, None])[..., None])
         trial = x - (j.swapaxes(1, 2) @ y)[..., 0]
-        trial_r = ansatz_pass("program-prep", trial[:, :-1])[:, 0] - np.exp(1j * trial[:, -1:]) * a
-        better = np.linalg.norm(trial_r, axis=1) < error
+        trial_r = ansatz_pass(kind, trial[:, :-1]) - np.exp(1j * trial[:, -1:, None]) * a
+        better = np.linalg.norm(trial_r.reshape(b, -1), axis=1) < error
         x[better] = trial[better]
         damping = np.where(better, damping / 10, damping * 10)
     return x[:, :-1]
@@ -613,6 +620,63 @@ def grid_frontier_b92(family: ClonerKind, f_values) -> list[tuple[float, float]]
     return out
 
 
+def b92_isometry(f: float):
+    """The real 4x2 isometry W (Bob's qubit first) of largest F_AE at F_AB = f
+    over the b92 inputs, and multipliers (lam, d) at which the dual
+    2 lambda_max(C_ae + lam C_ab - d (Z + X) x I_4) - lam f, with
+    F = vec(W)^T C vec(W), equals its F_AE (both NaN at f = 0 and 1).  The
+    dual bounds F_AE over every isometry, so it certifies the row.
+
+    Y on Bob's qubit maps F_AB to 1 - F_AB, so f < 1/2 mirrors 1 - f.  With
+    b = 2 sqrt2 (f - 1/2) <= 1, Bob keeps cos t|0> + sin t|1> and Eve the
+    input: F_AE = 1.  Above, the optimum is Hadamard-symmetric: W|0> = p + m
+    and W|+> = p - m, with p = cos(pi/8) (cos x h+h+ + sin x h-h-) and
+    m = sin(pi/8) (cos y h+h- + sin y h-h+) in the eigenvectors h+- of H, an
+    isometry for every x, y.  With u = x + y, v = x - y and k = 1/sqrt2,
+    F_AB = 1/2 + B / (2 sqrt2) and F_AE = 1/2 + J / (2 sqrt2), where
+    B = cos u cos v - k sin u (1 + sin v) and J = k cos v (cos u - 1) -
+    sin u sin v.  B = b gives u at each v in closed form, and bisection on
+    v finds where J is stationary on that curve.
+    """
+    if f < 0.5:
+        w, (lam, d) = b92_isometry(1 - f)
+        return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)) @ w, (-lam, d - lam / 4)
+    b, k = 2 * math.sqrt(2) * (f - 0.5), 1 / math.sqrt(2)
+    if b <= 1:
+        t = math.pi / 8 + math.acos(b) / 2
+        return np.kron([[math.cos(t)], [math.sin(t)]], np.eye(2)), (0.0, 0.25)
+
+    def on_curve(v):
+        """u at v, and J_u, J_v and B_u there; B_v = J_u."""
+        r = math.hypot(math.cos(v), k * (1 + math.sin(v)))
+        u = -math.atan2(k * (1 + math.sin(v)), math.cos(v)) - math.acos(min(b / r, 1.0))
+        (cu, su), (cv, sv) = (math.cos(u), math.sin(u)), (math.cos(v), math.sin(v))
+        return u, -k * su * cv - cu * sv, k * sv * (1 - cu) - su * cv, -su * cv - k * cu * (1 + sv)
+
+    # the curve spans sin v >= 1 - sqrt(4 - 2 b^2), and J rises, then falls
+    # along it, as the sign of J_v B_u - J_u B_v says
+    lo = math.asin(1 - math.sqrt(max(4 - 2 * b * b, 0.0)))
+    hi = math.pi - lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        _, j_u, j_v, b_u = on_curve(mid)
+        lo, hi = (mid, hi) if j_v * b_u > j_u * j_u else (lo, mid)
+    v = 0.5 * (lo + hi)
+    u, j_u, _, b_u = on_curve(v)
+    lam = -j_u / b_u if f < 1 else math.nan
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    hp, hm = np.array([c, s]), np.array([-s, c])
+    x, y = (u + v) / 2, (u - v) / 2
+    p = c * (math.cos(x) * np.kron(hp, hp) + math.sin(x) * np.kron(hm, hm))
+    m = s * (math.cos(y) * np.kron(hp, hm) + math.sin(y) * np.kron(hm, hp))
+    # the dual's stationarity along (H x H) W|0> = p - m, with C_ae + lam C_ab
+    # on W|0> the diagonal of Eve's and Bob's projectors
+    d = (p - m) @ ((p + m) * [1 + lam, lam, 1, 0]) / (2 * math.sqrt(2))
+    return np.stack([p + m, math.sqrt(2) * (p - m) - (p + m)], axis=1), (lam, d)
+
+
 # ---------------------------------------------------------------------------
 # reference families
 
@@ -664,8 +728,9 @@ def _xyz_probs(channel: PauliChannel | None) -> dict:
 
 class SweepRow(Frozen):
     """One row of a sweep.  ``parameters`` holds the program amplitudes, or the
-    ansatz angles of twenty and b92 rows, and ``target_miss`` |F_AB_avg -
-    f_target| of an optimized row; both are None for reference rows."""
+    compiled ansatz angles of twenty and b92 rows, and ``target_miss``
+    |F_AB_avg - f_target| of an optimized row; both are None for reference
+    rows."""
 
     __slots__ = (
         "f_target", "series", "label", "f_ab", "f_ae", "f_ab_avg", "f_ae_avg",
@@ -687,7 +752,8 @@ class SweepResult(Frozen):
 
 
 # per task: register size N of its cloners, solver ("exact", or the ansatz its
-# rows print), default Adam settings (validated for every task, used by b92)
+# rows print), default Adam settings (the CLI still validates them; no sweep
+# runs Adam)
 _TASK_SPECS = {
     "bb84": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
     "sixstate": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
@@ -731,11 +797,6 @@ def _units(task: str) -> list[tuple]:
     ]
 
 
-def _row_config(cfg: OptimizerConfig, row_index: int) -> OptimizerConfig:
-    seed = random.Random(f"{cfg.seed}/{1000 + row_index}").getrandbits(32)
-    return OptimizerConfig(cfg.steps, cfg.restarts, seed)
-
-
 def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
     """The exact frontier at each Bob-fidelity target on the forms of the bases
     ``labels``; ``params`` holds the program amplitudes, as ``fidelities
@@ -757,45 +818,29 @@ def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
     return rows
 
 
-def _compiled_rows(exact) -> list[SweepRow]:
-    """Exact (row, labels, forms) with their programs compiled in one batch; a
-    row reads its fidelities from the state its angles prepare, and warns when
-    that state lies farther than ``FIT_BOUND`` from its program."""
-    programs = np.array([row.parameters for row, _, _ in exact], dtype=complex)
+def _compiled_rows(kind: str, exact) -> list[SweepRow]:
+    """Exact rows, each (f_target, series, label, target states (K, 2^n),
+    report_of), their targets compiled in one batch into the ``kind``
+    ansatz.  A row prints its angles, reads its report from the flattened
+    states they prepare through ``report_of``, and warns when those lie
+    farther than ``FIT_BOUND`` from its target."""
+    targets = np.array([target for *_, target, _ in exact], dtype=complex)
     rows = []
-    for (row, labels, forms), psi, theta in zip(exact, programs, compile_programs(programs)):
-        state = program_prep_state(theta)
-        overlap = np.vdot(psi, state)
-        error = np.linalg.norm(state - overlap / abs(overlap) * psi)
+    for (f, series, label, target, report_of), theta in zip(exact, compile_programs(kind, targets)):
+        states = ansatz_pass(kind, theta)[0]
+        overlap = np.vdot(target, states)
+        error = np.linalg.norm(states - overlap / abs(overlap) * target)
         if not error <= FIT_BOUND:  # a NaN error fails too
-            msg = "%s %s f=%.3f: compiled program off by %.2g"
-            _warn(msg, row.series, row.label, row.f_target, error)
-        report = _forms_report(labels, forms, state)
-        miss = abs(report.f_ab_avg - row.f_target)
-        rows.append(_report_row(row.f_target, row.series, row.label, report, theta, miss))
+            _warn("%s %s f=%.3f: compiled program off by %.2g", series, label, f, error)
+        report = report_of(states.reshape(-1))
+        rows.append(_report_row(f, series, label, report, theta, abs(report.f_ab_avg - f)))
     return rows
 
 
-def _adam_rows(f_values, cfg) -> list[SweepRow]:
-    """Adam on the b92 ansatz at every target, each restart one trajectory of
-    a single lockstep batch; a row's winner is its first restart of least
-    loss, and its fidelities (per input too) come from the forward pass."""
-    size, jobs = ANSATZ_PARAM_COUNTS["b92"], len(f_values)
-    starts = np.concatenate([restart_starts(_row_config(cfg, k), size) for k in range(jobs)])
-    targets = np.repeat(f_values, cfg.restarts)
-    params, trace = adam_optimize(functools.partial(b92_loss_and_grad, targets), starts, cfg)
-    winners = trace.min(axis=0).reshape(jobs, cfg.restarts).argmin(axis=1)
-    best = params.reshape(jobs, cfg.restarts, size)[np.arange(jobs), winners]
-    rows = []
-    for f_target, p in zip(f_values, best):
-        per_ab, per_ae, _, _ = _b92_fidelities(ansatz_pass("b92", p))
-        report = FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
-        miss = abs(report.f_ab_avg - f_target)
-        if miss > 0.02:
-            msg = "%s %s f=%.3f: converged Bob average %.4f misses the target"
-            _warn(msg, "qml", "", f_target, report.f_ab_avg)
-        rows.append(_report_row(f_target, "qml", "", report, p, miss))
-    return rows
+def _b92_report(final: np.ndarray) -> FidelityReport:
+    """Each input's fidelities in one b92 output (2, 4)."""
+    per_ab, per_ae, _, _ = _b92_fidelities(final)
+    return FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
 
 
 def _report_row(f_target, series, label, report, params=None, miss=None) -> SweepRow:
@@ -850,12 +895,10 @@ def frontier_sweep(
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
     Emits one optimized row per target per series, plus the task's reference
-    rows.  bb84, sixstate, twenty and pairs rows are exact, and twenty rows
-    print their programs compiled into the program-prep angles.  ``cfg``
-    drives the b92 series only, whose rows run in one Adam batch.  They are
-    deterministic for a fixed config: the row at target i is seeded by 32
-    bits of the stdlib stream ``random.Random(f"{cfg.seed}/{1000 + i}")``,
-    and draws its restart starts from that seed (``restart_starts``).
+    rows.  Every optimized row is exact.  Twenty rows print their programs
+    compiled into the program-prep angles, and b92 ``qml`` rows their
+    isometries (``b92_isometry``) compiled into the b92 angles.  ``cfg`` is
+    accepted and drives no row, so no row depends on a seed.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -869,19 +912,23 @@ def frontier_sweep(
     if task == "b92" and channel is not None:
         raise ValueError("the b92 task is noiseless")
     f_values = sorted(f_values)
-    cfg = default_task_config(task) if cfg is None else cfg
     n, solver, _ = _TASK_SPECS[task]
 
     rows = _reference_rows(task, f_values, channel)
     if solver == "b92":
-        rows += _adam_rows(f_values, cfg)
+        exact = [(f, "qml", "", _B92_INPUTS @ b92_isometry(f)[0].T, _b92_report) for f in f_values]
+        rows += _compiled_rows(solver, exact)
     else:
         exact = []
         for kind, labels, series, label in _units(task):
             forms = fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
-            unit = _exact_rows(forms, labels, f_values, series, label)
-            exact += [(r, labels, forms) for r in unit]
-        rows += _compiled_rows(exact) if solver == "program-prep" else [r for r, *_ in exact]
+            report_of = functools.partial(_forms_report, labels, forms)
+            exact += [(r, report_of) for r in _exact_rows(forms, labels, f_values, series, label)]
+        if solver == "exact":
+            rows += [r for r, _ in exact]
+        else:
+            exact = [(r.f_target, r.series, r.label, r.parameters[None], rep) for r, rep in exact]
+            rows += _compiled_rows(solver, exact)
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 

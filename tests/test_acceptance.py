@@ -295,17 +295,18 @@ def test_c11_b92_learning_beats_grid_search():
     )
     wins = 0
     for row in result.series("qml"):
+        assert row.target_miss <= 1e-9
         grid_at_x = opt.grid_frontier_b92(ClonerKind.NG, [row.f_ab_avg])[0][1]
         if row.f_ae_avg - grid_at_x > 0.01:
             wins += 1
-    assert wins >= 3, f"only {wins} targets show a > 0.01 advantage"
+    assert wins == 5, f"only {wins} targets show a > 0.01 advantage"
     grid_ng = {r.f_target: r.f_ae_avg for r in result.series("grid-ng")}
     grid_qid = {r.f_target: r.f_ae_avg for r in result.series("grid-qid")}
     agreement = max(abs(grid_ng[f] - grid_qid[f]) for f in f_values)
     assert agreement < 2e-3
     elapsed = time.monotonic() - start
     print(
-        f"[PASS] C11 b92: trained ansatz beats the grid frontier at {wins}/5 targets; "
+        f"[PASS] C11 b92: the compiled exact ansatz beats the grid frontier at {wins}/5 targets; "
         f"NG/QID grids agree within {agreement:.1e} ({elapsed:.0f}s)"
     )
 

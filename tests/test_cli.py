@@ -516,13 +516,13 @@ class TestSeededDraws:
             "from paulicloner import optimize\n"
             "from paulicloner.cli import main\n"
             "cfg = optimize.OptimizerConfig(restarts=3, seed=5)\n"
-            "print(optimize.restart_starts(optimize._row_config(cfg, 2), 4).tolist())\n"
+            "print(optimize.restart_starts(cfg, 4).tolist())\n"
             f"main({SEEDED_COMMANDS[1] + ['--seed', '5']!r})"
         )
         first, second = (run_python("-c", code, PYTHONHASHSEED=h) for h in ("1", "2"))
         assert first == second
         cfg = optimize.OptimizerConfig(restarts=3, seed=5)
-        starts = optimize.restart_starts(optimize._row_config(cfg, 2), 4)
+        starts = optimize.restart_starts(cfg, 4)
         assert first.splitlines()[0] == str(starts.tolist())
 
 
@@ -871,7 +871,7 @@ class TestSweepCommand:
         def exploding(*args, **kwargs):
             raise RuntimeError("objective diverged")
 
-        monkeypatch.setattr(optimize, "adam_optimize", exploding)
+        monkeypatch.setattr(optimize, "compile_programs", exploding)
         code, _, err = run_cli(capsys, "sweep", "--task", "b92", "--f", "0.8:0.8:1")
         assert code == 1
         assert "diverged" in err
@@ -886,6 +886,12 @@ class TestSweepCommand:
         # every line but the config comment, which records the seed
         assert outs[0][0] != outs[1][0]
         assert outs[0][1:] == outs[1][1:]
+
+    def test_b92_rows_do_not_depend_on_the_seed(self, capsys):
+        runs = [run_cli(capsys, "sweep", "--task", "b92", "--seed", seed) for seed in "07"]
+        assert [code for code, _, _ in runs] == [0, 0]
+        (first, *rows), (other, *rows_7) = (out.splitlines() for _, out, _ in runs)
+        assert first != other and rows == rows_7
 
     def test_unknown_task_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

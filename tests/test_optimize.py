@@ -28,8 +28,10 @@ from paulicloner.optimize import (
     ENTANGLERS,
     adam_optimize,
     ansatz_circuit,
+    ansatz_jacobian,
     ansatz_pass,
     b92_ansatz_circuit,
+    b92_isometry,
     b92_loss_and_grad,
     b92_qml_fidelities,
     evaluate_ansatz,
@@ -41,7 +43,6 @@ from paulicloner.optimize import (
     loss,
     make_b92_loss,
     make_program_loss,
-    program_prep_jacobian,
     program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
@@ -282,14 +283,25 @@ def _prep_forms(name):
 
 
 class TestAdjointGradients:
-    def test_program_prep_jacobian_matches_shift_reference(self):
+    def test_ansatz_jacobian_matches_shift_reference(self):
         rng = np.random.default_rng(31)
         ps = np.vstack([rng.uniform(-math.pi, math.pi, (3, 60)), np.zeros(60)])
-        states, jacobians = program_prep_jacobian(ps)
-        assert states.shape == (4, 16) and jacobians.shape == (4, 16, 60)
+        states, jacobians = ansatz_jacobian("program-prep", ps)
+        assert states.shape == (4, 1, 16) and jacobians.shape == (4, 16, 60)
         for p, psi, jac in zip(ps, states, jacobians):
             ref_psi, ref = program_prep_state_and_shift_grads(p)
-            np.testing.assert_allclose(psi, ref_psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi[0], ref_psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac, np.array(ref).T, rtol=0, atol=1e-12)
+
+    def test_b92_jacobian_matches_shift_reference(self):
+        # both inputs' outputs, stacked as the rows of the Jacobian
+        rng = np.random.default_rng(33)
+        ps = np.vstack([rng.uniform(-math.pi, math.pi, (3, 18)), np.zeros(18)])
+        states, jacobians = ansatz_jacobian("b92", ps)
+        assert states.shape == (4, 2, 4) and jacobians.shape == (4, 8, 18)
+        for p, psi, jac in zip(ps, states, jacobians):
+            ref = shift_gradient_states(lambda q: ansatz_pass("b92", q)[0].reshape(-1), p, 0.5)
+            np.testing.assert_allclose(psi, ansatz_pass("b92", p)[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(jac, np.array(ref).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["ng-twenty", "qid-twenty", "pairs"])
@@ -557,33 +569,56 @@ class TestFrontierProperties:
 PAIR_LABELS = (
     "M0M1", "M0M2", "M0M3", "M0M4", "M1M2", "M1M3", "M1M4", "M2M3", "M2M4", "M3M4"
 )
-# per task: its optimized series (series, label) in seed order, whether they
-# are Adam series, its reference series
+# per task: its optimized series (series, label), its reference series
 SWEEP_SERIES = {
-    "bb84": ([("ng", "")], False, ["pccm"]),
-    "sixstate": ([("ng", "")], False, ["uqcm"]),
-    "twenty": ([("ng", ""), ("qid", "")], False, []),
-    "b92": ([("qml", "")], True, ["grid-ng", "grid-qid"]),
-    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], False, []),
+    "bb84": ([("ng", "")], ["pccm"]),
+    "sixstate": ([("ng", "")], ["uqcm"]),
+    "twenty": ([("ng", ""), ("qid", "")], []),
+    "b92": ([("qml", "")], ["grid-ng", "grid-qid"]),
+    "pairs": ([(s, lbl) for lbl in PAIR_LABELS for s in ("ng", "qid")], []),
 }
+
+
+_S8, _C8 = math.sin(math.pi / 8) ** 2, math.cos(math.pi / 8) ** 2
+B92_TARGETS = [
+    0, 0.05, 0.1, _S8, 0.5, 0.75, _C8, 0.855, 0.86, 0.88, 0.9, 0.95, 0.98, 0.995, 0.999, 1
+]
+# the best F_AE above the flat region, from a tight dual solved independently
+B92_DIGITS = {
+    0.88: 0.9999976919, 0.9: 0.9999744856, 0.95: 0.9991809510, 0.98: 0.9953154747,
+    0.995: 0.9809672774,
+}
+
+
+def _isometry_fidelities(w):
+    """Average (F_AB, F_AE) of a real 4x2 isometry over the b92 inputs, Bob's
+    qubit first: the overlap of each receiver's qubit with the input."""
+    inputs = np.array(list(B92_INPUTS.values()))
+    out = (inputs @ w.T).reshape(2, 2, 2)  # input, Bob, Eve
+    bob = np.einsum("ka,kab->kb", inputs, out)
+    eve = np.einsum("kb,kab->ka", inputs, out)
+    return float(np.mean(np.sum(bob**2, axis=1))), float(np.mean(np.sum(eve**2, axis=1)))
+
+
+def _b92_dual_forms():
+    """C_ab, C_ae with F = vec(W)^T C vec(W), and (Z + X) on the input index."""
+    eye = np.eye(2)
+    proj = [np.outer(k, k) for k in B92_INPUTS.values()]
+    c_ab = sum(np.kron(p, np.kron(p, eye)) for p in proj) / 2
+    c_ae = sum(np.kron(p, np.kron(eye, p)) for p in proj) / 2
+    return c_ab, c_ae, np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(4))
 
 
 class TestSweep:
     @pytest.mark.parametrize("task", TASKS)
     def test_rows_and_row_seeds_per_task(self, task, monkeypatch):
+        # every row is exact: no task runs Adam, whatever the config
         fs = [0.7, 0.8]
         cfg = OptimizerConfig(steps=2, restarts=2, seed=21)
         calls = []
-        real_adam = optimize.adam_optimize
-
-        def recording_adam(loss_and_grad, starts, run_cfg):
-            params, trace = real_adam(loss_and_grad, starts, run_cfg)
-            calls.append((starts.copy(), params, trace))
-            return params, trace
-
-        monkeypatch.setattr(optimize, "adam_optimize", recording_adam)
+        monkeypatch.setattr(optimize, "adam_optimize", lambda *args: calls.append(args))
         result = frontier_sweep(task, f_values=fs, cfg=cfg)
-        units, adam, references = SWEEP_SERIES[task]
+        units, references = SWEEP_SERIES[task]
         expected = sorted(
             [(f, s, lbl) for f in fs for s, lbl in units]
             + [(f, s, "") for f in fs for s in references]
@@ -595,8 +630,7 @@ class TestSweep:
             for r in result.rows
         ]
         assert got == expected
-        # one batched call: every restart of every row is one trajectory
-        assert len(calls) == (1 if adam else 0)
+        assert calls == []
         if task == "twenty":
             # the exact programs, compiled: 60 angles whose state gives the row
             for r in result.series("ng") + result.series("qid"):
@@ -608,26 +642,15 @@ class TestSweep:
                     np.testing.assert_allclose(list(got.values()), list(want.values()), atol=1e-12)
                 assert abs(r.f_ab_avg - rep.f_ab_avg) < 1e-12
                 assert abs(r.f_ae_avg - rep.f_ae_avg) < 1e-12
-        if not adam:
-            return
-        starts, params, trace = calls[0]
-        assert len(starts) == len(units) * len(fs) * cfg.restarts
-        size = starts.shape[1]
-        for r in result.rows:
-            if r.parameters is None:
-                continue
-            # the row at target i of the u-th Adam series owns seed u * len(fs) + i
-            k = units.index((r.series, r.label)) * len(fs) + fs.index(r.f_target)
-            row_seed = random.Random(f"{cfg.seed}/{1000 + k}").getrandbits(32)
-            rows = slice(k * cfg.restarts, (k + 1) * cfg.restarts)
-            np.testing.assert_array_equal(starts[rows][0], np.zeros(size))
-            for restart in range(1, cfg.restarts):
-                u = simcore._uniforms(random.Random(f"{row_seed}/{restart}"), size)
-                want = -math.pi + 2 * math.pi * u
-                np.testing.assert_array_equal(starts[rows][restart], want)
-            # the winner is the first restart with the lowest loss
-            winner = int(np.argmin(trace[:, rows].min(axis=0)))
-            np.testing.assert_array_equal(r.parameters, params[rows][winner])
+        if task == "b92":
+            # the exact isometries, compiled: 18 angles whose circuit gives the row
+            for r in result.series("qml"):
+                assert r.parameters.shape == (18,)
+                per = b92_per_state_fidelities(b92_ansatz_circuit(r.parameters))
+                assert list(r.f_ab) == list(r.f_ae) == list(per)
+                for lbl, (f_ab, f_ae) in per.items():
+                    assert abs(r.f_ab[lbl] - f_ab) < 1e-12
+                    assert abs(r.f_ae[lbl] - f_ae) < 1e-12
 
     @pytest.mark.parametrize("noise", ["YI=0.45", None, "XZ=0.2,IY=0.1"])
     def test_twenty_rows_sit_on_the_exact_frontier(self, noise):
@@ -648,16 +671,24 @@ class TestSweep:
                 if lo <= row.f_target <= hi:
                     assert row.target_miss <= 1e-9
 
-    def test_a_compile_off_its_program_warns_and_carries_its_miss(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("task", ["twenty", "b92"])
+    def test_a_compile_off_its_program_warns_and_carries_its_miss(self, task, monkeypatch, caplog):
         real = optimize.compile_programs
-        monkeypatch.setattr(optimize, "compile_programs", lambda a: real(a) + 1e-3)
-        channel = parse_channel_spec("YI=0.45", 2)
-        rows = frontier_sweep("twenty", f_values=[0.45, 0.5], channel=channel).series("ng")
+        monkeypatch.setattr(optimize, "compile_programs", lambda kind, a: real(kind, a) + 1e-3)
+        if task == "twenty":
+            channel = parse_channel_spec("YI=0.45", 2)
+            rows = frontier_sweep("twenty", f_values=[0.45, 0.5], channel=channel).series("ng")
+        else:
+            rows = frontier_sweep("b92", f_values=[0.75, 0.9]).series("qml")
         for row in rows:
-            assert f"ng  f={row.f_target:.3f}: compiled program off by" in caplog.text
-            program = SoftwareState(program_prep_state(row.parameters))
-            rep = clone_fidelities(ClonerKind.NG, 2, program, channel)
-            assert abs(row.f_ab_avg - rep.f_ab_avg) < 1e-12
+            assert f"{row.series}  f={row.f_target:.3f}: compiled program off by" in caplog.text
+            if task == "twenty":
+                program = SoftwareState(program_prep_state(row.parameters))
+                f_ab = clone_fidelities(ClonerKind.NG, 2, program, channel).f_ab_avg
+            else:
+                per = b92_per_state_fidelities(b92_ansatz_circuit(row.parameters))
+                f_ab = np.mean([v[0] for v in per.values()])
+            assert abs(row.f_ab_avg - f_ab) < 1e-12
             assert row.target_miss == abs(row.f_ab_avg - row.f_target) > 1e-9
 
     def test_b92_rows_match_the_simulation_oracle(self):
@@ -674,6 +705,44 @@ class TestSweep:
             assert abs(row.f_ab_avg - np.mean([v[0] for v in per.values()])) < 1e-12
             assert abs(row.f_ae_avg - np.mean([v[1] for v in per.values()])) < 1e-12
             assert row.target_miss == abs(row.f_ab_avg - row.f_target)
+
+    def test_b92_rows_sit_on_the_exact_isometries(self):
+        result = frontier_sweep("b92", f_values=B92_TARGETS)
+        rows = result.series("qml")
+        assert [r.f_target for r in rows] == sorted(B92_TARGETS)
+        for row in rows:
+            w, _ = b92_isometry(row.f_target)
+            np.testing.assert_allclose(w.T @ w, np.eye(2), rtol=0, atol=1e-12)
+            assert row.target_miss <= 1e-9
+            assert abs(row.f_ae_avg - _isometry_fidelities(w)[1]) < 1e-12
+
+    def test_exact_b92_frontier_values(self):
+        f_ae = {f: _isometry_fidelities(b92_isometry(f)[0])[1] for f in B92_TARGETS}
+        for f, value in f_ae.items():
+            if _S8 <= f <= _C8:
+                assert abs(value - 1) < 1e-12  # the flat region
+            # Y on Bob's qubit maps F_AB to 1 - F_AB and keeps F_AE
+            assert abs(value - _isometry_fidelities(b92_isometry(1 - f)[0])[1]) < 1e-12
+        for f, value in B92_DIGITS.items():
+            assert abs(f_ae[f] - value) < 1e-9
+        # f = 1: Bob keeps the input, and Eve's best fixed state has cos^2(pi/8)
+        assert abs(f_ae[1] - _C8) < 1e-12 and abs(f_ae[0] - _C8) < 1e-12
+
+    def test_b92_dual_certifies_every_row(self):
+        # weak duality: for every isometry V, F_AE(V) + lam (F_AB(V) - f) is at
+        # most the dual value, which the solver's multipliers make tight
+        c_ab, c_ae, s = _b92_dual_forms()
+        rng = np.random.default_rng(36)
+        draws = [np.linalg.qr(rng.standard_normal((4, 2)))[0] for _ in range(200)]
+        draws = [(v, *_isometry_fidelities(v)) for v in draws]
+        for f in B92_TARGETS:
+            if f in (0, 1):
+                continue  # the bound is reached only as lam grows without limit
+            w, (lam, d) = b92_isometry(f)
+            dual = 2 * np.linalg.eigvalsh(c_ae + lam * c_ab - d * s)[-1] - lam * f
+            assert abs(dual - _isometry_fidelities(w)[1]) < 1e-9
+            for v, f_ab, f_ae in draws:
+                assert f_ae + lam * (f_ab - f) <= dual + 1e-12
 
     def test_exact_rows_share_one_sign(self):
         # the eigensolver leaves the sign free: f=0.55 and 0.65 once printed

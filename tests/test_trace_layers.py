@@ -2,6 +2,7 @@
 by name; a renamed or removed binding, or a changed call shape, must fail here
 rather than in the benchmark's run."""
 
+import functools
 import importlib
 import importlib.util
 import sys
@@ -59,11 +60,16 @@ def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     patches = trace_layers.install(tracer)
     try:
         frontier_sweep("b92", f_values=[0.8], cfg=cfg)
+        sweep_metrics = trace_layers.layer_metrics(tracer)
+        # the sweep is exact, so the Adam hook runs on a direct call
+        loss_and_grad = functools.partial(optimize.b92_loss_and_grad, np.full(cfg.restarts, 0.8))
+        optimize.adam_optimize(loss_and_grad, optimize.restart_starts(cfg, 18), cfg)
         objective, gradient = optimize.make_b92_loss(0.8)
         objective(np.zeros(18))
         gradient(np.zeros(18))
     finally:
         trace_layers.uninstall(patches)
+    assert sweep_metrics["optimize.adam.calls"][0] == 0
     metrics = trace_layers.layer_metrics(tracer)
     assert metrics["optimize.adam.calls"][0] == 1
     assert metrics[trace_layers.ADAM_STEPS][0] == cfg.steps * cfg.restarts
