@@ -526,13 +526,9 @@ def _sweep_csv_lines(result: optimize.SweepResult, config: dict) -> list[str]:
 def cmd_sweep(args) -> int:
     f_values = _parse_f_range(args.f) if args.f else None
     channel = _channel_from_args(args, optimize.task_num_clone_qubits(args.task))
-    default = optimize.default_task_config(args.task)
-    cfg = optimize.OptimizerConfig(
-        default.steps if args.steps is None else args.steps,
-        default.restarts if args.restarts is None else args.restarts,
-        default.seed if args.seed is None else args.seed,
-    )
-    result = optimize.frontier_sweep(args.task, f_values=f_values, cfg=cfg, channel=channel)
+    if any(v is not None and v < 1 for v in (args.steps, args.restarts)):
+        raise ValueError("steps and restarts must be at least 1")
+    result = optimize.frontier_sweep(args.task, f_values=f_values, channel=channel)
     lines = _sweep_csv_lines(result, vars(args))
     if args.out:
         _write_lines(args.out, lines)

@@ -1,7 +1,6 @@
 """Program-state optimization: the exact frontier of two quadratic forms
 and of the b92 isometries, the compile of exact states into ansatz angles,
-Adam with adjoint gradients, and the frontier sweeps of the standard
-eavesdropping tasks.
+Adam, and the frontier sweeps of the standard eavesdropping tasks.
 
 Every clone fidelity is a quadratic form psi^dag M psi in the injected
 program amplitudes, because the output state is linear in the program and
@@ -23,18 +22,19 @@ ansatz angles (``compile_programs``).  No sweep runs Adam.
 
 The two layered rotation ansaetze (program-prep and b92) are each written
 once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
-parameter counts and batched passes derive from it.  They get each step's
-losses and exact gradients, for the whole batch, from one adjoint sweep
-(``layered_pass``).  Each layer is one matrix per trajectory, the Kronecker
-product of its rotation blocks with the entangler folded into its rows: the
-forward pass and the backward pass of the loss's adjoint vectors make one
-product per layer, and the angle gradients are read from the rotation
-generators.  The compile reads its Jacobian from the same generators, after
-one forward pass (``ansatz_jacobian``).  The parameter-shift derivatives of the program-prep ansatz are
-the reference its adjoint gradient and Jacobian are tested against.
+parameter counts and batched passes derive from it.  Each layer is one
+matrix per trajectory, the Kronecker product of its rotation blocks with the
+entangler folded into its rows, so the forward pass (``layered_pass``) makes
+one product per layer.  The one derivative of an ansatz is the Jacobian of
+its outputs, read from the rotation generators after one forward pass
+(``layered_jacobian``): the compile steps on it, and Adam's gradients are
+2 Re(lam^dag J) on the quadratic forms of the outputs
+(``ansatz_loss_and_grad``).  The parameter-shift derivatives are the
+reference the Jacobian is tested against.
 
-Every sweep row is read from what produced it: program rows (twenty rows at
-their compiled state) from the forms, b92 rows from the forward pass.
+Every sweep row is read from the quadratic forms of what produced it:
+program rows (twenty rows at their compiled state) from the cloner's forms,
+b92 rows from ``B92_FORMS`` on the forward pass.
 Gate-by-gate simulation (``b92_per_state_fidelities`` and the cloner
 circuits) is the oracle the tests compare against, not a production path.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .cloner import (
 )
 from .mub import mubs_for
 from .noise import PauliChannel
-from .simcore import Circuit, Frozen, GateOp, _uniforms, apply_ops, rotation_block
+from .simcore import Circuit, Frozen, GateOp, apply_ops, rotation_block
 
 
 def _warn(msg: str, *args) -> None:
@@ -114,10 +113,10 @@ ADAM_EPS = 1e-8
 
 
 class OptimizerConfig(Frozen):
-    """Adam steps, restarts per row and the seed of the restarts' draws."""
+    """Adam steps and restarts per row."""
 
-    __slots__ = ("steps", "restarts", "seed")
-    _defaults = {"steps": 100, "restarts": 5, "seed": 0}
+    __slots__ = ("steps", "restarts")
+    _defaults = {"steps": 100, "restarts": 5}
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.restarts < 1:
@@ -127,13 +126,6 @@ class OptimizerConfig(Frozen):
 def loss(f_ab: float, f_ae: float, f_target: float) -> float:
     """10 (F_AB - f)^2 - F_AE: pins Bob's fidelity, maximizes Eve's."""
     return 10.0 * (f_ab - f_target) ** 2 - f_ae
-
-
-def loss_and_adjoint(f_ab, f_ae, d_ab, d_ae, f_targets):
-    """Losses of a batch, and their adjoint vectors 20 (F_AB - f) dF_AB - dF_AE
-    from the derivatives dF of the fidelities in the conjugate final states."""
-    lam = 20.0 * (f_ab - f_targets)[:, None, None] * d_ab - d_ae
-    return loss(f_ab, f_ae, f_targets), lam
 
 
 def ansatz_circuit(kind: str, parameters: np.ndarray) -> Circuit:
@@ -192,74 +184,73 @@ def _qubit_halves(n: int) -> np.ndarray:
     return halves
 
 
-def layered_pass(
-    parameters: np.ndarray, inputs: np.ndarray, entangler: np.ndarray, adjoint=None
-):
-    """Run a batch of layered rotation ansaetze forward, and backward when
-    ``adjoint`` is given.
+def layered_pass(parameters: np.ndarray, inputs: np.ndarray, entangler: np.ndarray):
+    """The final states (B, K, 2^n) of a batch of layered rotation ansaetze.
 
     Each of the L layers applies RZ RY RX to every qubit, then the index
     permutation ``entangler`` (``psi = psi[..., entangler]``).  ``parameters``
     has shape (B, L, n, 3), one set per trajectory; each starts from the
     (K, 2^n) ``inputs``.  A layer is one (2^n, 2^n) matrix per trajectory,
     the Kronecker product of its blocks with the entangler folded into its
-    rows, so each pass makes one batched product per layer.
-
-    Without ``adjoint`` this returns the final (B, K, 2^n) states.
-    Otherwise ``adjoint(final)`` must return ``(values, lam)``: the B real
-    losses and ``lam`` their derivatives in the conjugate final states.  The
-    result is ``(values, gradients)``, a flat gradient row per trajectory.
-
-    ``lam`` runs back through the layers, one product each, and the
-    gradients are read from the generators: each angle's derivative of a
-    block U = RZ(c) RY(b) RX(a) is -i/2 H U, with H = Z for c, RZ Y RZ^dag
-    for b and U X U^dag = cos b (cos c X + sin c Y) - sin b Z for a.  So the
-    gradient is Im sum(H * R), with R_ab = sum conj(lam_a) psi_b the 2x2
-    cross-matrix, on the block's qubit, between the adjoint vector and the
-    rotated state before the entangler: one contraction for every block.
+    rows, so the pass makes one batched product per layer.
     """
-    b, num_layers, n, _ = parameters.shape
+    wt = _layer_matrices(rotation_block(parameters), entangler).swapaxes(-1, -2)
+    psi = np.broadcast_to(inputs, (len(parameters),) + inputs.shape)
+    for layer in range(parameters.shape[1]):
+        psi = psi @ wt[:, layer]
+    return psi
+
+
+def layered_jacobian(parameters: np.ndarray, inputs: np.ndarray, entangler: np.ndarray):
+    """The final states (B, K, 2^n) of ``layered_pass`` and their Jacobians
+    d psi / d theta (B, K 2^n, P), from one forward pass.
+
+    An angle of layer l moves the state by S_l E (-i/2 H) phi_l, with S_l the
+    product of the later layers, E the entangler, phi_l the rotated state
+    before it and H the angle's generator: for a block
+    U = RZ(c) RY(b) RX(a), H = Z for c, RZ Y RZ^dag for b and
+    U X U^dag = cos b (cos c X + sin c Y) - sin b Z for a.  So each entry is
+    -i/2 sum(H * R), with R_ab = sum (S_l E)_{i,a} phi_b the 2x2
+    cross-matrix, on the block's qubit, between row i of S_l E and phi_l:
+    one contraction for every block.
+    """
+    num_layers, n = parameters.shape[1:3]
     w = _layer_matrices(rotation_block(parameters), entangler)
-    wt = w.swapaxes(-1, -2)
-    psi = np.broadcast_to(inputs, (b,) + inputs.shape)
-    if adjoint is None:
-        for layer in range(num_layers):
-            psi = psi @ wt[:, layer]
-        return psi
-    # the state and mu = conj(lam) after each layer
-    post = np.empty((2, num_layers, b) + inputs.shape, dtype=complex)
+    post = np.empty(w.shape[:2] + inputs.shape, dtype=complex)
+    suffix = np.empty_like(w)
+    psi, s = np.broadcast_to(inputs, post[:, 0].shape), np.eye(2**n)
     for layer in range(num_layers):
-        psi = post[0, layer] = psi @ wt[:, layer]
-    values, lam = adjoint(psi)
-    mu = lam.conj()
-    for layer in reversed(range(num_layers)):
-        post[1, layer] = mu
-        mu = mu @ w[:, layer]
+        psi = post[:, layer] = np.einsum("zab,zkb->zka", w[:, layer], psi)
+        suffix[:, -1 - layer] = s
+        s = s @ w[:, -1 - layer]
     # both back through the entangler, split by each qubit's value
-    phi, mu = post[..., np.argsort(entangler)[_qubit_halves(n)]]
-    (r00, r01), (r10, r11) = np.einsum("lzkqat,lzkqbt->abzlq", mu, phi)
-    # g_P = Im sum(P * R) for P = X, Y, Z
-    g = (r01 + r10).imag, (r10 - r01).real, (r00 - r11).imag
-    return values, _generator_sums(parameters, *g).reshape(b, -1)
-
-
-def _generator_sums(parameters: np.ndarray, g_x, g_y, g_z) -> np.ndarray:
-    """sum(H * R), stacked on a last axis, for the generator H of each angle
-    (a, b, c) of every block (``layered_pass``), from g_P = sum(P * R) or their
-    imaginary parts; their axes broadcast with the (B, L, n) blocks."""
+    idx = np.argsort(entangler)[_qubit_halves(n)]
+    (r00, r01), (r10, r11) = np.einsum("zliqat,zlkqbt->abkizlq", suffix[..., idx], post[..., idx])
+    g_x, g_y, g_z = r01 + r10, 1j * (r10 - r01), r00 - r11  # sum(P * R) for P = X, Y, Z
     angles = np.moveaxis(parameters[..., 1:], -1, 0)
     (cos_b, cos_c), (sin_b, sin_c) = np.cos(angles), np.sin(angles)
     d_a = cos_b * (cos_c * g_x + sin_c * g_y) - sin_b * g_z
     d_b = cos_c * g_y - sin_c * g_x
-    return np.stack([d_a, d_b, g_z], axis=-1)
+    jacobian = -0.5j * np.moveaxis(np.stack([d_a, d_b, g_z], axis=-1), 2, 0)
+    return psi, jacobian.reshape(len(parameters), psi[0].size, -1)
 
 
-def ansatz_pass(kind: str, parameters: np.ndarray, adjoint=None):
-    """``layered_pass`` of the ansatz on its inputs, for a batch of parameter
-    sets (flat or shaped), each a row."""
+def _on_inputs(kind: str, parameters: np.ndarray):
+    """The arguments of a layered pass of the ``kind`` ansatz on its inputs,
+    for a batch of parameter sets (flat or shaped), each a row."""
     num_layers, n, _, inputs = ANSATZ_LAYOUTS[kind]
     p = np.asarray(parameters, dtype=float).reshape(-1, num_layers, n, 3)
-    return layered_pass(p, inputs, ENTANGLERS[kind], adjoint)
+    return p, inputs, ENTANGLERS[kind]
+
+
+def ansatz_pass(kind: str, parameters: np.ndarray) -> np.ndarray:
+    """``layered_pass`` of the ansatz on its inputs."""
+    return layered_pass(*_on_inputs(kind, parameters))
+
+
+def ansatz_jacobian(kind: str, parameters: np.ndarray):
+    """``layered_jacobian`` of the ansatz on its inputs."""
+    return layered_jacobian(*_on_inputs(kind, parameters))
 
 
 def program_prep_state(parameters: np.ndarray) -> np.ndarray:
@@ -299,34 +290,9 @@ def shift_gradient_states(
 
 def program_prep_state_and_shift_grads(parameters: np.ndarray):
     """State of the program-prep ansatz and its 60 parameter-shift derivatives
-    d psi / d theta_k: the reference for the adjoint gradient and the Jacobian."""
+    d psi / d theta_k: the reference for the Jacobian."""
     p = np.asarray(parameters, dtype=float).reshape(-1)
     return program_prep_state(p), shift_gradient_states(program_prep_state, p, 0.5)
-
-
-def ansatz_jacobian(kind: str, parameters: np.ndarray):
-    """States (B, K, 2^n) of a batch of ansaetze on their K inputs and their
-    Jacobians d psi / d theta (B, K 2^n, P), from one forward pass: an angle
-    of layer l moves the state by S_l E (-i/2 H) phi_l, with S_l the product
-    of the later layers, E the entangler, phi_l the rotated state before it
-    and H the generator, so each row of S_l E plays ``layered_pass``'s
-    adjoint."""
-    num_layers, n, _, inputs = ANSATZ_LAYOUTS[kind]
-    entangler = ENTANGLERS[kind]
-    p = np.asarray(parameters, dtype=float).reshape(-1, num_layers, n, 3)
-    w = _layer_matrices(rotation_block(p), entangler)
-    post = np.empty(w.shape[:2] + inputs.shape, dtype=complex)
-    suffix = np.empty_like(w)
-    psi, s = np.broadcast_to(inputs, post[:, 0].shape), np.eye(2**n)
-    for layer in range(num_layers):
-        psi = post[:, layer] = np.einsum("zab,zkb->zka", w[:, layer], psi)
-        suffix[:, -1 - layer] = s
-        s = s @ w[:, -1 - layer]
-    idx = np.argsort(entangler)[_qubit_halves(n)]  # by each qubit's value, as in the adjoint
-    (r00, r01), (r10, r11) = np.einsum("zliqat,zlkqbt->abkizlq", suffix[..., idx], post[..., idx])
-    g = r01 + r10, 1j * (r10 - r01), r00 - r11  # sum(P * R) for P = X, Y, Z
-    jacobian = -0.5j * np.moveaxis(_generator_sums(p, *g), 2, 0)
-    return psi, jacobian.reshape(len(p), psi[0].size, -1)
 
 
 # the compile's step cap, and the distance from its target at which a row warns
@@ -362,16 +328,6 @@ def compile_programs(kind: str, targets: np.ndarray) -> np.ndarray:
         x[better] = trial[better]
         damping = np.where(better, damping / 10, damping * 10)
     return x[:, :-1]
-
-
-def restart_starts(cfg: OptimizerConfig, size: int) -> np.ndarray:
-    """The (cfg.restarts, size) starts of one Adam row: zeros for restart 0,
-    and for r > 0 angles uniform in [-pi, pi) from the stdlib stream
-    ``random.Random(f"{cfg.seed}/{r}")``."""
-    starts = np.zeros((cfg.restarts, size))
-    for r in range(1, cfg.restarts):
-        starts[r] = -math.pi + 2 * math.pi * _uniforms(random.Random(f"{cfg.seed}/{r}"), size)
-    return starts
 
 
 def adam_optimize(loss_and_grad, starts: np.ndarray, cfg: OptimizerConfig):
@@ -438,83 +394,73 @@ def _forms_report(labels, forms, psi: np.ndarray) -> FidelityReport:
     return FidelityReport.from_columns(labels, *values)
 
 
-def program_prep_loss_and_grad(forms_stacks, f_targets, params: np.ndarray):
-    """Losses of a batch of program-prep ansaetze and their gradients, from
-    one adjoint sweep.
+def _b92_forms() -> np.ndarray:
+    """(M_ab, M_ae) of each b92 input, shape (receiver, input, 8, 8), with
+    F = psi^dag M psi on the two outputs stacked (8,): block k holds P_k x I
+    for Bob (qubit 0) and I x P_k for Eve, with P_k the projector on input k."""
+    forms = np.zeros((2, 2, 8, 8))
+    for k, v in enumerate(B92_INPUTS.values()):
+        p, block = np.outer(v, v), slice(4 * k, 4 * k + 4)
+        forms[:, k, block, block] = np.kron(p, np.eye(2)), np.kron(np.eye(2), p)
+    forms.flags.writeable = False  # shared by every row
+    return forms
 
-    Trajectory z has the mean forms ``forms_stacks[z]`` = (M_ab, M_ae), the
-    Bob target ``f_targets[z]`` (both arrays) and the 60 angles
-    ``params[z]``; dF = M psi for each form.
+
+B92_FORMS = _b92_forms()
+
+
+def ansatz_loss_and_grad(kind: str, forms: np.ndarray, f_targets, params: np.ndarray):
+    """Losses 10 (F_AB - f)^2 - F_AE of a batch of ``kind`` ansaetze and
+    their gradients.
+
+    ``forms`` holds (M_ab, M_ae) on the flattened outputs psi of each
+    trajectory: one pair (2, D, D), or one per trajectory (B, 2, D, D).
+    ``f_targets`` holds the B Bob targets.  With F = psi^dag M psi and
+    J = d psi / d theta (``ansatz_jacobian``), the gradient is
+    2 Re(lam^dag J), with lam = 20 (F_AB - f) M_ab psi - M_ae psi.
     """
-    def adjoint(final: np.ndarray):
-        m_psi = final[:, None] @ forms_stacks.swapaxes(-1, -2)
-        f_ab, f_ae = np.einsum("zka,zrka->rz", final.conj(), m_psi).real
-        return loss_and_adjoint(f_ab, f_ae, m_psi[:, 0], m_psi[:, 1], f_targets)
-
-    return ansatz_pass("program-prep", params, adjoint)
+    states, jacobian = ansatz_jacobian(kind, params)
+    psi = states.reshape(len(states), -1)
+    m_psi = (forms @ psi[:, None, :, None])[..., 0]
+    f_ab, f_ae = np.einsum("zd,zrd->rz", psi.conj(), m_psi).real
+    lam = 20.0 * (f_ab - f_targets)[:, None] * m_psi[:, 0] - m_psi[:, 1]
+    return loss(f_ab, f_ae, f_targets), 2.0 * np.einsum("zd,zdp->zp", lam.conj(), jacobian).real
 
 
 def make_program_loss(forms: tuple, f_target: float):
     """Loss of the program-prep ansatz on the mean of fixed forms (M_ab, M_ae),
-    and its adjoint gradient: one parameter set, a batch of one."""
+    and its gradient: one parameter set, a batch of one.  The objective runs
+    the forward pass alone."""
     m_ab, m_ae = (m.mean(axis=0) for m in forms)
-    forms_stack, targets = np.stack([m_ab, m_ae])[None], np.array([f_target])
+    pair, targets = np.stack([m_ab, m_ae]), np.array([f_target])
 
     def objective(params: np.ndarray) -> float:
         psi = program_prep_state(params)
         return loss(quadratic_fidelity(m_ab, psi), quadratic_fidelity(m_ae, psi), f_target)
 
     def gradient(params: np.ndarray) -> np.ndarray:
-        return program_prep_loss_and_grad(forms_stack, targets, params)[1][0]
+        return ansatz_loss_and_grad("program-prep", pair, targets, params)[1][0]
 
     return objective, gradient
 
 
-def _b92_fidelities(final: np.ndarray):
-    """Each input's F_AB and F_AE, shape (B, 2), and the Bob/Eve overlaps.
-
-    Bob clones input k well when the first qubit of final state k stays in
-    it, Eve when the second qubit does: F = psi^dag (P_k x I) psi and
-    psi^dag (I x P_k) psi with P_k the projector on input k.
-    """
-    m = final.reshape(-1, 2, 2, 2)
-    bob = np.einsum("ka,zkaj->zkj", _B92_INPUTS.conj(), m)
-    eve = np.einsum("kb,zkib->zki", _B92_INPUTS.conj(), m)
-    f_ab = np.einsum("zkj,zkj->zk", bob.conj(), bob).real
-    f_ae = np.einsum("zki,zki->zk", eve.conj(), eve).real
-    return f_ab, f_ae, bob, eve
-
-
 def b92_qml_fidelities(parameters: np.ndarray) -> tuple[float, float]:
-    """Average (F_AB, F_AE) of the ansatz over |0> and |+>, fast path."""
-    f_ab, f_ae, _, _ = _b92_fidelities(ansatz_pass("b92", parameters))
-    return float(np.mean(f_ab)), float(np.mean(f_ae))
-
-
-def b92_loss_and_grad(f_targets, params: np.ndarray):
-    """Losses of a batch of 18-parameter b92 ansaetze, one Bob target each
-    (an array), and their gradients from one adjoint sweep."""
-    def adjoint(final: np.ndarray):
-        per_ab, per_ae, bob, eve = _b92_fidelities(final)
-        f_ab, f_ae = np.mean(per_ab, axis=1), np.mean(per_ae, axis=1)
-        # d F / d conj(psi_k), halved for the mean over the two inputs
-        d_ab = 0.5 * np.einsum("ka,zkj->zkaj", _B92_INPUTS, bob).reshape(-1, 2, 4)
-        d_ae = 0.5 * np.einsum("kb,zki->zkib", _B92_INPUTS, eve).reshape(-1, 2, 4)
-        return loss_and_adjoint(f_ab, f_ae, d_ab, d_ae, f_targets)
-
-    return ansatz_pass("b92", params, adjoint)
+    """Average (F_AB, F_AE) of the ansatz over |0> and |+>, on the forward pass."""
+    psi = ansatz_pass("b92", parameters).reshape(-1)
+    f_ab, f_ae = (quadratic_fidelity(m, psi) for m in B92_FORMS.mean(axis=1))
+    return f_ab, f_ae
 
 
 def make_b92_loss(f_target: float):
-    """Loss and adjoint gradient for the 18-parameter b92 ansatz: one
-    parameter set, a batch of one."""
+    """Loss and gradient for the 18-parameter b92 ansatz: one parameter set, a
+    batch of one.  The objective runs the forward pass alone."""
+    pair, targets = B92_FORMS.mean(axis=1), np.array([f_target])
 
     def objective(params: np.ndarray) -> float:
-        f_ab, f_ae = b92_qml_fidelities(params)
-        return loss(f_ab, f_ae, f_target)
+        return loss(*b92_qml_fidelities(params), f_target)
 
     def gradient(params: np.ndarray) -> np.ndarray:
-        return b92_loss_and_grad(np.array([f_target]), params)[1][0]
+        return ansatz_loss_and_grad("b92", pair, targets, params)[1][0]
 
     return objective, gradient
 
@@ -751,15 +697,14 @@ class SweepResult(Frozen):
         ]
 
 
-# per task: register size N of its cloners, solver ("exact", or the ansatz its
-# rows print), default Adam settings (the CLI still validates them; no sweep
-# runs Adam)
+# per task: register size N of its cloners, and solver ("exact", or the
+# ansatz its rows print)
 _TASK_SPECS = {
-    "bb84": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
-    "sixstate": (1, "exact", OptimizerConfig(steps=120, restarts=4)),
-    "twenty": (2, "program-prep", OptimizerConfig(steps=100, restarts=3)),
-    "b92": (1, "b92", OptimizerConfig(steps=100, restarts=5)),
-    "pairs": (2, "exact", OptimizerConfig(steps=200, restarts=5)),
+    "bb84": (1, "exact"),
+    "sixstate": (1, "exact"),
+    "twenty": (2, "program-prep"),
+    "b92": (1, "b92"),
+    "pairs": (2, "exact"),
 }
 TASKS = tuple(_TASK_SPECS)
 
@@ -767,10 +712,6 @@ TASKS = tuple(_TASK_SPECS)
 def task_num_clone_qubits(task: str) -> int:
     """Register size N of the task's cloners, and so of its channel."""
     return _TASK_SPECS[task][0]
-
-
-def default_task_config(task: str) -> OptimizerConfig:
-    return _TASK_SPECS[task][2]
 
 
 def default_f_values(task: str) -> list[float]:
@@ -821,12 +762,15 @@ def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
 def _compiled_rows(kind: str, exact) -> list[SweepRow]:
     """Exact rows, each (f_target, series, label, target states (K, 2^n),
     report_of), their targets compiled in one batch into the ``kind``
-    ansatz.  A row prints its angles, reads its report from the flattened
-    states they prepare through ``report_of``, and warns when those lie
-    farther than ``FIT_BOUND`` from its target."""
+    ansatz.  A row prints its angles, with fit dust (|angle| <= 1e-14) read
+    as 0, reads its report from the flattened states they prepare through
+    ``report_of``, and warns when those lie farther than ``FIT_BOUND`` from
+    its target."""
     targets = np.array([target for *_, target, _ in exact], dtype=complex)
+    thetas = compile_programs(kind, targets)
+    thetas[np.abs(thetas) <= 1e-14] = 0.0
     rows = []
-    for (f, series, label, target, report_of), theta in zip(exact, compile_programs(kind, targets)):
+    for (f, series, label, target, report_of), theta in zip(exact, thetas):
         states = ansatz_pass(kind, theta)[0]
         overlap = np.vdot(target, states)
         error = np.linalg.norm(states - overlap / abs(overlap) * target)
@@ -835,12 +779,6 @@ def _compiled_rows(kind: str, exact) -> list[SweepRow]:
         report = report_of(states.reshape(-1))
         rows.append(_report_row(f, series, label, report, theta, abs(report.f_ab_avg - f)))
     return rows
-
-
-def _b92_report(final: np.ndarray) -> FidelityReport:
-    """Each input's fidelities in one b92 output (2, 4)."""
-    per_ab, per_ae, _, _ = _b92_fidelities(final)
-    return FidelityReport.from_columns(list(B92_INPUTS), per_ab[0], per_ae[0])
 
 
 def _report_row(f_target, series, label, report, params=None, miss=None) -> SweepRow:
@@ -861,7 +799,7 @@ def _reference_rows(task, f_values, channel) -> list[SweepRow]:
     """The task's reference rows: the phase-covariant curve (bb84), the
     universal curve (sixstate) or point (twenty), the exact frontiers (b92).
 
-    They are computed before any Adam run, so bad inputs fail fast.
+    They are computed before the optimized rows, so bad inputs fail fast.
     """
     if task in ("bb84", "sixstate"):
         family = "pccm" if task == "bb84" else "uqcm"
@@ -887,18 +825,15 @@ def _reference_rows(task, f_values, channel) -> list[SweepRow]:
 
 
 def frontier_sweep(
-    task: str,
-    f_values=None,
-    cfg: OptimizerConfig | None = None,
-    channel: PauliChannel | None = None,
+    task: str, f_values=None, channel: PauliChannel | None = None
 ) -> SweepResult:
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
     Emits one optimized row per target per series, plus the task's reference
     rows.  Every optimized row is exact.  Twenty rows print their programs
     compiled into the program-prep angles, and b92 ``qml`` rows their
-    isometries (``b92_isometry``) compiled into the b92 angles.  ``cfg`` is
-    accepted and drives no row, so no row depends on a seed.
+    isometries (``b92_isometry``) compiled into the b92 angles.  No row
+    depends on a seed.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -912,11 +847,12 @@ def frontier_sweep(
     if task == "b92" and channel is not None:
         raise ValueError("the b92 task is noiseless")
     f_values = sorted(f_values)
-    n, solver, _ = _TASK_SPECS[task]
+    n, solver = _TASK_SPECS[task]
 
     rows = _reference_rows(task, f_values, channel)
     if solver == "b92":
-        exact = [(f, "qml", "", _B92_INPUTS @ b92_isometry(f)[0].T, _b92_report) for f in f_values]
+        report_of = functools.partial(_forms_report, list(B92_INPUTS), B92_FORMS)
+        exact = [(f, "qml", "", _B92_INPUTS @ b92_isometry(f)[0].T, report_of) for f in f_values]
         rows += _compiled_rows(solver, exact)
     else:
         exact = []

@@ -215,7 +215,6 @@ def test_c08_bb84_frontier_beats_phase_covariant():
     result = opt.frontier_sweep(
         "bb84",
         f_values=f_values,
-        cfg=opt.OptimizerConfig(steps=120, restarts=4, seed=3),
         channel=channel,
     )
     wins = 0
@@ -239,12 +238,7 @@ def test_c09_two_qubit_noisy_frontier():
     start = time.monotonic()
     channel = PauliChannel(2, {PauliString("YI"): 0.45})
     f_values = [0.35, 0.40, 0.45, 0.50, 0.55, 0.60]
-    result = opt.frontier_sweep(
-        "twenty",
-        f_values=f_values,
-        cfg=opt.OptimizerConfig(steps=100, restarts=3, seed=4),
-        channel=channel,
-    )
+    result = opt.frontier_sweep("twenty", f_values=f_values, channel=channel)
     ng_rows = result.series("ng")
     qid_rows = result.series("qid")
     # Eve's optimized NG average must reach the QID's at every target; both
@@ -270,9 +264,7 @@ def test_c09_two_qubit_noisy_frontier():
 
 def test_c10_reduced_pairs():
     start = time.monotonic()
-    result = opt.frontier_sweep(
-        "pairs", f_values=[0.85], cfg=opt.OptimizerConfig(steps=200, restarts=3, seed=5)
-    )
+    result = opt.frontier_sweep("pairs", f_values=[0.85])
     ng = {r.label: r.f_ae_avg for r in result.series("ng")}
     qid = {r.label: r.f_ae_avg for r in result.series("qid")}
     assert len(ng) == len(qid) == 10
@@ -290,9 +282,7 @@ def test_c10_reduced_pairs():
 def test_c11_b92_learning_beats_grid_search():
     start = time.monotonic()
     f_values = [0.6, 0.7, 0.75, 0.8, 0.85]
-    result = opt.frontier_sweep(
-        "b92", f_values=f_values, cfg=opt.OptimizerConfig(steps=100, restarts=5, seed=6)
-    )
+    result = opt.frontier_sweep("b92", f_values=f_values)
     wins = 0
     for row in result.series("qml"):
         assert row.target_miss <= 1e-9
@@ -326,9 +316,10 @@ def test_c12_bob_channel_is_pauli():
 
 
 def test_c13_parameter_shift_gradients():
-    # The adjoint gradients of the program-prep and b92 losses against
-    # central differences; the id keeps the name of the parameter-shift
-    # gradients these replaced.
+    # The gradients of the program-prep and b92 losses, 2 Re(lam^dag J) on
+    # the ansatz Jacobian, against central differences of the forward-only
+    # objectives; the id keeps the name of the parameter-shift gradients
+    # these replaced.
     rng = np.random.default_rng(24)
     channel = PauliChannel(2, {PauliString("YI"): 0.45})
     forms = opt.fidelity_quadratic_forms(ClonerKind.NG, 2, mubs_for(2).bases, channel)
@@ -347,4 +338,4 @@ def test_c13_parameter_shift_gradients():
         rel = float(np.linalg.norm(g - fd) / np.linalg.norm(fd))
         worst = max(worst, rel)
         assert rel < 1e-6
-    print(f"[PASS] C13 adjoint gradients vs central differences, 50+50 points (max rel {worst:.1e})")
+    print(f"[PASS] C13 Jacobian gradients vs central differences, 50+50 points (max rel {worst:.1e})")

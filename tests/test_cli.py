@@ -510,20 +510,10 @@ class TestSeededDraws:
         # pinned values: the stdlib stream and the word reads are the same on every platform
         pinned = [0.38524530801093704, 0.8902439183457648, 0.040484381006232306]
         assert simcore._uniforms(random.Random(0), 3).tolist() == pinned
-        # string seeds hash by sha512, not by the per-process str hash
-        code = (
-            "import sys\n"
-            "from paulicloner import optimize\n"
-            "from paulicloner.cli import main\n"
-            "cfg = optimize.OptimizerConfig(restarts=3, seed=5)\n"
-            "print(optimize.restart_starts(cfg, 4).tolist())\n"
-            f"main({SEEDED_COMMANDS[1] + ['--seed', '5']!r})"
-        )
+        # and a seeded command prints the same whatever the per-process str hash
+        code = f"from paulicloner.cli import main\nmain({SEEDED_COMMANDS[1] + ['--seed', '5']!r})"
         first, second = (run_python("-c", code, PYTHONHASHSEED=h) for h in ("1", "2"))
         assert first == second
-        cfg = optimize.OptimizerConfig(restarts=3, seed=5)
-        starts = optimize.restart_starts(cfg, 4)
-        assert first.splitlines()[0] == str(starts.tolist())
 
 
 class TestValidateBatches:
@@ -898,6 +888,12 @@ class TestSweepCommand:
             run_cli(capsys, "sweep", "--task", "everything")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", ["--steps", "--restarts"])
+    def test_steps_and_restarts_below_1_exit_2(self, capsys, option):
+        # they drive no row, but a value no optimizer could run is still refused
+        code, out, err = run_cli(capsys, "sweep", "--task", "bb84", option, "0")
+        assert (code, out, err) == (2, "", "error: steps and restarts must be at least 1\n")
+
 
     def test_single_target(self, capsys):
         argv = ["sweep", "--task", "bb84", "--noise", "X=0.25", "--f", "0.7:0.7:1"]
@@ -923,12 +919,8 @@ class TestSweepCommand:
         argv += ["--steps", "5", "--restarts", "2"]
         code, out, _ = run_cli(capsys, *argv, *(["--noise", noise] if noise else []))
         assert code == 0
-        result = optimize.frontier_sweep(
-            task,
-            [0.75],
-            cfg=optimize.OptimizerConfig(steps=5, restarts=2, seed=4),
-            channel=parse_channel_spec(noise, 1) if noise else None,
-        )
+        channel = parse_channel_spec(noise, 1) if noise else None
+        result = optimize.frontier_sweep(task, [0.75], channel=channel)
         assert len(result.rows) == num_rows
         assert out.splitlines()[1:] == cli._sweep_csv_lines(result, {})[1:]
 
@@ -939,6 +931,16 @@ class TestSweepCommand:
         assert len(cells) == 40 * 16
         assert "-0" not in cells
         assert all(float(c) == 0 or abs(float(c)) >= 1e-15 for c in cells)
+
+    def test_b92_angles_print_no_fit_dust(self, capsys):
+        # the fit leaves a few angles below 1e-15; every other nonzero one is above 1e-3
+        code, out, _ = run_cli(capsys, "sweep", "--task", "b92", "--f", "0:1:0.01")
+        assert code == 0
+        rows = [r for r in csv.DictReader(out.splitlines()[1:]) if r["series"] == "qml"]
+        cells = [c for r in rows for c in r["params"].split()]
+        assert len(cells) == 101 * 18
+        assert "-0" not in cells
+        assert not any(0 < abs(float(c)) <= 1e-14 for c in cells)
 
 
 class TestCliSurface:

@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from oracle import central_difference, pareto_filter, reference_fidelities
 
 from paulicloner.analytic import table1_angles
-from paulicloner import optimize, simcore
+from paulicloner import optimize
 from paulicloner.cloner import (
     B92_INPUTS,
     ClonerKind,
@@ -21,6 +20,7 @@ from paulicloner.mub import PauliString, mubs_for
 from paulicloner.noise import PauliChannel, parse_channel_spec
 from paulicloner.optimize import (
     ADAM_LEARNING_RATE,
+    B92_FORMS,
     TASKS,
     AnsatzSpec,
     OptimizerConfig,
@@ -29,24 +29,23 @@ from paulicloner.optimize import (
     adam_optimize,
     ansatz_circuit,
     ansatz_jacobian,
+    ansatz_loss_and_grad,
     ansatz_pass,
     b92_ansatz_circuit,
     b92_isometry,
-    b92_loss_and_grad,
     b92_qml_fidelities,
     evaluate_ansatz,
     exact_frontier_point,
     fidelity_quadratic_forms,
     frontier_sweep,
     grid_frontier_b92,
+    layered_jacobian,
     layered_pass,
     loss,
     make_b92_loss,
     make_program_loss,
-    program_prep_loss_and_grad,
     program_prep_state,
     program_prep_state_and_shift_grads,
-    restart_starts,
     quadratic_fidelity,
     shift_gradient_states,
 )
@@ -126,6 +125,18 @@ class TestAnsatz:
             assert fab == pytest.approx(np.mean([v[0] for v in per.values()]), abs=1e-12)
             assert fae == pytest.approx(np.mean([v[1] for v in per.values()]), abs=1e-12)
 
+    def test_b92_forms_give_each_inputs_fidelities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            p = rng.uniform(-math.pi, math.pi, 18)
+            psi = ansatz_pass("b92", p).reshape(-1)
+            report = optimize._forms_report(list(B92_INPUTS), B92_FORMS, psi)
+            per = b92_per_state_fidelities(b92_ansatz_circuit(p))
+            assert list(report.f_ab) == list(report.f_ae) == list(per)
+            for lbl, (f_ab, f_ae) in per.items():
+                assert abs(report.f_ab[lbl] - f_ab) < 1e-12
+                assert abs(report.f_ae[lbl] - f_ae) < 1e-12
+
 
 class TestAdam:
     def test_toy_quadratic(self):
@@ -169,9 +180,10 @@ class TestAdam:
         def loss_and_grad(p):
             return np.sum((p - target) ** 2, axis=1), 2.0 * (p - target)
 
-        cfg = OptimizerConfig(steps=30, restarts=3, seed=11)
-        p1, t1 = adam_optimize(loss_and_grad, restart_starts(cfg, 3), cfg)
-        p2, t2 = adam_optimize(loss_and_grad, restart_starts(cfg, 3), cfg)
+        cfg = OptimizerConfig(steps=30, restarts=3)
+        starts = np.random.default_rng(11).uniform(-math.pi, math.pi, (cfg.restarts, 3))
+        p1, t1 = adam_optimize(loss_and_grad, starts, cfg)
+        p2, t2 = adam_optimize(loss_and_grad, starts, cfg)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(t1, t2)
 
@@ -195,11 +207,11 @@ class TestAdam:
         stacks = np.stack([np.stack([m.mean(axis=0) for m in _prep_forms(n)]) for n in names])
         targets = np.linspace(0.45, 0.8, 6)
         starts = np.random.default_rng(8).uniform(-math.pi, math.pi, (6, 60))
-        batch = functools.partial(program_prep_loss_and_grad, stacks, targets)
-        params, trace = adam_optimize(batch, starts, cfg)
+        prep_loss = functools.partial(ansatz_loss_and_grad, "program-prep")
+        params, trace = adam_optimize(functools.partial(prep_loss, stacks, targets), starts, cfg)
         for z in range(len(starts)):
             one = slice(z, z + 1)
-            alone = functools.partial(program_prep_loss_and_grad, stacks[one], targets[one])
+            alone = functools.partial(prep_loss, stacks[one], targets[one])
             p, t = adam_optimize(alone, starts[z : z + 1], cfg)
             np.testing.assert_array_equal(p[0], params[z])
             np.testing.assert_array_equal(t[:, 0], trace[:, z])
@@ -208,22 +220,14 @@ class TestAdam:
         cfg = OptimizerConfig(steps=25)
         starts = np.random.default_rng(10).uniform(-math.pi, math.pi, (4, 18))
         targets = np.array([0.6, 0.7, 0.8, 0.9])
-        batch = functools.partial(b92_loss_and_grad, targets)
+        forms = B92_FORMS.mean(axis=1)
+        batch = functools.partial(ansatz_loss_and_grad, "b92", forms, targets)
         params, trace = adam_optimize(batch, starts, cfg)
         for z in range(len(starts)):
-            alone = functools.partial(b92_loss_and_grad, targets[z : z + 1])
+            alone = functools.partial(ansatz_loss_and_grad, "b92", forms, targets[z : z + 1])
             p, t = adam_optimize(alone, starts[z : z + 1], cfg)
             np.testing.assert_array_equal(p[0], params[z])
             np.testing.assert_array_equal(t[:, 0], trace[:, z])
-
-    def test_restart_starts(self):
-        cfg = OptimizerConfig(restarts=3, seed=17)
-        starts = restart_starts(cfg, 5)
-        assert starts.shape == (3, 5)
-        np.testing.assert_array_equal(starts[0], np.zeros(5))
-        for r in (1, 2):
-            u = simcore._uniforms(random.Random(f"17/{r}"), 5)
-            np.testing.assert_array_equal(starts[r], -math.pi + 2 * math.pi * u)
 
 
 class TestGradients:
@@ -282,7 +286,7 @@ def _prep_forms(name):
     return fidelity_quadratic_forms(ClonerKind.NG, 2, bases[:2], None)  # pairs
 
 
-class TestAdjointGradients:
+class TestAnsatzGradients:
     def test_ansatz_jacobian_matches_shift_reference(self):
         rng = np.random.default_rng(31)
         ps = np.vstack([rng.uniform(-math.pi, math.pi, (3, 60)), np.zeros(60)])
@@ -312,7 +316,7 @@ class TestAdjointGradients:
         objective, gradient = make_program_loss(forms, 0.55)
         ps = rng.uniform(-math.pi, math.pi, (4, 60))
         stacks = np.repeat(np.stack([m_ab, m_ae])[None], 4, axis=0)
-        values, grads = program_prep_loss_and_grad(stacks, np.full(4, 0.55), ps)
+        values, grads = ansatz_loss_and_grad("program-prep", stacks, np.full(4, 0.55), ps)
         for p, value, g in zip(ps, values, grads):
             assert abs(value - objective(p)) < 1e-14
             np.testing.assert_allclose(
@@ -325,7 +329,8 @@ class TestAdjointGradients:
         rng = np.random.default_rng(31)
         objective, gradient = make_b92_loss(f_target)
         ps = rng.uniform(-math.pi, math.pi, (4, 18))
-        values, grads = b92_loss_and_grad(np.full(4, f_target), ps)
+        forms = B92_FORMS.mean(axis=1)
+        values, grads = ansatz_loss_and_grad("b92", forms, np.full(4, f_target), ps)
         for p, value, g in zip(ps, values, grads):
             assert abs(value - loss(*b92_qml_fidelities(p), f_target)) < 1e-14
             assert abs(value - objective(p)) < 1e-14
@@ -334,38 +339,15 @@ class TestAdjointGradients:
             )
             np.testing.assert_array_equal(gradient(p), g)
 
-    def test_forward_state_is_program_prep_state(self):
-        seen = []
-
-        def capture(final):
-            seen.append(final.copy())
-            return 0.0, np.zeros_like(final)
-
-        p = np.random.default_rng(32).uniform(-math.pi, math.pi, 60)
-        _, g = ansatz_pass("program-prep", p.reshape(1, 60), capture)
-        np.testing.assert_array_equal(seen[0][0, 0], program_prep_state(p))
-        np.testing.assert_array_equal(g, np.zeros((1, 60)))
-
-    def test_b92_forward_state_is_the_adjoint_pass_state(self):
-        seen = []
-
-        def capture(final):
-            seen.append(final.copy())
-            return 0.0, np.zeros_like(final)
-
-        p = np.random.default_rng(34).uniform(-math.pi, math.pi, 18)
-        _, g = ansatz_pass("b92", p.reshape(1, 18), capture)
-        np.testing.assert_array_equal(seen[0], ansatz_pass("b92", p))
-        np.testing.assert_array_equal(g, np.zeros((1, 18)))
-
 
 _RING = ((0, 1), (1, 2), (2, 0))
+_RING_ENTANGLER = optimize._entangler(3, _RING)
 
 
-def _ring_pass(params, inputs, adjoint=None):
+def _ring_pass(params, inputs):
     """Two layers on three qubits with a CNOT-ring entangler: a layout
     neither shipped ansatz uses."""
-    return layered_pass(params, inputs, optimize._entangler(3, _RING), adjoint)
+    return layered_pass(params, inputs, _RING_ENTANGLER)
 
 
 class TestLayeredPass:
@@ -395,17 +377,17 @@ class TestLayeredPass:
     def test_gradients_match_differences_and_the_shift_rule(self):
         inputs, forms, params = self._case()
 
-        def adjoint(final):
-            # loss sum_k psi_k^dag M_k psi_k, whose adjoint vectors are M_k psi_k
-            m_psi = np.einsum("kab,zkb->zka", forms, final)
-            return np.einsum("zka,zka->z", final.conj(), m_psi).real, m_psi
-
         def loss_of(p):
-            return _ring_pass(p.reshape(1, 2, 3, 3), inputs, adjoint)[0][0]
+            # sum_k psi_k^dag M_k psi_k
+            final = _ring_pass(p.reshape(1, 2, 3, 3), inputs)[0]
+            return np.einsum("ka,kab,kb->", final.conj(), forms, final).real
 
-        values, grads = _ring_pass(params, inputs, adjoint)
-        for p, value, g in zip(params.reshape(4, -1), values, grads):
-            assert abs(value - loss_of(p)) < 1e-13
+        states, jacobians = layered_jacobian(params, inputs, _RING_ENTANGLER)
+        np.testing.assert_allclose(states, _ring_pass(params, inputs), rtol=0, atol=1e-14)
+        # the loss's gradient is 2 Re (M psi)^dag J
+        m_psi = np.einsum("kab,zkb->zka", forms, states).reshape(len(params), -1)
+        grads = 2 * np.einsum("zd,zdp->zp", m_psi.conj(), jacobians).real
+        for p, g in zip(params.reshape(4, -1), grads):
             np.testing.assert_allclose(g, central_difference(loss_of, p), rtol=0, atol=1e-6)
             # the loss is trigonometric in the full angle, hence frequency 1
             shift = shift_gradient_states(loss_of, p, 1.0)
@@ -612,12 +594,11 @@ def _b92_dual_forms():
 class TestSweep:
     @pytest.mark.parametrize("task", TASKS)
     def test_rows_and_row_seeds_per_task(self, task, monkeypatch):
-        # every row is exact: no task runs Adam, whatever the config
+        # every row is exact: no task runs Adam
         fs = [0.7, 0.8]
-        cfg = OptimizerConfig(steps=2, restarts=2, seed=21)
         calls = []
         monkeypatch.setattr(optimize, "adam_optimize", lambda *args: calls.append(args))
-        result = frontier_sweep(task, f_values=fs, cfg=cfg)
+        result = frontier_sweep(task, f_values=fs)
         units, references = SWEEP_SERIES[task]
         expected = sorted(
             [(f, s, lbl) for f in fs for s, lbl in units]
@@ -692,8 +673,7 @@ class TestSweep:
             assert row.target_miss == abs(row.f_ab_avg - row.f_target) > 1e-9
 
     def test_b92_rows_match_the_simulation_oracle(self):
-        cfg = OptimizerConfig(steps=30, restarts=2, seed=4)
-        result = frontier_sweep("b92", f_values=[0.7, 0.8], cfg=cfg)
+        result = frontier_sweep("b92", f_values=[0.7, 0.8])
         rows = result.series("qml")
         assert len(rows) == 2
         for row in rows:
@@ -770,10 +750,9 @@ class TestSweep:
 
     def test_bb84_sweep_rows_and_determinism(self):
         ch = PauliChannel(1, {PauliString("X"): 0.25})
-        cfg = OptimizerConfig(steps=40, restarts=2, seed=5)
         fs = [0.7, 0.75]
-        r1 = frontier_sweep("bb84", f_values=fs, cfg=cfg, channel=ch)
-        r2 = frontier_sweep("bb84", f_values=fs, cfg=cfg, channel=ch)
+        r1 = frontier_sweep("bb84", f_values=fs, channel=ch)
+        r2 = frontier_sweep("bb84", f_values=fs, channel=ch)
         ng1, ng2 = r1.series("ng"), r2.series("ng")
         assert len(ng1) == 2
         for a, b in zip(ng1, ng2):
@@ -783,8 +762,7 @@ class TestSweep:
 
     def test_rows_sorted_by_target(self):
         ch = PauliChannel(1, {PauliString("X"): 0.25})
-        cfg = OptimizerConfig(steps=20, restarts=1, seed=5)
-        result = frontier_sweep("bb84", f_values=[0.8, 0.7], cfg=cfg, channel=ch)
+        result = frontier_sweep("bb84", f_values=[0.8, 0.7], channel=ch)
         targets = [r.f_target for r in result.rows if not math.isnan(r.f_target)]
         assert targets == sorted(targets)
 
@@ -852,7 +830,6 @@ class TestSweep:
         result = frontier_sweep(
             "sixstate",
             f_values=[0.6, 0.65, 0.7],
-            cfg=OptimizerConfig(steps=120, restarts=4, seed=12),
             channel=ch,
         )
         uqcm = {r.f_target: r.f_ae_avg for r in result.series("uqcm")}
@@ -872,7 +849,6 @@ class TestSweep:
         result = frontier_sweep(
             "bb84",
             f_values=[0.6, 0.65, 0.7, 0.75],
-            cfg=OptimizerConfig(steps=60, restarts=2, seed=13),
             channel=ch,
         )
         front = pareto_filter(

@@ -54,19 +54,26 @@ def test_install_patches_every_binding_and_uninstall_restores_it(trace_layers):
 
 def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     tracer = trace_layers.Tracer()
-    cfg = OptimizerConfig(steps=3, restarts=2, seed=1)
+    cfg = OptimizerConfig(steps=3, restarts=2)
     # a cold build, so that the sweep calls build_cloner through its hook
     cloner.cloner_permutation.cache_clear()
     patches = trace_layers.install(tracer)
     try:
-        frontier_sweep("b92", f_values=[0.8], cfg=cfg)
+        frontier_sweep("b92", f_values=[0.8])
         sweep_metrics = trace_layers.layer_metrics(tracer)
         # the sweep is exact, so the Adam hook runs on a direct call
-        loss_and_grad = functools.partial(optimize.b92_loss_and_grad, np.full(cfg.restarts, 0.8))
-        optimize.adam_optimize(loss_and_grad, optimize.restart_starts(cfg, 18), cfg)
-        objective, gradient = optimize.make_b92_loss(0.8)
-        objective(np.zeros(18))
-        gradient(np.zeros(18))
+        forms, targets = optimize.B92_FORMS.mean(axis=1), np.full(cfg.restarts, 0.8)
+        loss_and_grad = functools.partial(optimize.ansatz_loss_and_grad, "b92", forms, targets)
+        optimize.adam_optimize(loss_and_grad, np.zeros((cfg.restarts, 18)), cfg)
+        # both traced loss factories, the program's on identity forms
+        identity = np.eye(16)[None]
+        losses = {
+            "b92": optimize.make_b92_loss(0.8),
+            "program-prep": optimize.make_program_loss((identity, identity), 0.8),
+        }
+        for kind, (objective, gradient) in losses.items():
+            objective(np.zeros(optimize.ANSATZ_PARAM_COUNTS[kind]))
+            gradient(np.zeros(optimize.ANSATZ_PARAM_COUNTS[kind]))
     finally:
         trace_layers.uninstall(patches)
     assert sweep_metrics["optimize.adam.calls"][0] == 0
@@ -74,8 +81,8 @@ def test_traced_sweep_and_loss_closures_run_through_the_hooks(trace_layers):
     assert metrics["optimize.adam.calls"][0] == 1
     assert metrics[trace_layers.ADAM_STEPS][0] == cfg.steps * cfg.restarts
     assert metrics["optimize.grid_frontier_b92.calls"][0] == 2
-    assert metrics["optimize.objective.calls"][0] == 1
-    assert metrics["optimize.gradient.calls"][0] == 1
+    assert metrics["optimize.objective.calls"][0] == 2
+    assert metrics["optimize.gradient.calls"][0] == 2
     assert metrics["cloner.build_cloner.calls"][0] == 2
     assert metrics["cloner.build_cloner.distinct"][0] == 2
 

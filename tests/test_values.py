@@ -49,7 +49,7 @@ REFUSED = [
     (optimize.AnsatzSpec, ("b92", np.zeros(17)), ValueError),
     (optimize.OptimizerConfig, (0,), ValueError),
     (optimize.OptimizerConfig, (10, 0), ValueError),
-    (optimize.OptimizerConfig, (10, 1, 0, 5), TypeError),
+    (optimize.OptimizerConfig, (10, 1, 0), TypeError),
     (optimize.SweepRow, (0.5, "ng", "", {}, {}, 0.5, 0.5), TypeError),
     (optimize.SweepResult, ("bb84",), TypeError),
     (cli.Check, ("check", 0.0), TypeError),
@@ -92,8 +92,8 @@ def test_refused_inputs(cls, args, error, kwargs):
 def test_keyword_fields_and_defaults():
     op = simcore.GateOp(name="RY", qubits=(0,), angle=0.5)
     assert (op.name, op.qubits, op.angle, op.control_value) == ("RY", (0,), 0.5, 1)
-    cfg = optimize.OptimizerConfig(seed=3)
-    assert (cfg.steps, cfg.restarts, cfg.seed) == (100, 5, 3)
+    cfg = optimize.OptimizerConfig(steps=3)
+    assert (cfg.steps, cfg.restarts) == (3, 5)
 
 
 # every immutable type, built from valid input, and one of its fields
@@ -112,7 +112,7 @@ FROZEN = {
     "FidelityReport": (lambda: cloner.FidelityReport({}, {}, {}, {}), "f_ab"),
     "ImbalanceEta": (lambda: analytic.ImbalanceEta(2.0), "eta"),
     "AnsatzSpec": (lambda: optimize.AnsatzSpec.zeros("b92"), "parameters"),
-    "OptimizerConfig": (lambda: optimize.OptimizerConfig(), "seed"),
+    "OptimizerConfig": (lambda: optimize.OptimizerConfig(), "steps"),
     "SweepRow": (lambda: optimize.SweepRow(0.5, "ng", "", {}, {}, 0.5, 0.5, None), "f_target"),
     "SweepResult": (lambda: optimize.SweepResult("bb84", ()), "rows"),
     "Check": (lambda: cli.Check("check", 0.0, 1e-12), "deviation"),
