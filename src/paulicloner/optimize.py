@@ -19,6 +19,10 @@ pairs rows and the b92 reference rows on their Bob targets.  The b92
 to Bob's and Eve's, which ``b92_isometry`` solves exactly.  Twenty rows
 print their programs, and ``qml`` rows their isometries, compiled into
 ansatz angles (``compile_programs``).  No sweep runs Adam.
+``frontier_sweep`` builds every optimized row in one loop: each series
+yields its target states (``_exact_programs`` or ``b92_isometry``), a task
+whose rows print angles compiles all of them in one batch, and each row
+reads its report from its state.
 
 The two layered rotation ansaetze (program-prep and b92) are each written
 once, in ``ANSATZ_LAYOUTS``; their gate lists, entangler permutations,
@@ -58,8 +62,8 @@ from .cloner import (
     resolve_bases,
     state_rows,
 )
-from .mub import mubs_for
-from .noise import PauliChannel
+from .mub import PauliString, mubs_for
+from .noise import PauliChannel, noisy_fidelity_1q
 from .simcore import Circuit, Frozen, GateOp, apply_ops, rotation_block
 
 
@@ -305,7 +309,9 @@ def compile_programs(kind: str, targets: np.ndarray) -> np.ndarray:
     the (B, K, 2^n) ``targets`` up to one global phase per row:
     Levenberg-Marquardt on psi(theta) - e^{i phi} a from zero, in lockstep; a
     fit's damping falls tenfold on a step that lowers its residual, else rises
-    tenfold.  Stops at FIT_BOUND / 100 or FIT_ITERATIONS."""
+    tenfold.  A row whose residual is at most FIT_BOUND / 100 takes no
+    further step, so that it fits as it would alone; the batch stops when
+    every row has, or after FIT_ITERATIONS."""
     a = np.asarray(targets, dtype=complex)
     b = len(a)
     x = np.hstack([np.zeros((b, ANSATZ_PARAM_COUNTS[kind])), np.angle(a[:, 0, :1])])
@@ -314,7 +320,8 @@ def compile_programs(kind: str, targets: np.ndarray) -> np.ndarray:
         psi, jacobian = ansatz_jacobian(kind, x[:, :-1])
         psi, r = psi.reshape(b, -1), (psi - np.exp(1j * x[:, -1:, None]) * a).reshape(b, -1)
         error = np.linalg.norm(r, axis=1)
-        if error.max() <= FIT_BOUND / 100:
+        done = error <= FIT_BOUND / 100
+        if done.all():
             break
         # the phase as the last column, real and imaginary parts as rows
         j = np.concatenate([jacobian, 1j * (r - psi)[..., None]], axis=-1)
@@ -324,7 +331,7 @@ def compile_programs(kind: str, targets: np.ndarray) -> np.ndarray:
         y = v @ (v.swapaxes(1, 2) @ r[..., None] / (w + damping[:, None])[..., None])
         trial = x - (j.swapaxes(1, 2) @ y)[..., 0]
         trial_r = ansatz_pass(kind, trial[:, :-1]) - np.exp(1j * trial[:, -1:, None]) * a
-        better = np.linalg.norm(trial_r.reshape(b, -1), axis=1) < error
+        better = (np.linalg.norm(trial_r.reshape(b, -1), axis=1) < error) & ~done
         x[better] = trial[better]
         damping = np.where(better, damping / 10, damping * 10)
     return x[:, :-1]
@@ -644,11 +651,14 @@ def reference_eve(family: str, f_ab_avg: float, channel: PauliChannel | None) ->
 
     Bob and Eve have one fidelity in every basis of the family, and the channel
     moves both averages by the affine map F (1 - 2q) + q, with q the mean rate
-    of the errors that harm a basis.
+    of the errors that harm a basis (``noisy_fidelity_1q`` at F = 0).
     """
     description, labels, lowest, eve_of = REFERENCE_FAMILIES[family]
-    p = _xyz_probs(channel)
-    q = sum(sum(p.values()) - p[b] for b in labels) / len(labels)
+    if channel is not None and channel.num_qubits != 1:
+        raise ValueError("expected a single-qubit channel")
+    probs = channel.probs if channel is not None else {}
+    p_xyz = [probs.get(PauliString(x), 0.0) for x in "XYZ"]
+    q = sum(noisy_fidelity_1q(0.0, b, *p_xyz) for b in labels) / len(labels)
     slope = 1 - 2 * q
     if abs(slope) <= 1e-12 and abs(f_ab_avg - 0.5) <= 1e-12:
         return 0.5  # q = 1/2 puts every cloner of the family at Bob = Eve = 1/2
@@ -656,16 +666,6 @@ def reference_eve(family: str, f_ab_avg: float, channel: PauliChannel | None) ->
     if not -1e-12 <= t - lowest <= 1 - lowest + 1e-12:  # a NaN t fails too
         raise ValueError(f"no {description} cloner reaches {f_ab_avg}")
     return eve_of(min(max(t, lowest), 1.0)) * slope + q
-
-
-def _xyz_probs(channel: PauliChannel | None) -> dict:
-    if channel is not None and channel.num_qubits != 1:
-        raise ValueError("expected a single-qubit channel")
-    out = {"X": 0.0, "Y": 0.0, "Z": 0.0}
-    for p, w in channel.probs.items() if channel is not None else ():
-        if not p.is_identity:
-            out[p.letters] += w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -738,47 +738,39 @@ def _units(task: str) -> list[tuple]:
     ]
 
 
-def _exact_rows(forms, labels, f_values, series, label) -> list[SweepRow]:
-    """The exact frontier at each Bob-fidelity target on the forms of the bases
-    ``labels``; ``params`` holds the program amplitudes, as ``fidelities
-    --amplitudes`` takes them."""
+def _optimized_series(task: str, f_values, channel):
+    """Each optimized series of the task as (series, label, report_of,
+    targets): the target states (F, K, D) of its rows, exact programs or the
+    b92 isometries on their inputs, and the reader of a row's report from its
+    flattened state."""
+    if task == "b92":
+        report_of = functools.partial(_forms_report, list(B92_INPUTS), B92_FORMS)
+        yield "qml", "", report_of, np.array([_B92_INPUTS @ b92_isometry(f)[0].T for f in f_values])
+        return
+    n = task_num_clone_qubits(task)
+    for kind, labels, series, label in _units(task):
+        forms = fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
+        report_of = functools.partial(_forms_report, labels, forms)
+        yield series, label, report_of, _exact_programs(forms, f_values, series, label)
+
+
+def _exact_programs(forms, f_values, series, label) -> np.ndarray:
+    """The exact frontier programs (F, 1, 4^N) at the Bob-fidelity targets on
+    ``forms``, as ``fidelities --amplitudes`` takes them; a target outside
+    the reachable Bob interval warns."""
     m_ab, m_ae = (m.mean(axis=0) for m in forms)
     reachable = np.linalg.eigvalsh(m_ab)[[0, -1]]
-    rows = []
+    programs = []
     for f in f_values:
         psi = exact_frontier_point(m_ab, m_ae, f)
         # eigensolver dust and -0 print as 0: every amplitude of at most
         # 1e-15 times the largest
         psi = np.where(np.abs(psi) <= 1e-15 * np.abs(psi).max(), 0.0, psi)
-        report = _forms_report(labels, forms, psi)
-        miss = abs(report.f_ab_avg - f)
-        if miss > 1e-9:
+        if abs(quadratic_fidelity(m_ab, psi) - f) > 1e-9:
             msg = "%s %s f=%.3f: outside the reachable Bob interval [%.4f, %.4f]"
             _warn(msg, series, label, f, *reachable)
-        rows.append(_report_row(f, series, label, report, psi, miss))
-    return rows
-
-
-def _compiled_rows(kind: str, exact) -> list[SweepRow]:
-    """Exact rows, each (f_target, series, label, target states (K, 2^n),
-    report_of), their targets compiled in one batch into the ``kind``
-    ansatz.  A row prints its angles, with fit dust (|angle| <= 1e-14) read
-    as 0, reads its report from the flattened states they prepare through
-    ``report_of``, and warns when those lie farther than ``FIT_BOUND`` from
-    its target."""
-    targets = np.array([target for *_, target, _ in exact], dtype=complex)
-    thetas = compile_programs(kind, targets)
-    thetas[np.abs(thetas) <= 1e-14] = 0.0
-    rows = []
-    for (f, series, label, target, report_of), theta in zip(exact, thetas):
-        states = ansatz_pass(kind, theta)[0]
-        overlap = np.vdot(target, states)
-        error = np.linalg.norm(states - overlap / abs(overlap) * target)
-        if not error <= FIT_BOUND:  # a NaN error fails too
-            _warn("%s %s f=%.3f: compiled program off by %.2g", series, label, f, error)
-        report = report_of(states.reshape(-1))
-        rows.append(_report_row(f, series, label, report, theta, abs(report.f_ab_avg - f)))
-    return rows
+        programs.append(psi)
+    return np.array(programs)[:, None]
 
 
 def _report_row(f_target, series, label, report, params=None, miss=None) -> SweepRow:
@@ -830,10 +822,12 @@ def frontier_sweep(
     """Optimize the task's cloner family over a grid of Bob-fidelity targets.
 
     Emits one optimized row per target per series, plus the task's reference
-    rows.  Every optimized row is exact.  Twenty rows print their programs
-    compiled into the program-prep angles, and b92 ``qml`` rows their
-    isometries (``b92_isometry``) compiled into the b92 angles.  No row
-    depends on a seed.
+    rows.  Every optimized row is exact, and all are built in one loop: a
+    row prints its target state, or, on a task whose rows print angles, the
+    compiled angles of its target (one ``compile_programs`` batch for the
+    task, run forward once).  Each row reads its report from its state,
+    warns when that lies more than ``FIT_BOUND`` from its target, and
+    carries its miss.  No row depends on a seed or on the other targets.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose one of {TASKS}")
@@ -847,24 +841,27 @@ def frontier_sweep(
     if task == "b92" and channel is not None:
         raise ValueError("the b92 task is noiseless")
     f_values = sorted(f_values)
-    n, solver = _TASK_SPECS[task]
+    solver = _TASK_SPECS[task][1]
 
     rows = _reference_rows(task, f_values, channel)
-    if solver == "b92":
-        report_of = functools.partial(_forms_report, list(B92_INPUTS), B92_FORMS)
-        exact = [(f, "qml", "", _B92_INPUTS @ b92_isometry(f)[0].T, report_of) for f in f_values]
-        rows += _compiled_rows(solver, exact)
+    units = list(_optimized_series(task, f_values, channel))
+    targets = [t for *_, t in units]
+    if solver == "exact":
+        params, states = [t[:, 0] for t in targets], targets
     else:
-        exact = []
-        for kind, labels, series, label in _units(task):
-            forms = fidelity_quadratic_forms(kind, n, [mubs_for(n)[x] for x in labels], channel)
-            report_of = functools.partial(_forms_report, labels, forms)
-            exact += [(r, report_of) for r in _exact_rows(forms, labels, f_values, series, label)]
-        if solver == "exact":
-            rows += [r for r, _ in exact]
-        else:
-            exact = [(r.f_target, r.series, r.label, r.parameters[None], rep) for r, rep in exact]
-            rows += _compiled_rows(solver, exact)
+        # one batch for every target; fit dust (|angle| <= 1e-14) prints as 0
+        thetas = compile_programs(solver, np.concatenate(targets))
+        thetas[np.abs(thetas) <= 1e-14] = 0.0
+        params = np.split(thetas, len(units))
+        states = np.split(ansatz_pass(solver, thetas), len(units))
+    for (series, label, report_of, target), row_params, row_states in zip(units, params, states):
+        for f, a, psi, p in zip(f_values, target, row_states, row_params):
+            overlap = np.vdot(a, psi)
+            error = np.linalg.norm(psi - overlap / abs(overlap) * a)
+            if not error <= FIT_BOUND:  # a NaN error fails too
+                _warn("%s %s f=%.3f: compiled program off by %.2g", series, label, f, error)
+            report = report_of(psi.reshape(-1))
+            rows.append(_report_row(f, series, label, report, p, abs(report.f_ab_avg - f)))
     rows.sort(key=lambda r: (math.isnan(r.f_target), r.f_target, r.series, r.label))
     return SweepResult(task, tuple(rows))
 

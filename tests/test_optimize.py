@@ -638,19 +638,47 @@ class TestSweep:
         channel = None if noise is None else parse_channel_spec(noise, 2)
         result = frontier_sweep("twenty", channel=channel)
         fs = optimize.default_f_values("twenty")
-        labels = mubs_for(2).labels
         for kind in ClonerKind:
             forms = fidelity_quadratic_forms(kind, 2, mubs_for(2).bases, channel)
-            lo, hi = np.linalg.eigvalsh(forms[0].mean(axis=0))[[0, -1]]
-            exact = optimize._exact_rows(forms, labels, fs, kind.value, "")
+            m_ab, m_ae = (m.mean(axis=0) for m in forms)
+            lo, hi = np.linalg.eigvalsh(m_ab)[[0, -1]]
             rows = result.series(kind.value)
             assert [r.f_target for r in rows] == fs
-            for row, want in zip(rows, exact):
+            for row in rows:
                 assert row.parameters.shape == (60,)
-                assert abs(row.f_ae_avg - want.f_ae_avg) < 1e-12
+                want = quadratic_fidelity(m_ae, exact_frontier_point(m_ab, m_ae, row.f_target))
+                assert abs(row.f_ae_avg - want) < 1e-12
                 assert row.target_miss == abs(row.f_ab_avg - row.f_target)
                 if lo <= row.f_target <= hi:
                     assert row.target_miss <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["program-prep", "b92"])
+    def test_every_compiled_row_equals_its_single_target_run(self, kind):
+        # a row that has converged takes no step while the rest of its batch
+        # fits: 10 of 28 twenty programs and 12 of 21 b92 isometries once
+        # compiled to other angles in a batch than alone
+        if kind == "b92":
+            fs = np.linspace(0, 1, 21)
+            targets = np.array([optimize._B92_INPUTS @ b92_isometry(f)[0].T for f in fs])
+        else:
+            channel = parse_channel_spec("YI=0.45", 2)
+            fs, targets = optimize.default_f_values("twenty"), []
+            for cloner in ClonerKind:
+                forms = fidelity_quadratic_forms(cloner, 2, mubs_for(2).bases, channel)
+                m_ab, m_ae = (m.mean(axis=0) for m in forms)
+                targets += [exact_frontier_point(m_ab, m_ae, f)[None] for f in fs]
+            targets = np.array(targets)
+        batch = optimize.compile_programs(kind, targets)
+        for theta, target in zip(batch, targets):
+            np.testing.assert_array_equal(theta, optimize.compile_programs(kind, target[None])[0])
+
+    def test_a_b92_row_reads_alike_in_any_sweep(self):
+        # `--f 1:1:1` once printed -3.19e-14 where `--f 0.5:1:0.5` printed 0
+        (alone,) = frontier_sweep("b92", f_values=[1.0]).series("qml")
+        (_, paired) = frontier_sweep("b92", f_values=[0.5, 1.0]).series("qml")
+        np.testing.assert_array_equal(alone.parameters, paired.parameters)
+        for field in ("f_ab", "f_ae", "target_miss"):
+            assert getattr(alone, field) == getattr(paired, field)
 
     @pytest.mark.parametrize("task", ["twenty", "b92"])
     def test_a_compile_off_its_program_warns_and_carries_its_miss(self, task, monkeypatch, caplog):
@@ -820,6 +848,10 @@ class TestSweep:
         for f in (0.3, 1 / 3 - 1e-9):
             with pytest.raises(ValueError, match="no asymmetric universal cloner"):
                 optimize.reference_eve("uqcm", f, None)
+
+    def test_reference_eve_refuses_a_two_qubit_channel(self):
+        with pytest.raises(ValueError, match="expected a single-qubit channel"):
+            optimize.reference_eve("pccm", 0.8, parse_channel_spec("XI=0.1", 2))
 
     def test_sixstate_beats_universal_reference(self):
         # biased noise (p_X=0.25, p_Z=0.1): the optimized cloner must beat
